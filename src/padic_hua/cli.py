@@ -15,6 +15,7 @@ from __future__ import annotations
 import argparse
 import csv
 import json
+import math
 import os
 import sys
 import time
@@ -24,6 +25,7 @@ from fractions import Fraction
 from .experiments import SUITE_NAMES, run_suite
 from .laws import (
     HuaParams,
+    hua_density,
     kernel_p,
     m_n_direct,
     haar_orbit_mass,
@@ -36,8 +38,8 @@ from .laws import (
     tilde_pi_n,
     vol_singular_law,
 )
-from .matrix import format_entry, hua_density, parse_matrix_text, singular_numbers
-from .padic import DEFAULT_BUDGET, PrecisionExhausted
+from .matrix import format_entry, parse_matrix_text, singular_numbers
+from .padic import DIGITS, GUARD, PrecisionExhausted
 from .partitions import Partition
 from .qseries import Bracket, pochhammer, pochhammer_inf
 from .rng import RngStream
@@ -93,6 +95,11 @@ def law_value_json(value) -> dict:
                 "decimal_upper": repr(float(value.upper))}
     value = Fraction(value)
     return {"exact": frac_str(value), "decimal": repr(float(value))}
+
+
+def _require(ok: bool, message: str) -> None:
+    if not ok:
+        raise ConfigError(message)
 
 
 def _hp(args) -> HuaParams:
@@ -166,7 +173,7 @@ def cmd_law(args) -> int:
         elif name == "hua_density":
             hp = _hp(args)
             k = parse_int_list(args.k)
-            power, coeff = hua_density(hp.p, k, hp.t)
+            power, coeff = hua_density(hp, k)
             doc = {"schema": LAW_SCHEMA, "law": name,
                    "params": {"p": hp.p, "t": frac_str(hp.t), "k": list(k)},
                    "p_power": power, "coefficient": frac_str(coeff),
@@ -185,15 +192,24 @@ def cmd_law(args) -> int:
 
 def matrix_record(m) -> dict:
     return {"n": m.n, "digits": m.digits, "shift": m.shift,
-            "matrix": [[format_entry(m.entry(i, j)) for j in range(m.n)]
+            "matrix": [[format_entry(m, i, j) for j in range(m.n)]
                        for i in range(m.n)]}
 
 
 def cmd_sample(args) -> int:
     hp = _hp(args)
     digits, guard = args.E, args.guard
+    _require(args.seed >= 0, f"--seed must be >= 0, got {args.seed}")
+    _require(args.N >= 1, f"--N must be >= 1, got {args.N}")
+    _require(0 <= guard < digits,
+             f"need 0 <= --guard < --E, got guard {guard} and E {digits}")
     namespace = _SAMPLE_NS[args.kind]
-    lam = Partition(parse_int_list(args.k)) if args.kind == "ergodic" else None
+    lam = None
+    if args.kind == "ergodic":
+        try:
+            lam = Partition(parse_int_list(args.k))
+        except ValueError as exc:
+            raise ConfigError(f"bad --k: {exc}") from None
     out = sys.stdout
     for index in range(args.count):
         rng = RngStream(args.seed, (namespace, index))
@@ -264,6 +280,9 @@ def write_report_files(reports, out_dir: str) -> None:
 
 
 def cmd_verify(args) -> int:
+    _require(args.seed >= 0, f"--seed must be >= 0, got {args.seed}")
+    _require(math.isfinite(args.scale) and args.scale >= 0,
+             f"--scale must be a finite number >= 0, got {args.scale}")
     t0 = time.perf_counter()
     reports = run_suite(args.suite, args.seed, workers=args.workers,
                         scale=args.scale)
@@ -306,8 +325,8 @@ def build_parser() -> argparse.ArgumentParser:
     sample.add_argument("--p", type=int, default=2)
     sample.add_argument("--t", default="1")
     sample.add_argument("--N", type=int, default=2)
-    sample.add_argument("--E", type=int, default=DEFAULT_BUDGET.digits)
-    sample.add_argument("--guard", type=int, default=DEFAULT_BUDGET.guard)
+    sample.add_argument("--E", type=int, default=DIGITS)
+    sample.add_argument("--guard", type=int, default=GUARD)
     sample.add_argument("--k", default="", help="partition for ergodic draws")
     sample.add_argument("--count", type=int, default=1)
     sample.add_argument("--seed", type=int, required=True)
@@ -316,7 +335,7 @@ def build_parser() -> argparse.ArgumentParser:
     sing = sub.add_parser("sing", help="singular numbers of a matrix file")
     sing.add_argument("file")
     sing.add_argument("--p", type=int, required=True)
-    sing.add_argument("--E", type=int, default=DEFAULT_BUDGET.digits)
+    sing.add_argument("--E", type=int, default=DIGITS)
     sing.add_argument("--guard", type=int, default=0)
     sing.set_defaults(func=cmd_sing)
 

@@ -3,7 +3,7 @@ the convergence experiments.
 
 Every experiment is a pure function of its parameters and seed: reports
 come out byte-identical across runs and worker counts.  Draw streams are
-spawned per draw index inside a per-experiment namespace, so parallel
+spawned per block of draws inside a per-experiment namespace, so parallel
 reductions are plain integer histogram merges.  Wall-clock runtime is kept
 out of the canonical report payload for the same reason.
 """
@@ -15,6 +15,7 @@ import time
 from dataclasses import dataclass, field
 from fractions import Fraction
 from math import sqrt
+from operator import add
 
 from .laws import (
     ExactLaw,
@@ -38,7 +39,7 @@ from .laws import (
     vol_singular_law,
 )
 from .matrix import corner, singular_numbers, smith_valuations
-from .padic import PrecisionExhausted, check_prime
+from .padic import DIGITS, GUARD, PrecisionExhausted, check_prime
 from .partitions import LProfile, Partition, partitions_in_box
 from .qseries import Bracket, pochhammer
 from .rng import RngStream
@@ -251,7 +252,6 @@ def enumerate_oracle(p: int, n: int, digits: int) -> Histogram:
 def run_oracle_equality(p: int, n: int, digits: int) -> ExperimentReport:
     """EXACT rational equality of enumerated class frequencies against the
     volume pushforward law, on every fully certified class."""
-    t0 = time.perf_counter()
     hist = enumerate_oracle(p, n, digits)
     table = []
     mismatches = 0
@@ -268,7 +268,7 @@ def run_oracle_equality(p: int, n: int, digits: int) -> ExperimentReport:
             mismatches += 1
         table.append({"label": label_str(label), "count": hist.counts[label],
                       "empirical": mass_json(freq), "exact": mass_json(exact)})
-    report = ExperimentReport(
+    return ExperimentReport(
         name="oracle-equality",
         params={"p": p, "n": n, "digits": digits, "matrices": hist.total},
         seed=None,
@@ -277,79 +277,79 @@ def run_oracle_equality(p: int, n: int, digits: int) -> ExperimentReport:
         table=table,
         notes=[f"{certified_classes} certified classes compared exactly"],
     )
-    report.runtime_seconds = time.perf_counter() - t0
-    return report
 
 
-# -- Monte Carlo workers (top level so they survive multiprocessing) ---------
+# -- the Monte Carlo skeleton ---------------------------------------------------
+#
+# A run is split into blocks of DEFAULT_BLOCK draws; block i draws from the
+# stream (seed, key + (i,)), so its output does not depend on which process
+# runs it.  A draw function takes (params, rng) and returns (label, events):
+# the label is tallied (None tallies nothing) and the tuple of event counts
+# is summed.  Draw functions are top level so that worker processes can
+# import them.
 
 
-def _map_blocks(worker, blocks, workers: int):
-    if workers <= 1:
-        return [worker(b) for b in blocks]
-    from multiprocessing import get_context
-
-    with get_context("fork").Pool(workers) as pool:
-        return pool.map(worker, blocks)
-
-
-def _blocks(draws: int, block: int):
-    return [(idx, min(block, draws - idx * block))
-            for idx in range((draws + block - 1) // block)]
-
-
-def _corner_block(args):
-    """One worker block: draws are conditioned on the top singular number
-    fitting half the window (the resample branch of the overflow policy);
-    resamples are counted and reported, never hidden."""
-    (p, t, n, corner_to, digits, guard, bound, seed, namespace, block_idx,
-     count) = args
-    hp = HuaParams(p, t)
-    rng = RngStream(seed, (namespace, p, t.numerator, t.denominator, n,
-                           corner_to, block_idx))
+def _run_block(args):
+    draw, params, seed, key, count = args
+    rng = RngStream(seed, key)
     counts: dict = {}
+    sums = None
+    for _ in range(count):
+        label, events = draw(params, rng)
+        if label is not None:
+            counts[label] = counts.get(label, 0) + 1
+        sums = events if sums is None else tuple(map(add, sums, events))
+    return counts, sums
+
+
+def monte_carlo(draw, params, draws: int, seed: int, key: tuple,
+                workers: int) -> tuple:
+    """(label counts, summed event counts) over ``draws`` draws."""
+    blocks = [(draw, params, seed, key + (idx,),
+               min(DEFAULT_BLOCK, draws - idx * DEFAULT_BLOCK))
+              for idx in range(-(-draws // DEFAULT_BLOCK))]
+    if workers <= 1:
+        results = [_run_block(b) for b in blocks]
+    else:
+        from multiprocessing import get_context
+
+        with get_context("spawn").Pool(workers) as pool:
+            results = pool.map(_run_block, blocks)
+    sums = tuple(map(sum, zip(*(r[1] for r in results))))
+    return merge_counts(r[0] for r in results), sums
+
+
+def _corner_draw(params, rng):
+    """Singular numbers of a matrix draw's corner.  Draws are conditioned
+    on the top singular number fitting half the window (the resample
+    branch of the overflow policy); resamples are counted, never hidden.
+    Events: (resamples, flagged)."""
+    hp, n, corner_to, digits, guard, bound = params
     resamples = 0
-    flagged = 0
-    for _ in range(count):
-        while True:
-            try:
-                m = sample_hua_matrix(hp, n, digits, rng, guard)
-                break
-            except PrecisionExhausted:
-                resamples += 1
-        st = singular_numbers(corner(m, corner_to))
-        if st.is_exact and all(abs(v) <= bound for v in st.values):
-            label = st.values
-        else:
-            label = OTHER
-            if not st.is_exact:
-                flagged += 1
-        counts[label] = counts.get(label, 0) + 1
-    return counts, resamples, flagged
+    while True:
+        try:
+            m = sample_hua_matrix(hp, n, digits, rng, guard)
+            break
+        except PrecisionExhausted:
+            resamples += 1
+    st = singular_numbers(corner(m, corner_to))
+    if st.is_exact and all(abs(v) <= bound for v in st.values):
+        return st.values, (resamples, 0)
+    return OTHER, (resamples, int(not st.is_exact))
 
 
-def _ergodic_conv_block(args):
-    (p, parts, n, digits, guard, seed, block_idx, count) = args
-    lam = Partition(parts)
-    window = min(lam.num_parts + 1, n)
-    expected = (lam.parts + (0,) * window)[:window]
-    rng = RngStream(seed, (NS_ERGODIC_CONV, p, n, len(parts)) + parts
-                    + (block_idx,))
-    matches = 0
-    flagged = 0
-    for _ in range(count):
-        m = sample_ergodic_matrix(p, lam, n, digits, rng, guard)
-        st = singular_numbers(m)
-        if not st.is_exact:
-            flagged += 1
-        if st.values[:window] == expected:
-            matches += 1
-    return matches, flagged
+def _ergodic_match_draw(params, rng):
+    """Whether an ergodic matrix draw's leading singular numbers equal
+    ``expected``.  Events: (flagged,)."""
+    p, lam, n, digits, guard, expected = params
+    st = singular_numbers(sample_ergodic_matrix(p, lam, n, digits, rng, guard))
+    return st.values[:len(expected)] == expected, (int(not st.is_exact),)
 
 
-def _positive_box_label(st, max_parts: int, max_part: int):
-    """Label a singular tuple by its positive-part partition, clipped to the
-    box of partitions with at most max_parts parts each <= max_part.
+def _positive_box_label(st, max_parts: int, max_part: int) -> tuple:
+    """(label, flagged, largest part < 2) of a singular tuple: the label is
+    its positive-part partition, clipped to the box of partitions with at
+    most max_parts parts each <= max_part.
 
     When the certification floor is positive, markers could hide positive
     values; the certified prefix then already exceeds the box (its top
@@ -357,99 +357,71 @@ def _positive_box_label(st, max_parts: int, max_part: int):
     window), so the draw is binned OTHER and flagged.
     """
     if st.floor is not None and st.floor > 0:
-        return OTHER, True
+        return OTHER, 1, 0
     pos = Partition(st.positive_part())
-    if pos.num_parts <= max_parts and pos.largest <= max_part:
-        return pos, False
-    return OTHER, False
+    in_box = pos.num_parts <= max_parts and pos.largest <= max_part
+    return (pos if in_box else OTHER), int(not st.is_exact), int(pos.largest < 2)
 
 
-def _ergodic_decomp_block(args):
-    (p, t, n, digits, guard, max_parts, max_part, seed, block_idx, count) = args
-    hp = HuaParams(p, t)
-    rng = RngStream(seed, (NS_ERGODIC_DECOMP, p, t.numerator, t.denominator,
-                           n, block_idx))
-    counts: dict = {}
-    errors = 0
-    flagged = 0
-    top_below_2 = 0
-    for _ in range(count):
-        lam = sample_nu(hp, rng)
-        try:
-            m = sample_ergodic_matrix(p, lam, n, digits, rng, guard)
-        except PrecisionExhausted:
-            errors += 1
-            continue
-        st = singular_numbers(m)
-        label, hit_floor = _positive_box_label(st, max_parts, max_part)
-        if hit_floor or not st.is_exact:
-            flagged += 1
-        # largest part < 2 is decided by the top value alone; a hit floor
-        # means the top is certified above any desk-scale part size
-        if not hit_floor and (st.values[0] is None or st.values[0] < 2):
-            top_below_2 += 1
-        counts[label] = counts.get(label, 0) + 1
-    return counts, errors, flagged, top_below_2
+def _ergodic_decomp_draw(params, rng):
+    """Partition from the limiting law, then the singular numbers of an
+    ergodic matrix with that parameter.  Events: (errors, flagged, largest
+    part < 2); a parameter that overflows the window is an error and
+    tallies no label."""
+    hp, n, digits, guard, max_parts, max_part = params
+    lam = sample_nu(hp, rng)
+    try:
+        m = sample_ergodic_matrix(hp.p, lam, n, digits, rng, guard)
+    except PrecisionExhausted:
+        return None, (1, 0, 0)
+    label, flagged, top_below_2 = _positive_box_label(
+        singular_numbers(m), max_parts, max_part)
+    return label, (0, flagged, top_below_2)
 
 
-def _singulars_block(args):
-    (p, t, n, max_parts, max_part, seed, block_idx, count) = args
-    hp = HuaParams(p, t)
-    rng = RngStream(seed, (NS_NULIMIT, p, t.numerator, t.denominator, n,
-                           block_idx))
-    counts: dict = {}
-    top_below_2 = 0
-    for _ in range(count):
-        st = sample_hua_singulars(hp, n, rng)
-        pos = Partition(st.positive_part())
-        if pos.largest < 2:
-            top_below_2 += 1
-        if pos.num_parts <= max_parts and pos.largest <= max_part:
-            label = pos
-        else:
-            label = OTHER
-        counts[label] = counts.get(label, 0) + 1
-    return counts, top_below_2
+def _nu_limit_draw(params, rng):
+    """Positive part of an exact singular-number draw.  Events: (largest
+    part < 2,)."""
+    hp, n, max_parts, max_part = params
+    label, _, top_below_2 = _positive_box_label(
+        sample_hua_singulars(hp, n, rng), max_parts, max_part)
+    return label, (top_below_2,)
 
 
 # -- corners consistency and matrix round trip --------------------------------
 
 
 def run_corners_consistency(hp: HuaParams, n: int, draws: int, seed: int, *,
-                            corner_to: int | None = None, digits: int = 24,
-                            guard: int = 8, bound: int = 8,
+                            corner_to: int | None = None, digits: int = DIGITS,
+                            guard: int = GUARD, bound: int = 8,
                             base_gate: float = 0.01, base_draws: int = 100_000,
-                            workers: int = 1,
-                            block: int = DEFAULT_BLOCK) -> ExperimentReport:
+                            workers: int = 1) -> ExperimentReport:
     """Sample the size-n matrix law, project to the top-left corner, and
     compare the singular-number histogram against the exact corner law.
 
     corner_to = n checks the law itself (matrix round trip); the default
     n - 1 checks consistency under the corner projection.
     """
-    t0 = time.perf_counter()
     if corner_to is None:
         corner_to = n - 1
     if not 1 <= corner_to <= n:
         raise ValueError(f"corner_to must be in [1, {n}]")
     namespace = NS_ROUNDTRIP if corner_to == n else NS_CORNERS
     law = m_n_truncated_law(hp, corner_to, bound)
-    blocks = [(hp.p, hp.t, n, corner_to, digits, guard, bound, seed, namespace,
-               block_idx, count) for block_idx, count in _blocks(draws, block)]
-    results = _map_blocks(_corner_block, blocks, workers)
-    hist = Histogram(merge_counts(r[0] for r in results), draws,
-                     f"|k_i| <= {bound}")
-    resamples = sum(r[1] for r in results)
-    flagged = sum(r[2] for r in results)
+    counts, (resamples, flagged) = monte_carlo(
+        _corner_draw, (hp, n, corner_to, digits, guard, bound), draws, seed,
+        (namespace, hp.p, hp.t.numerator, hp.t.denominator, n, corner_to),
+        workers)
+    hist = Histogram(counts, draws, f"|k_i| <= {bound}")
     tv = tv_on_support(hist, law)
     tv_penalized = tv_distance(hist, law)
     threshold = scaled_gate(base_gate, base_draws, draws)
     name = "matrix-roundtrip" if corner_to == n else "corners-consistency"
-    report = ExperimentReport(
+    return ExperimentReport(
         name=name,
         params={"p": hp.p, "t": f"{hp.t.numerator}/{hp.t.denominator}", "n": n,
                 "corner_to": corner_to, "draws": draws, "digits": digits,
-                "guard": guard, "bound": bound, "block": block},
+                "guard": guard, "bound": bound, "block": DEFAULT_BLOCK},
         seed=seed,
         gates=[gate("tv-on-support", mass_float(tv), threshold,
                     mass_float(tv) < threshold),
@@ -462,17 +434,15 @@ def run_corners_consistency(hp: HuaParams, n: int, draws: int, seed: int, *,
                f" (law tail mass {mass_json(law.tail)['exact']})",
                f"overflow resamples (top singular number > digits/2): {resamples}"],
     )
-    report.runtime_seconds = time.perf_counter() - t0
-    return report
 
 
 # -- ergodic convergence for a fixed parameter --------------------------------
 
 
 def run_ergodic_convergence(p: int, lam: Partition, n_list, draws: int,
-                            digits: int, seed: int, *, guard: int = 8,
-                            f_gate: float = 0.95, workers: int = 1,
-                            block: int = DEFAULT_BLOCK) -> ExperimentReport:
+                            digits: int, seed: int, *, guard: int = GUARD,
+                            f_gate: float = 0.95,
+                            workers: int = 1) -> ExperimentReport:
     """Corners of the ergodic matrix with parameter lam: frequency f_N that
     the leading singular numbers reproduce lam exactly, one index past its
     positive support (so the first 'other' part is checked to be 0).
@@ -480,16 +450,16 @@ def run_ergodic_convergence(p: int, lam: Partition, n_list, draws: int,
     Gates: f weakly increasing along n_list within two standard errors,
     and f at the largest size at least f_gate.
     """
-    t0 = time.perf_counter()
     freqs = []
     flagged_total = 0
     for n in n_list:
-        blocks = [(p, lam.parts, n, digits, guard, seed, block_idx, count)
-                  for block_idx, count in _blocks(draws, block)]
-        results = _map_blocks(_ergodic_conv_block, blocks, workers)
-        matches = sum(r[0] for r in results)
-        flagged_total += sum(r[1] for r in results)
-        freqs.append(Fraction(matches, draws))
+        window = min(lam.num_parts + 1, n)
+        expected = (lam.parts + (0,) * window)[:window]
+        counts, (flagged,) = monte_carlo(
+            _ergodic_match_draw, (p, lam, n, digits, guard, expected), draws,
+            seed, (NS_ERGODIC_CONV, p, n, lam.num_parts) + lam.parts, workers)
+        flagged_total += flagged
+        freqs.append(Fraction(counts.get(True, 0), draws))
     gates = []
     for i in range(1, len(freqs)):
         prev, cur = float(freqs[i - 1]), float(freqs[i])
@@ -498,7 +468,7 @@ def run_ergodic_convergence(p: int, lam: Partition, n_list, draws: int,
                           cur - prev, -2 * sigma, cur - prev >= -2 * sigma))
     gates.append(gate("final-frequency", float(freqs[-1]), f_gate,
                       float(freqs[-1]) >= f_gate))
-    report = ExperimentReport(
+    return ExperimentReport(
         name="ergodic-convergence",
         params={"p": p, "k": list(lam.parts), "n_list": list(n_list),
                 "draws": draws, "digits": digits, "guard": guard},
@@ -509,20 +479,18 @@ def run_ergodic_convergence(p: int, lam: Partition, n_list, draws: int,
         precision_flags=flagged_total,
         notes=["match window = positive support plus one index"],
     )
-    report.runtime_seconds = time.perf_counter() - t0
-    return report
 
 
 # -- ergodic decomposition end to end ------------------------------------------
 
 
 def run_ergodic_decomposition(hp: HuaParams, n_list, draws: int, digits: int,
-                              seed: int, *, guard: int = 8, max_parts: int = 3,
+                              seed: int, *, guard: int = GUARD,
+                              max_parts: int = 3,
                               max_part: int = 6, base_gate: float = 0.03,
                               base_draws: int = 10_000,
                               trend_allowance: float = 0.01,
-                              workers: int = 1,
-                              block: int = DEFAULT_BLOCK) -> ExperimentReport:
+                              workers: int = 1) -> ExperimentReport:
     """Full pipeline: partition from the limiting law, ergodic matrix with
     that parameter, singular numbers of the corner; the empirical law of
     the positive parts is compared back to the limiting partition law.
@@ -530,26 +498,21 @@ def run_ergodic_decomposition(hp: HuaParams, n_list, draws: int, digits: int,
     The finite-size bias is bounded empirically by the TV trend along
     n_list (the largest size also carries the hard gate).
     """
-    t0 = time.perf_counter()
     law = nu_truncated_law(hp, max_parts, max_part)
     tvs = []
-    errors = 0
-    flagged = 0
-    tables = {}
-    rr_emp = None
+    errors = flagged = 0
     for n in n_list:
-        blocks = [(hp.p, hp.t, n, digits, guard, max_parts, max_part, seed,
-                   block_idx, count) for block_idx, count in _blocks(draws, block)]
-        results = _map_blocks(_ergodic_decomp_block, blocks, workers)
-        hist = Histogram(merge_counts(r[0] for r in results), draws,
+        counts, (n_errors, n_flagged, top_below_2) = monte_carlo(
+            _ergodic_decomp_draw, (hp, n, digits, guard, max_parts, max_part),
+            draws, seed,
+            (NS_ERGODIC_DECOMP, hp.p, hp.t.numerator, hp.t.denominator, n),
+            workers)
+        hist = Histogram(counts, draws,
                          f"partitions with <= {max_parts} parts <= {max_part}")
-        errors += sum(r[1] for r in results)
-        flagged += sum(r[2] for r in results)
-        if n == n_list[-1]:
-            rr_emp = Fraction(sum(r[3] for r in results), draws)
-            tables[n] = comparison_table(hist, law)
-            tv_penalized = tv_distance(hist, law)
+        errors += n_errors
+        flagged += n_flagged
         tvs.append(tv_on_support(hist, law))
+    # hist and top_below_2 are left from the largest size
     threshold = scaled_gate(base_gate, base_draws, draws)
     gates = [gate("tv-final", mass_float(tvs[-1]), threshold,
                   mass_float(tvs[-1]) < threshold),
@@ -559,23 +522,22 @@ def run_ergodic_decomposition(hp: HuaParams, n_list, draws: int, digits: int,
         first, last = float(tvs[0].midpoint), float(tvs[-1].midpoint)
         gates.append(gate("tv-trend", last - first, trend_allowance,
                           last <= first + trend_allowance))
-    report = ExperimentReport(
+    return ExperimentReport(
         name="ergodic-decomposition",
         params={"p": hp.p, "t": f"{hp.t.numerator}/{hp.t.denominator}",
                 "n_list": list(n_list), "draws": draws, "digits": digits,
                 "guard": guard, "max_parts": max_parts, "max_part": max_part},
         seed=seed,
         gates=gates,
-        table=tables.get(n_list[-1], []),
+        table=comparison_table(hist, law),
         errors=errors,
         precision_flags=flagged,
         notes=[f"tv on support per n: {[float(tv.midpoint) for tv in tvs]}",
                f"tv with tail penalty at n={n_list[-1]}: "
-               f"{float(tv_penalized.midpoint)}",
-               f"empirical P(k_1 < 2) at n={n_list[-1]}: {float(rr_emp)}"],
+               f"{float(tv_distance(hist, law).midpoint)}",
+               f"empirical P(k_1 < 2) at n={n_list[-1]}: "
+               f"{float(Fraction(top_below_2, draws))}"],
     )
-    report.runtime_seconds = time.perf_counter() - t0
-    return report
 
 
 # -- boundary limit of the entrance laws --------------------------------------
@@ -584,14 +546,13 @@ def run_ergodic_decomposition(hp: HuaParams, n_list, draws: int, digits: int,
 def run_nu_limit(hp: HuaParams, n_list, draws: int, seed: int, *,
                  max_parts: int = 3, max_part: int = 6,
                  tv_exact_gate: float = 1e-6, base_gate: float = 0.02,
-                 base_draws: int = 100_000, workers: int = 1,
-                 block: int = DEFAULT_BLOCK) -> ExperimentReport:
+                 base_draws: int = 100_000,
+                 workers: int = 1) -> ExperimentReport:
     """(a) certified TV between the reflected finite entrance law and its
     limit, decreasing along n_list and below tv_exact_gate at the largest
     size; (b) Monte Carlo at the largest size: positive-part partitions
     against the limiting partition law; (c) the largest-part CDF at 2
     against the sparse-product value, when t is 1 or 1/p."""
-    t0 = time.perf_counter()
     exact_tvs = [pi_n_boundary_tv(hp, n) for n in n_list]
     gates = []
     for i in range(1, len(exact_tvs)):
@@ -605,10 +566,10 @@ def run_nu_limit(hp: HuaParams, n_list, draws: int, seed: int, *,
 
     n_max = n_list[-1]
     law = nu_truncated_law(hp, max_parts, max_part)
-    blocks = [(hp.p, hp.t, n_max, max_parts, max_part, seed, block_idx, count)
-              for block_idx, count in _blocks(draws, block)]
-    results = _map_blocks(_singulars_block, blocks, workers)
-    hist = Histogram(merge_counts(r[0] for r in results), draws,
+    counts, (top_below_2,) = monte_carlo(
+        _nu_limit_draw, (hp, n_max, max_parts, max_part), draws, seed,
+        (NS_NULIMIT, hp.p, hp.t.numerator, hp.t.denominator, n_max), workers)
+    hist = Histogram(counts, draws,
                      f"partitions with <= {max_parts} parts <= {max_part}")
     tv_mc = tv_on_support(hist, law)
     threshold = scaled_gate(base_gate, base_draws, draws)
@@ -620,13 +581,13 @@ def run_nu_limit(hp: HuaParams, n_list, draws: int, seed: int, *,
     s = hp.s_exponent()
     if s in (0, 1):
         rr = rr_cdf(hp.p, s, 2, Fraction(1, 10**10))
-        emp = Fraction(sum(r[1] for r in results), draws)
+        emp = Fraction(top_below_2, draws)
         mid = float(rr.midpoint)
         sigma = sqrt(mid * (1 - mid) / draws)
         ok = abs(float(emp) - mid) <= 3 * sigma + float(rr.width)
         gates.append(gate("rr-largest-part", float(emp), mid, ok))
         notes.append(f"rr product P(k_1 < 2) = {mass_json(rr)}")
-    report = ExperimentReport(
+    return ExperimentReport(
         name="nu-limit",
         params={"p": hp.p, "t": f"{hp.t.numerator}/{hp.t.denominator}",
                 "n_list": list(n_list), "draws": draws,
@@ -636,8 +597,6 @@ def run_nu_limit(hp: HuaParams, n_list, draws: int, seed: int, *,
         table=comparison_table(hist, law),
         notes=notes,
     )
-    report.runtime_seconds = time.perf_counter() - t0
-    return report
 
 
 # -- exact identity suite -------------------------------------------------------
@@ -658,7 +617,6 @@ def run_identities(seed: int, *, primes=(2, 3, 5),
     """Zero-tolerance identity suite: kernel rows are stochastic, the finite
     entrance laws are complete, the tail-sum rewriting identities hold on
     random tuples, and all four forms of the singular-number law agree."""
-    t0 = time.perf_counter()
     grid = [HuaParams(p, t) for p in primes for t in ts]
 
     row_failures = 0
@@ -714,7 +672,7 @@ def run_identities(seed: int, *, primes=(2, 3, 5),
         gate("vol-haar-relation", relation_failures, 0, relation_failures == 0,
              kind="zero-tolerance"),
     ]
-    report = ExperimentReport(
+    return ExperimentReport(
         name="identities",
         params={"primes": list(primes),
                 "ts": [f"{t.numerator}/{t.denominator}" for t in ts],
@@ -723,8 +681,6 @@ def run_identities(seed: int, *, primes=(2, 3, 5),
         seed=seed,
         gates=gates,
     )
-    report.runtime_seconds = time.perf_counter() - t0
-    return report
 
 
 # -- bracket-overlap suite (chain factorization and largest-part CDF) ----------
@@ -737,7 +693,6 @@ def run_chain_checks(*, primes=(2, 3), ts=(Fraction(1), Fraction(1, 2)),
     """Certified-overlap checks: the limiting partition mass equals its
     chain factorization on every boxed partition, and the largest-part CDF
     from the sparse product matches the direct partition sum."""
-    t0 = time.perf_counter()
     factorization_failures = 0
     checked = 0
     for p in primes:
@@ -771,7 +726,7 @@ def run_chain_checks(*, primes=(2, 3), ts=(Fraction(1), Fraction(1, 2)),
         gate("largest-part-cdf", rr_failures, 0, rr_failures == 0,
              kind="certified"),
     ]
-    report = ExperimentReport(
+    return ExperimentReport(
         name="chain-checks",
         params={"primes": list(primes),
                 "ts": [f"{t.numerator}/{t.denominator}" for t in ts],
@@ -783,8 +738,6 @@ def run_chain_checks(*, primes=(2, 3), ts=(Fraction(1), Fraction(1, 2)),
         table=rr_rows,
         notes=[f"{checked} partition factorizations checked"],
     )
-    report.runtime_seconds = time.perf_counter() - t0
-    return report
 
 
 # -- suites ---------------------------------------------------------------------
@@ -803,43 +756,44 @@ def run_suite(name: str, seed: int, *, workers: int = 1,
     """Run a named experiment suite at the shipped default configuration.
 
     ``scale`` multiplies all Monte Carlo draw counts (gates loosen
-    accordingly); exact suites ignore it.
+    accordingly); exact suites ignore it.  Each report's runtime is set
+    here, outside its canonical payload.
     """
     if name not in SUITE_NAMES:
         raise ValueError(f"unknown suite {name!r}; choose from {SUITE_NAMES}")
-    reports = []
-    if name in ("oracle", "all"):
+    chosen = {name} if name != "all" else set(SUITE_NAMES)
+    mc = {"workers": workers}
+    hp1, hp2 = HuaParams(2, Fraction(1)), HuaParams(2, Fraction(1, 2))
+    runs = []  # (runner, positional args, keyword args)
+    if "oracle" in chosen:
         for p, n, digits in ((2, 1, 3), (2, 2, 3), (3, 1, 2), (3, 2, 2)):
-            reports.append(run_oracle_equality(p, n, digits))
-    if name in ("identities", "all"):
-        reports.append(run_identities(seed))
-    if name in ("chains", "all"):
-        reports.append(run_chain_checks())
-    if name in ("corners", "all"):
-        hp = HuaParams(2, Fraction(1))
-        reports.append(run_corners_consistency(
-            hp, 3, _scaled(100_000, scale), seed, workers=workers))
-        reports.append(run_corners_consistency(
-            HuaParams(2, Fraction(1, 2)), 2, _scaled(100_000, scale), seed,
-            workers=workers))
-        reports.append(run_corners_consistency(
-            hp, 2, _scaled(100_000, scale), seed, corner_to=2,
-            workers=workers))
-    if name in ("ergodic", "all"):
-        reports.append(run_ergodic_convergence(
-            2, Partition((2, 1)), (8, 16), _scaled(1000, scale), 24, seed,
-            workers=workers))
-        reports.append(run_ergodic_convergence(
-            2, Partition(()), (4, 8), _scaled(1000, scale), 24, seed,
-            workers=workers))
-        reports.append(run_ergodic_decomposition(
-            HuaParams(2, Fraction(1)), (8, 16), _scaled(10_000, scale), 24,
-            seed, workers=workers))
-    if name in ("nulimit", "all"):
-        reports.append(run_nu_limit(
-            HuaParams(2, Fraction(1)), (5, 10, 20, 40),
-            _scaled(100_000, scale), seed, workers=workers))
-        reports.append(run_nu_limit(
-            HuaParams(2, Fraction(1, 2)), (5, 10, 20, 40),
-            _scaled(100_000, scale), seed, workers=workers))
+            runs.append((run_oracle_equality, (p, n, digits), {}))
+    if "identities" in chosen:
+        runs.append((run_identities, (seed,), {}))
+    if "chains" in chosen:
+        runs.append((run_chain_checks, (), {}))
+    if "corners" in chosen:
+        draws = _scaled(100_000, scale)
+        runs.append((run_corners_consistency, (hp1, 3, draws, seed), mc))
+        runs.append((run_corners_consistency, (hp2, 2, draws, seed), mc))
+        runs.append((run_corners_consistency, (hp1, 2, draws, seed),
+                     dict(mc, corner_to=2)))
+    if "ergodic" in chosen:
+        draws = _scaled(1000, scale)
+        runs.append((run_ergodic_convergence,
+                     (2, Partition((2, 1)), (8, 16), draws, DIGITS, seed), mc))
+        runs.append((run_ergodic_convergence,
+                     (2, Partition(()), (4, 8), draws, DIGITS, seed), mc))
+        runs.append((run_ergodic_decomposition,
+                     (hp1, (8, 16), _scaled(10_000, scale), DIGITS, seed), mc))
+    if "nulimit" in chosen:
+        draws = _scaled(100_000, scale)
+        for hp in (hp1, hp2):
+            runs.append((run_nu_limit, (hp, (5, 10, 20, 40), draws, seed), mc))
+    reports = []
+    for runner, args, kwargs in runs:
+        t0 = time.perf_counter()
+        report = runner(*args, **kwargs)
+        report.runtime_seconds = time.perf_counter() - t0
+        reports.append(report)
     return reports

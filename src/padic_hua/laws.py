@@ -263,6 +263,34 @@ def chain_product_rep2(hp: HuaParams, profile: LProfile) -> Fraction:
     return out
 
 
+# -- the matrix-law density ----------------------------------------------------
+
+
+def gamma_exponent(k) -> int:
+    """g with gamma = p^g: the sum of the positive singular numbers.
+
+    A singular tuple with markers is accepted while its floor is <= 0,
+    since the markers then hide no positive value.
+    """
+    if hasattr(k, "positive_part"):
+        return sum(k.positive_part())
+    return sum(v for v in _singular_values(k) if v > 0)
+
+
+def hua_density(hp: HuaParams, k) -> tuple:
+    """Density of the size-N bi-invariant matrix law at singular numbers k.
+
+    Returned as (power, coeff) with density = coeff * p^power against the
+    additive volume; coeff = normalization * t^g absorbs all t-dependence
+    and power = -2*N*g the rest of the weight gamma^-(s+2N).
+    """
+    if getattr(k, "p", hp.p) != hp.p:
+        raise ValueError(f"matrix prime {k.p} != {hp.p}")
+    g = gamma_exponent(k)
+    n = len(getattr(k, "values", k))
+    return (-2 * n * g, _normalization(hp, n) * hp.t**g)
+
+
 # -- the limiting partition law ----------------------------------------------
 
 

@@ -17,13 +17,8 @@ from __future__ import annotations
 from dataclasses import dataclass
 from fractions import Fraction
 
-from .padic import (
-    PadicScalar,
-    PrecisionExhausted,
-    check_prime,
-    int_valuation,
-)
-from .qseries import pochhammer
+from .laws import _singular_values
+from .padic import DIGITS, PrecisionExhausted, check_prime, int_valuation
 
 
 @dataclass(frozen=True)
@@ -77,16 +72,6 @@ class SingularTuple:
         return tuple(v for v in self.values if v is not None and v > 0)
 
 
-def singular_values_of(k) -> tuple:
-    """Coerce a SingularTuple or plain weakly-decreasing int sequence."""
-    if isinstance(k, SingularTuple):
-        return k.exact_values()
-    vals = tuple(int(v) for v in k)
-    if any(vals[i] < vals[i + 1] for i in range(len(vals) - 1)):
-        raise ValueError(f"not weakly decreasing: {vals}")
-    return vals
-
-
 @dataclass(frozen=True)
 class PadicMatrix:
     """N x N matrix equal to p^-shift * units, units known mod p^digits."""
@@ -113,14 +98,15 @@ class PadicMatrix:
     # -- constructors ------------------------------------------------------
 
     @classmethod
-    def from_units(cls, units, p: int, shift: int = 0, digits: int = 24,
+    def from_units(cls, units, p: int, shift: int = 0, digits: int = DIGITS,
                    guard: int = 0) -> "PadicMatrix":
         modulus = p**digits
         grid = tuple(tuple(int(e) % modulus for e in row) for row in units)
         return cls(p, len(grid), shift, digits, grid, guard)
 
     @classmethod
-    def from_rows(cls, rows, p: int, digits: int = 24, guard: int = 0) -> "PadicMatrix":
+    def from_rows(cls, rows, p: int, digits: int = DIGITS,
+                  guard: int = 0) -> "PadicMatrix":
         """Exact rational entries -> matrix; shift is the max entry shift."""
         check_prime(p)
         entries = [[Fraction(e) for e in row] for row in rows]
@@ -144,50 +130,6 @@ class PadicMatrix:
             units.append(tuple(scaled_row))
         return cls(p, n, shift, digits, tuple(units), guard)
 
-    @classmethod
-    def from_scalars(cls, grid, guard: int = 0) -> "PadicMatrix":
-        """Build from PadicScalar entries sharing one precision window.
-
-        The window is the smallest absolute precision over all entries
-        (floors of zero-to-precision entries included); exact zeros impose
-        no constraint.
-        """
-        n = len(grid)
-        p = grid[0][0].p
-        shift = 0
-        window = None
-        for row in grid:
-            for x in row:
-                if x.p != p:
-                    raise ValueError("mixed primes in matrix entries")
-                if x.is_exact_zero:
-                    continue
-                m = x.abs_precision if x.is_certified else x.val
-                window = m if window is None else min(window, m)
-                if x.is_certified:
-                    shift = max(shift, -x.val)
-        if window is None:
-            window = 1  # all entries exactly zero
-        digits = window + shift
-        if digits < 1:
-            raise PrecisionExhausted("no shared certified window for these entries")
-        modulus = p**digits
-        units = tuple(
-            tuple((x.unit * p ** (shift + x.val) if x.is_certified else 0) % modulus
-                  for x in row)
-            for row in grid)
-        return cls(p, n, shift, digits, units, guard)
-
-    # -- accessors ---------------------------------------------------------
-
-    def entry(self, i: int, j: int) -> PadicScalar:
-        u = self.units[i][j]
-        window = self.digits - self.shift
-        if u == 0:
-            return PadicScalar.zero_to_precision(self.p, window)
-        v = int_valuation(u, self.p)
-        return PadicScalar(self.p, v - self.shift, u // self.p**v, self.digits - v)
-
     def __repr__(self):
         return (f"PadicMatrix(p={self.p}, n={self.n}, shift={self.shift}, "
                 f"digits={self.digits})")
@@ -199,20 +141,6 @@ def corner(m: PadicMatrix, size: int) -> PadicMatrix:
         raise ValueError(f"corner size must be in [1, {m.n}], got {size}")
     units = tuple(row[:size] for row in m.units[:size])
     return PadicMatrix(m.p, size, m.shift, m.digits, units, m.guard)
-
-
-def matmul(a: PadicMatrix, b: PadicMatrix) -> PadicMatrix:
-    if a.p != b.p or a.n != b.n:
-        raise ValueError("incompatible matrices")
-    digits = min(a.digits, b.digits)
-    modulus = a.p**digits
-    n = a.n
-    bu = b.units
-    units = tuple(
-        tuple(sum(arow[k] * bu[k][j] for k in range(n)) % modulus for j in range(n))
-        for arow in a.units)
-    return PadicMatrix(a.p, n, a.shift + b.shift, digits, units,
-                       max(a.guard, b.guard))
 
 
 def smith_valuations(rows, p: int, digits: int) -> list:
@@ -312,44 +240,6 @@ def _det_mod_p(units, p: int) -> int:
     return det % p
 
 
-def _int_det(rows) -> int:
-    """Exact integer determinant (Bareiss fraction-free elimination)."""
-    a = [list(r) for r in rows]
-    n = len(a)
-    sign = 1
-    prev = 1
-    for col in range(n - 1):
-        pivot = next((i for i in range(col, n) if a[i][col]), None)
-        if pivot is None:
-            return 0
-        if pivot != col:
-            a[pivot], a[col] = a[col], a[pivot]
-            sign = -sign
-        for i in range(col + 1, n):
-            for j in range(col + 1, n):
-                a[i][j] = (a[i][j] * a[col][col] - a[i][col] * a[col][j]) // prev
-            a[i][col] = 0
-        prev = a[col][col]
-    return sign * a[-1][-1]
-
-
-def determinant_valuation(m: PadicMatrix):
-    """Certified valuation of det(m), or BELOW_PRECISION past the window.
-
-    Computed from an exact integer determinant of the residue lift, which
-    agrees with the true determinant modulo p^digits.
-    """
-    from .padic import BELOW_PRECISION
-
-    d = _int_det(m.units) % m.p**m.digits
-    if d == 0:
-        return BELOW_PRECISION
-    v = int_valuation(d, m.p)
-    if v >= m.digits:
-        return BELOW_PRECISION
-    return v - m.n * m.shift
-
-
 def sample_haar_gl(n: int, p: int, digits: int, rng, guard: int = 0) -> PadicMatrix:
     """Haar-distributed element of GL(n, Z_p) truncated to the window.
 
@@ -383,7 +273,7 @@ def assemble_orbit(k, b: PadicMatrix, c: PadicMatrix) -> PadicMatrix:
     The result carries shift k_1; raises PrecisionExhausted when p^-k_1
     does not fit the window at all.
     """
-    vals = singular_values_of(k)
+    vals = _singular_values(k)
     if b.p != c.p or b.n != c.n or len(vals) != b.n:
         raise ValueError("incompatible orbit factors")
     for factor in (b, c):
@@ -407,46 +297,6 @@ def assemble_orbit(k, b: PadicMatrix, c: PadicMatrix) -> PadicMatrix:
     return PadicMatrix(p, n, shift, digits, units, max(b.guard, c.guard))
 
 
-def gamma_exponent(k) -> int:
-    """g with gamma = p^g: the sum of the positive singular numbers."""
-    if isinstance(k, SingularTuple):
-        if k.floor is not None and k.floor > 0:
-            raise PrecisionExhausted("markers above 0; gamma exponent uncertain")
-        vals = [v for v in k.values if v is not None]
-    else:
-        vals = list(singular_values_of(k))
-    return sum(v for v in vals if v > 0)
-
-
-def hua_normalization(p: int, t, n: int) -> Fraction:
-    """Normalizing constant (tq; q)_n^2 / (tq; q)_2n at q = 1/p."""
-    check_prime(p)
-    t = Fraction(t)
-    if not 0 < t < p:
-        raise ValueError(f"need 0 < t < p, got t = {t}")
-    a = t / p
-    q = Fraction(1, p)
-    return pochhammer(a, q, n) ** 2 / pochhammer(a, q, 2 * n)
-
-
-def hua_density(p: int, k, t) -> tuple:
-    """Density of the size-N bi-invariant matrix law at singular numbers k.
-
-    Returned as (power, coeff) with density = coeff * p^power against the
-    additive volume; coeff = normalization * t^g absorbs all t-dependence
-    and power = -2*N*g the rest of the weight gamma^-(s+2N).
-    """
-    if isinstance(k, SingularTuple):
-        p_check = k.p
-        if p_check != p:
-            raise ValueError(f"matrix prime {p_check} != {p}")
-    vals = gamma_exponent(k)
-    n = k.n if isinstance(k, SingularTuple) else len(singular_values_of(k))
-    t = Fraction(t)
-    coeff = hua_normalization(p, t, n) * t**vals
-    return (-2 * n * vals, coeff)
-
-
 # -- text format for matrix literals ---------------------------------------
 
 
@@ -466,7 +316,8 @@ def parse_entry(token: str, p: int) -> Fraction:
     return Fraction(int(token))
 
 
-def parse_matrix_text(text: str, p: int, digits: int = 24, guard: int = 0) -> PadicMatrix:
+def parse_matrix_text(text: str, p: int, digits: int = DIGITS,
+                      guard: int = 0) -> PadicMatrix:
     """Matrix literal: one row per line, whitespace-separated entries."""
     rows = []
     for line in text.splitlines():
@@ -479,9 +330,11 @@ def parse_matrix_text(text: str, p: int, digits: int = 24, guard: int = 0) -> Pa
     return PadicMatrix.from_rows(rows, p, digits, guard)
 
 
-def format_entry(x: PadicScalar) -> str:
-    if x.is_exact_zero:
-        return "0"
-    if not x.is_certified:
-        return f"O({x.p}^{x.val})"
-    return f"{x.unit}*{x.p}^{x.val}"
+def format_entry(m: PadicMatrix, i: int, j: int) -> str:
+    """Entry (i, j) as 'unit*p^v', or 'O(p^w)' when its residue is zero
+    (the entry is then only known to lie in p^w Z_p, w = digits - shift)."""
+    u = m.units[i][j]
+    if u == 0:
+        return f"O({m.p}^{m.digits - m.shift})"
+    v = int_valuation(u, m.p)
+    return f"{u // m.p**v}*{m.p}^{v - m.shift}"

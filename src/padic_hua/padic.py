@@ -1,23 +1,14 @@
-"""Finite-precision p-adic scalars and Haar sampling on Z_p.
+"""Primes, p-adic valuations and the default precision window.
 
-A certified nonzero scalar is stored normalized as p^val * unit with
-p not dividing unit; the unit residue is known modulo p^digits, so the
-element itself is known modulo p^(val + digits).  Zero comes in two
-flavours that the rest of the package keeps strictly apart:
-
-* exact zero — constructed from the literal 0, valuation +infinity;
-* zero to working precision — all certified digits vanished (typically
-  after cancellation); only ``valuation >= floor`` is known.
-
-Cancellation never produces an exact zero.  This is what makes the
-singular-number certification in the matrix module sound.
+Every p-adic quantity in the package is a residue matrix (see the matrix
+module): p^-shift times integers known modulo p^digits.  This module holds
+what that model shares: prime validation, valuations of integers, the
+exception raised when a computation runs out of certified digits, and the
+default window.
 """
 
 from __future__ import annotations
 
-import math
-from dataclasses import dataclass
-from fractions import Fraction
 from functools import lru_cache
 
 MAX_PRIME = 2**31
@@ -25,18 +16,6 @@ MAX_PRIME = 2**31
 
 class PrecisionExhausted(ArithmeticError):
     """An operation ran out of certified p-adic digits."""
-
-
-class _BelowPrecision:
-    """Sentinel for a valuation that is only known to exceed the window."""
-
-    __slots__ = ()
-
-    def __repr__(self):
-        return "BELOW_PRECISION"
-
-
-BELOW_PRECISION = _BelowPrecision()
 
 
 @lru_cache(maxsize=None)
@@ -79,215 +58,8 @@ def int_valuation(n: int, p: int) -> int:
     return v
 
 
-@dataclass(frozen=True)
-class PrecisionBudget:
-    """Working window: digits of absolute precision and a guard margin.
-
-    The guard digits are treated as untrusted when certifying singular
-    numbers; see the matrix module's floor convention.
-    """
-
-    digits: int = 24
-    guard: int = 8
-
-    def __post_init__(self):
-        if not 0 <= self.guard < self.digits:
-            raise ValueError(f"need digits > guard >= 0, got {self.digits}, {self.guard}")
-
-
-DEFAULT_BUDGET = PrecisionBudget()
-
-
-@dataclass(frozen=True)
-class PadicScalar:
-    """Element of Q_p known modulo p^(val + digits).
-
-    Fields for a certified nonzero element: ``val`` is the valuation,
-    ``unit`` the unit residue in [1, p^digits) with p not dividing it.
-    For zero-to-precision, ``val`` holds the knowledge floor (the true
-    valuation is >= val) and ``unit`` = ``digits`` = 0.  For exact zero,
-    ``is_exact_zero`` is set and the other fields are 0.
-    """
-
-    p: int
-    val: int
-    unit: int
-    digits: int
-    is_exact_zero: bool = False
-
-    # -- constructors ------------------------------------------------------
-
-    @classmethod
-    def exact_zero(cls, p: int) -> "PadicScalar":
-        return cls(check_prime(p), 0, 0, 0, True)
-
-    @classmethod
-    def zero_to_precision(cls, p: int, floor: int) -> "PadicScalar":
-        return cls(check_prime(p), floor, 0, 0, False)
-
-    @classmethod
-    def from_rational(cls, value, p: int, digits: int | None = None) -> "PadicScalar":
-        """Exact rational -> scalar with the requested unit digits.
-
-        The denominator must be coprime to p after normalization, which
-        holds for every rational (powers of p move into the valuation).
-        """
-        check_prime(p)
-        if digits is None:
-            digits = DEFAULT_BUDGET.digits
-        if digits < 1:
-            raise ValueError(f"digits must be >= 1, got {digits}")
-        value = Fraction(value)
-        if value == 0:
-            return cls.exact_zero(p)
-        num, den = value.numerator, value.denominator
-        v = int_valuation(num, p) - int_valuation(den, p)
-        num //= p ** max(int_valuation(num, p), 0)
-        den //= p ** max(int_valuation(den, p), 0)
-        modulus = p**digits
-        unit = num * pow(den, -1, modulus) % modulus
-        return cls(p, v, unit, digits)
-
-    @classmethod
-    def from_residue(cls, residue: int, p: int, window: int) -> "PadicScalar":
-        """Scalar from a Z_p residue known modulo p^window (shift 0).
-
-        A zero residue yields zero-to-precision with floor = window,
-        never exact zero.
-        """
-        check_prime(p)
-        if window < 1:
-            raise ValueError(f"window must be >= 1, got {window}")
-        residue %= p**window
-        if residue == 0:
-            return cls.zero_to_precision(p, window)
-        v = int_valuation(residue, p)
-        return cls(p, v, residue // p**v, window - v)
-
-    # -- classification ----------------------------------------------------
-
-    @property
-    def is_zero_to_precision(self) -> bool:
-        return self.unit == 0 and not self.is_exact_zero
-
-    @property
-    def is_certified(self) -> bool:
-        """True when the valuation (hence the leading digit) is certified."""
-        return self.unit != 0
-
-    @property
-    def abs_precision(self) -> int:
-        """The element is known modulo p^abs_precision."""
-        if not self.is_certified:
-            raise ValueError("zero scalars have no finite absolute precision window")
-        return self.val + self.digits
-
-    @property
-    def shift(self) -> int:
-        """k with the element lying in p^-k * Z_p (negated valuation)."""
-        if self.is_exact_zero:
-            return 0
-        return -self.val
-
-    def valuation(self):
-        """Certified valuation, math.inf for exact zero, BELOW_PRECISION otherwise."""
-        if self.is_exact_zero:
-            return math.inf
-        if self.unit == 0:
-            return BELOW_PRECISION
-        return self.val
-
-    def lift(self) -> Fraction:
-        """Canonical rational representative (0 for both kinds of zero)."""
-        if not self.is_certified:
-            return Fraction(0)
-        if self.val >= 0:
-            return Fraction(self.unit * self.p**self.val)
-        return Fraction(self.unit, self.p**-self.val)
-
-    # -- arithmetic --------------------------------------------------------
-
-    def _check_compatible(self, other: "PadicScalar"):
-        if not isinstance(other, PadicScalar):
-            raise TypeError(f"expected PadicScalar, got {type(other).__name__}")
-        if self.p != other.p:
-            raise ValueError(f"mixed primes {self.p} and {other.p}")
-
-    def __neg__(self) -> "PadicScalar":
-        if not self.is_certified:
-            return self
-        return PadicScalar(self.p, self.val, -self.unit % self.p**self.digits, self.digits)
-
-    def __add__(self, other) -> "PadicScalar":
-        self._check_compatible(other)
-        p = self.p
-        if self.is_exact_zero:
-            return other
-        if other.is_exact_zero:
-            return self
-        if not self.is_certified and not other.is_certified:
-            return PadicScalar.zero_to_precision(p, min(self.val, other.val))
-        if not self.is_certified or not other.is_certified:
-            zero, unit_side = (self, other) if not self.is_certified else (other, self)
-            window = min(zero.val, unit_side.abs_precision)
-            if unit_side.val < window:
-                trimmed = unit_side.unit % p ** (window - unit_side.val)
-                return PadicScalar(p, unit_side.val, trimmed, window - unit_side.val)
-            return PadicScalar.zero_to_precision(p, window)
-        window = min(self.abs_precision, other.abs_precision)
-        base = min(self.val, other.val)
-        width = window - base
-        total = (self.unit * p ** (self.val - base)
-                 + other.unit * p ** (other.val - base)) % p**width
-        if total == 0:
-            return PadicScalar.zero_to_precision(p, window)
-        v = int_valuation(total, p)
-        return PadicScalar(p, base + v, total // p**v, width - v)
-
-    def __sub__(self, other) -> "PadicScalar":
-        self._check_compatible(other)
-        return self + (-other)
-
-    def __mul__(self, other) -> "PadicScalar":
-        self._check_compatible(other)
-        p = self.p
-        if self.is_exact_zero or other.is_exact_zero:
-            return PadicScalar.exact_zero(p)
-        if not self.is_certified or not other.is_certified:
-            # val holds the floor for inexact zeros and the valuation for units.
-            return PadicScalar.zero_to_precision(p, self.val + other.val)
-        digits = min(self.digits, other.digits)
-        return PadicScalar(p, self.val + other.val,
-                           self.unit * other.unit % p**digits, digits)
-
-    def invert(self) -> "PadicScalar":
-        if self.is_exact_zero:
-            raise ZeroDivisionError("exact zero has no inverse")
-        if not self.is_certified:
-            raise PrecisionExhausted("cannot invert a scalar that is zero to working precision")
-        return PadicScalar(self.p, -self.val,
-                           pow(self.unit, -1, self.p**self.digits), self.digits)
-
-    def __repr__(self):
-        if self.is_exact_zero:
-            return f"PadicScalar(0; p={self.p})"
-        if not self.is_certified:
-            return f"PadicScalar(O({self.p}^{self.val}))"
-        return f"PadicScalar({self.unit}*{self.p}^{self.val} + O({self.p}^{self.abs_precision}))"
-
-
-def valuation(x: PadicScalar):
-    """|x| = p^-valuation(x); see PadicScalar.valuation for the markers."""
-    return x.valuation()
-
-
-def sample_haar_zp(p: int, digits: int, rng) -> PadicScalar:
-    """Haar-uniform element of Z_p truncated to the given window.
-
-    Draws a uniform residue in [0, p^digits); each base-p digit is uniform
-    and independent.  A zero residue is reported as zero to precision.
-    """
-    check_prime(p)
-    if digits < 1:
-        raise ValueError(f"digits must be >= 1, got {digits}")
-    return PadicScalar.from_residue(rng.randbelow(p**digits), p, digits)
+# Default working window: digits of absolute precision, and the guard
+# digits that are not trusted when certifying singular numbers (see the
+# matrix module's floor convention).
+DIGITS = 24
+GUARD = 8

@@ -27,16 +27,6 @@ class Partition:
                 raise ValueError(f"parts not weakly decreasing: {self.parts}")
 
     @classmethod
-    def from_multiplicities(cls, mult: Mapping[int, int]) -> "Partition":
-        parts = []
-        for size in sorted(mult, reverse=True):
-            count = mult[size]
-            if count < 0 or (count and size < 1):
-                raise ValueError(f"bad multiplicities {dict(mult)}")
-            parts.extend([size] * count)
-        return cls(tuple(parts))
-
-    @classmethod
     def from_tail_counts(cls, tail_counts: Iterable[int]) -> "Partition":
         """Rebuild from X_1, X_2, ... (trailing zeros optional)."""
         xs = list(tail_counts)
@@ -145,16 +135,6 @@ class LProfile:
     def lower_tail(self, i: int) -> int:
         """Sum of l_j over j <= i."""
         return sum(l for idx, l in self.mult if idx <= i)
-
-    def to_singular_values(self) -> tuple:
-        values = []
-        for i, l in sorted(self.mult, reverse=True):
-            values.extend([i] * l)
-        return tuple(values)
-
-    def positive_partition(self) -> Partition:
-        return Partition.from_multiplicities(
-            {i: l for i, l in self.mult if i >= 1})
 
     def __repr__(self):
         return f"LProfile({dict(self.mult)})"

@@ -47,9 +47,6 @@ class Bracket:
     def contains(self, value: Rational) -> bool:
         return self.lower <= value <= self.upper
 
-    def encloses(self, other: "Bracket") -> bool:
-        return self.lower <= other.lower and other.upper <= self.upper
-
     def overlaps(self, other: "Bracket") -> bool:
         return self.lower <= other.upper and other.lower <= self.upper
 
@@ -94,13 +91,6 @@ def _as_bracket(value) -> Bracket:
     if isinstance(value, Bracket):
         return value
     return Bracket.exact(value)
-
-
-def bracket_sum(items) -> Bracket:
-    total = Bracket.exact(0)
-    for item in items:
-        total = total + item
-    return total
 
 
 # Prefix products (a;q)_0, (a;q)_1, ... cached per (a, q).

@@ -19,7 +19,7 @@ from math import lcm
 
 from .laws import HuaParams, kernel_row, pi_n, pi_s_bracket
 from .matrix import PadicMatrix, SingularTuple, assemble_orbit, sample_haar_gl
-from .padic import DEFAULT_BUDGET, PrecisionExhausted, check_prime
+from .padic import GUARD, PrecisionExhausted, check_prime
 from .partitions import Partition
 from .qseries import Bracket
 
@@ -157,7 +157,7 @@ def sample_hua_singulars(hp: HuaParams, n: int, rng) -> SingularTuple:
 
 
 def sample_hua_matrix(hp: HuaParams, n: int, digits: int, rng,
-                      guard: int = DEFAULT_BUDGET.guard) -> PadicMatrix:
+                      guard: int = GUARD) -> PadicMatrix:
     """Matrix draw from the size-n bi-invariant law at the given window.
 
     Two-stage exact construction: singular numbers from the chain
@@ -175,7 +175,7 @@ def sample_hua_matrix(hp: HuaParams, n: int, digits: int, rng,
 
 
 def sample_ergodic_matrix(p: int, k, n: int, digits: int, rng,
-                          guard: int = DEFAULT_BUDGET.guard) -> PadicMatrix:
+                          guard: int = GUARD) -> PadicMatrix:
     """n x n corner of the ergodic matrix with parameter k (a partition:
     nonnegative, eventually zero).
 

@@ -97,6 +97,29 @@ class TestSample:
         assert exc.value.code == 2
 
 
+BAD_INPUT = [
+    ("sample", "hua", "--N", "0", "--seed", "1"),
+    ("sample", "ergodic", "--k", "1,3", "--seed", "1"),
+    ("sample", "hua", "--guard", "30", "--seed", "1"),
+    ("sample", "hua", "--E", "0", "--seed", "1"),
+    ("sample", "nu", "--seed", "-1"),
+    ("verify", "corners", "--seed", "1", "--scale", "nan"),
+    ("verify", "corners", "--seed", "1", "--scale", "inf"),
+    ("verify", "corners", "--seed", "-1"),
+]
+
+
+@pytest.mark.parametrize("argv", BAD_INPUT, ids=" ".join)
+def test_bad_input_exits_2_with_one_error_line(tmp_path, capsys, argv):
+    if argv[0] == "verify":
+        argv += ("--out-dir", str(tmp_path / "reports"))
+    code, out, err = run_cli(capsys, *argv)
+    assert code == 2
+    assert out == ""
+    assert len(err.splitlines()) == 1 and err.startswith("error: ")
+    assert not (tmp_path / "reports").exists()
+
+
 class TestSing:
     def test_worked_example(self, tmp_path, capsys):
         path = tmp_path / "m.txt"

@@ -1,142 +1,122 @@
-import math
+from collections import Counter
 from fractions import Fraction as F
 
 import pytest
 from hypothesis import given, strategies as st
 
-from padic_hua.padic import (
-    BELOW_PRECISION,
-    PadicScalar,
-    PrecisionBudget,
-    PrecisionExhausted,
-    check_prime,
-    int_valuation,
-    sample_haar_zp,
+from padic_hua.laws import HuaParams, hua_density
+from padic_hua.matrix import (
+    PadicMatrix,
+    SingularTuple,
+    format_entry,
+    parse_entry,
+    singular_numbers,
 )
+from padic_hua.padic import DIGITS, GUARD, check_prime, int_valuation
+from padic_hua.partitions import Partition
 from padic_hua.rng import RngStream
+from padic_hua.samplers import sample_ergodic_matrix
 
 
-def scalar(value, p=2, digits=24):
-    return PadicScalar.from_rational(F(value), p, digits)
+def entry(value, p=2) -> str:
+    """A rational printed as the single entry of a 1x1 residue matrix."""
+    return format_entry(PadicMatrix.from_rows([[F(value)]], p), 0, 0)
 
 
+def haar_zp(p, digits, rng) -> PadicMatrix:
+    """One Haar residue on Z_p: a 1x1 ergodic draw with no positive parts
+    is exactly its Z entry."""
+    return sample_ergodic_matrix(p, Partition(()), 1, digits, rng, guard=0)
+
+
+nonzero_ints = st.integers(-10**6, 10**6).filter(lambda x: x != 0)
 nonzero_rationals = st.fractions(min_value=F(-50), max_value=F(50),
                                  max_denominator=60).filter(lambda x: x != 0)
 
 
 class TestValuation:
     def test_integer(self):
-        assert scalar(12).valuation() == 2
+        assert int_valuation(12, 2) == 2
 
     def test_exact_zero_is_infinite(self):
-        assert PadicScalar.exact_zero(2).valuation() == math.inf
+        with pytest.raises(ValueError, match="infinite"):
+            int_valuation(0, 2)
 
     def test_negative_valuation(self):
-        assert scalar(F(1, 2)).valuation() == -1
+        assert entry(F(1, 2)) == "1*2^-1"
 
     def test_below_precision_marker(self):
-        x = PadicScalar.zero_to_precision(2, 24)
-        assert x.valuation() is BELOW_PRECISION
+        assert entry(0) == "O(2^24)"
 
     def test_denominator_prime_to_p(self):
         # 1/3 is a 2-adic unit
-        assert scalar(F(1, 3)).valuation() == 0
+        assert entry(F(1, 3)).endswith("*2^0")
 
 
 class TestArithmetic:
-    def test_mul_example(self):
-        x = scalar(2) * scalar(6)
-        assert (x.valuation(), x.unit) == (2, 3)  # 12 = 2^2 * 3
-
-    def test_add_example(self):
-        x = scalar(1) + scalar(3)
-        assert (x.valuation(), x.unit) == (2, 1)  # 4 = 2^2
-
     def test_cancellation_never_exact(self):
-        x = scalar(5)
-        z = x + (-x)
-        assert z.is_zero_to_precision and not z.is_exact_zero
-        assert z.valuation() is BELOW_PRECISION
-        assert z.val == x.abs_precision  # floor equals the shared window
-
-    def test_exact_zero_is_identity(self):
-        x = scalar(7)
-        assert x + PadicScalar.exact_zero(2) == x
-        assert (x * PadicScalar.exact_zero(2)).is_exact_zero
+        # elimination cancels the second pivot to a zero residue: its
+        # singular number is a marker at the floor, never a number
+        st_ = singular_numbers(PadicMatrix.from_rows([[1, 1], [1, 1]], 2, 10))
+        assert st_.values == (0, None) and st_.floor == -10
 
     def test_mixed_primes_rejected(self):
         with pytest.raises(ValueError):
-            scalar(1, p=2) + scalar(1, p=3)
-
-    def test_add_window_is_min(self):
-        x = PadicScalar.from_rational(F(1, 2), 2, digits=10)  # known mod 2^9
-        y = scalar(8, digits=24)                               # known mod 2^27
-        assert (x + y).abs_precision == 9
+            hua_density(HuaParams(3, F(1)), SingularTuple(2, (1,)))
 
     def test_lift_round_trip(self):
+        # a printed entry parses back to the rational modulo p^(digits - shift)
         for v in (F(12), F(-3, 8), F(5, 3)):
-            x = scalar(v)
-            assert (x.lift() - v).numerator % 2 ** x.abs_precision == 0 or \
-                int_valuation((x.lift() - v).numerator, 2) >= x.abs_precision
-
-    def test_invert(self):
-        x = scalar(F(3, 4))
-        y = x.invert()
-        assert (x * y).lift() % 2**20 == 1 % 2**20
-        assert y.valuation() == 2
-        with pytest.raises(ZeroDivisionError):
-            PadicScalar.exact_zero(2).invert()
-        with pytest.raises(PrecisionExhausted):
-            PadicScalar.zero_to_precision(2, 5).invert()
+            m = PadicMatrix.from_rows([[v]], 2)
+            diff = parse_entry(format_entry(m, 0, 0), 2) - v
+            assert diff == 0 or (int_valuation(diff.numerator, 2)
+                                 - int_valuation(diff.denominator, 2)
+                                 >= m.digits - m.shift)
 
 
-@given(x=nonzero_rationals, y=nonzero_rationals, p=st.sampled_from([2, 3, 5]))
+@given(x=nonzero_ints, y=nonzero_ints, p=st.sampled_from([2, 3, 5]))
 def test_ultrametric_inequality(x, y, p):
-    a, b = PadicScalar.from_rational(x, p), PadicScalar.from_rational(y, p)
-    s = a + b
-    if s.is_certified:
-        assert s.valuation() >= min(a.valuation(), b.valuation())
-        if a.valuation() != b.valuation():
-            assert s.valuation() == min(a.valuation(), b.valuation())
+    if x + y != 0:
+        a, b = int_valuation(x, p), int_valuation(y, p)
+        s = int_valuation(x + y, p)
+        assert s >= min(a, b)
+        if a != b:
+            assert s == min(a, b)
 
 
-@given(x=nonzero_rationals, y=nonzero_rationals, p=st.sampled_from([2, 3, 5]))
+@given(x=nonzero_ints, y=nonzero_ints, p=st.sampled_from([2, 3, 5]))
 def test_mul_valuation_additivity(x, y, p):
-    a, b = PadicScalar.from_rational(x, p), PadicScalar.from_rational(y, p)
-    prod = a * b
-    assert prod.valuation() == a.valuation() + b.valuation()
-    assert prod.unit % p != 0
+    assert int_valuation(x * y, p) == int_valuation(x, p) + int_valuation(y, p)
 
 
 @given(x=nonzero_rationals, p=st.sampled_from([2, 3, 5]))
 def test_normalization_invariant(x, p):
-    a = PadicScalar.from_rational(x, p)
-    assert a.unit % p != 0 and 0 < a.unit < p**a.digits
+    unit = int(entry(x, p).split("*")[0])
+    assert unit % p != 0 and 0 < unit < p**24
 
 
 class TestHaarSampling:
     def test_shell_law_exhaustive(self):
-        # All residues mod 2^3 through the sampler's normalization: the
-        # valuation-shell counts are an exhaustive-count oracle.
-        counts = {0: 0, 1: 0, 2: 0, BELOW_PRECISION: 0}
+        # All residues mod 2^3 as printed entries: the valuation-shell
+        # counts are an exhaustive-count oracle.
+        counts = Counter()
         for r in range(8):
-            x = PadicScalar.from_residue(r, 2, 3)
-            counts[x.valuation() if x.is_certified else BELOW_PRECISION] += 1
-        assert counts == {0: 4, 1: 2, 2: 1, BELOW_PRECISION: 1}
+            text = format_entry(PadicMatrix.from_units([[r]], 2, digits=3), 0, 0)
+            counts[text if text.startswith("O(") else int(text.split("^")[1])] += 1
+        assert counts == {0: 4, 1: 2, 2: 1, "O(2^3)": 1}
 
     def test_uniform_mod_p(self):
         rng = RngStream(11)
         draws = 6000
         counts = [0, 0, 0]
         for _ in range(draws):
-            x = sample_haar_zp(3, 8, rng)
-            counts[int(x.lift() % 3) if x.is_certified else 0] += 1
+            counts[haar_zp(3, 8, rng).units[0][0] % 3] += 1
         for c in counts:
             assert abs(c - draws / 3) < 5 * (draws * (1 / 3) * (2 / 3)) ** 0.5
 
     def test_seeded_determinism(self):
-        a = [sample_haar_zp(2, 24, RngStream(1234, (i,))) for i in range(10)]
-        b = [sample_haar_zp(2, 24, RngStream(1234, (i,))) for i in range(10)]
+        a = [haar_zp(2, 24, RngStream(1234, (i,))) for i in range(10)]
+        b = [haar_zp(2, 24, RngStream(1234, (i,))) for i in range(10)]
         assert a == b
 
     def test_zero_residue_is_below_precision(self):
@@ -144,16 +124,16 @@ class TestHaarSampling:
             def randbelow(self, n):
                 return 0
 
-        x = sample_haar_zp(2, 6, ZeroRng())
-        assert x.is_zero_to_precision and x.val == 6
+        assert format_entry(haar_zp(2, 6, ZeroRng()), 0, 0) == "O(2^6)"
 
 
 def test_budget_validation():
-    PrecisionBudget(24, 8)
+    assert 0 <= GUARD < DIGITS
+    PadicMatrix.from_units([[1]], 2, digits=24, guard=8)
     with pytest.raises(ValueError):
-        PrecisionBudget(8, 8)
+        PadicMatrix.from_units([[1]], 2, digits=8, guard=8)
     with pytest.raises(ValueError):
-        PrecisionBudget(8, -1)
+        PadicMatrix.from_units([[1]], 2, digits=8, guard=-1)
 
 
 def test_prime_validation():
