@@ -38,7 +38,12 @@ from .laws import (
     tilde_pi_n,
     vol_singular_law,
 )
-from .matrix import corner, singular_numbers, smith_valuations
+from .matrix import (
+    corner,
+    decode_residues,
+    singular_numbers,
+    smith_valuations,
+)
 from .padic import DIGITS, GUARD, PrecisionExhausted, check_prime
 from .partitions import LProfile, Partition, partitions_in_box
 from .qseries import Bracket, pochhammer
@@ -235,14 +240,8 @@ def enumerate_oracle(p: int, n: int, digits: int) -> Histogram:
     pe = p**digits
     counts: dict = {}
     for code in range(total):
-        c = code
-        units = []
-        for _ in range(n):
-            row = []
-            for _ in range(n):
-                c, r = divmod(c, pe)
-                row.append(r)
-            units.append(row)
+        flat = decode_residues(code, pe, n * n)
+        units = [flat[i:i + n] for i in range(0, n * n, n)]
         vals = smith_valuations(units, p, digits)
         label = tuple(-a if a < digits else None for a in vals)
         counts[label] = counts.get(label, 0) + 1
@@ -302,19 +301,25 @@ def _run_block(args):
     return counts, sums
 
 
+def worker_pool(workers: int):
+    """A pool of ``workers`` processes started by ``spawn``.  Each pool
+    starts fresh interpreters, so run_suite shares one across its runners."""
+    from multiprocessing import get_context
+
+    return get_context("spawn").Pool(workers)
+
+
 def monte_carlo(draw, params, draws: int, seed: int, key: tuple,
-                workers: int) -> tuple:
-    """(label counts, summed event counts) over ``draws`` draws."""
+                pool=None) -> tuple:
+    """(label counts, summed event counts) over ``draws`` draws; the blocks
+    are mapped over ``pool`` when one is given, else run in this process."""
     blocks = [(draw, params, seed, key + (idx,),
                min(DEFAULT_BLOCK, draws - idx * DEFAULT_BLOCK))
               for idx in range(-(-draws // DEFAULT_BLOCK))]
-    if workers <= 1:
+    if pool is None:
         results = [_run_block(b) for b in blocks]
     else:
-        from multiprocessing import get_context
-
-        with get_context("spawn").Pool(workers) as pool:
-            results = pool.map(_run_block, blocks)
+        results = pool.map(_run_block, blocks)
     sums = tuple(map(sum, zip(*(r[1] for r in results))))
     return merge_counts(r[0] for r in results), sums
 
@@ -395,7 +400,7 @@ def run_corners_consistency(hp: HuaParams, n: int, draws: int, seed: int, *,
                             corner_to: int | None = None, digits: int = DIGITS,
                             guard: int = GUARD, bound: int = 8,
                             base_gate: float = 0.01, base_draws: int = 100_000,
-                            workers: int = 1) -> ExperimentReport:
+                            pool=None) -> ExperimentReport:
     """Sample the size-n matrix law, project to the top-left corner, and
     compare the singular-number histogram against the exact corner law.
 
@@ -411,7 +416,7 @@ def run_corners_consistency(hp: HuaParams, n: int, draws: int, seed: int, *,
     counts, (resamples, flagged) = monte_carlo(
         _corner_draw, (hp, n, corner_to, digits, guard, bound), draws, seed,
         (namespace, hp.p, hp.t.numerator, hp.t.denominator, n, corner_to),
-        workers)
+        pool)
     hist = Histogram(counts, draws, f"|k_i| <= {bound}")
     tv = tv_on_support(hist, law)
     tv_penalized = tv_distance(hist, law)
@@ -442,7 +447,7 @@ def run_corners_consistency(hp: HuaParams, n: int, draws: int, seed: int, *,
 def run_ergodic_convergence(p: int, lam: Partition, n_list, draws: int,
                             digits: int, seed: int, *, guard: int = GUARD,
                             f_gate: float = 0.95,
-                            workers: int = 1) -> ExperimentReport:
+                            pool=None) -> ExperimentReport:
     """Corners of the ergodic matrix with parameter lam: frequency f_N that
     the leading singular numbers reproduce lam exactly, one index past its
     positive support (so the first 'other' part is checked to be 0).
@@ -457,7 +462,7 @@ def run_ergodic_convergence(p: int, lam: Partition, n_list, draws: int,
         expected = (lam.parts + (0,) * window)[:window]
         counts, (flagged,) = monte_carlo(
             _ergodic_match_draw, (p, lam, n, digits, guard, expected), draws,
-            seed, (NS_ERGODIC_CONV, p, n, lam.num_parts) + lam.parts, workers)
+            seed, (NS_ERGODIC_CONV, p, n, lam.num_parts) + lam.parts, pool)
         flagged_total += flagged
         freqs.append(Fraction(counts.get(True, 0), draws))
     gates = []
@@ -490,7 +495,7 @@ def run_ergodic_decomposition(hp: HuaParams, n_list, draws: int, digits: int,
                               max_part: int = 6, base_gate: float = 0.03,
                               base_draws: int = 10_000,
                               trend_allowance: float = 0.01,
-                              workers: int = 1) -> ExperimentReport:
+                              pool=None) -> ExperimentReport:
     """Full pipeline: partition from the limiting law, ergodic matrix with
     that parameter, singular numbers of the corner; the empirical law of
     the positive parts is compared back to the limiting partition law.
@@ -506,7 +511,7 @@ def run_ergodic_decomposition(hp: HuaParams, n_list, draws: int, digits: int,
             _ergodic_decomp_draw, (hp, n, digits, guard, max_parts, max_part),
             draws, seed,
             (NS_ERGODIC_DECOMP, hp.p, hp.t.numerator, hp.t.denominator, n),
-            workers)
+            pool)
         hist = Histogram(counts, draws,
                          f"partitions with <= {max_parts} parts <= {max_part}")
         errors += n_errors
@@ -547,7 +552,7 @@ def run_nu_limit(hp: HuaParams, n_list, draws: int, seed: int, *,
                  max_parts: int = 3, max_part: int = 6,
                  tv_exact_gate: float = 1e-6, base_gate: float = 0.02,
                  base_draws: int = 100_000,
-                 workers: int = 1) -> ExperimentReport:
+                 pool=None) -> ExperimentReport:
     """(a) certified TV between the reflected finite entrance law and its
     limit, decreasing along n_list and below tv_exact_gate at the largest
     size; (b) Monte Carlo at the largest size: positive-part partitions
@@ -568,7 +573,7 @@ def run_nu_limit(hp: HuaParams, n_list, draws: int, seed: int, *,
     law = nu_truncated_law(hp, max_parts, max_part)
     counts, (top_below_2,) = monte_carlo(
         _nu_limit_draw, (hp, n_max, max_parts, max_part), draws, seed,
-        (NS_NULIMIT, hp.p, hp.t.numerator, hp.t.denominator, n_max), workers)
+        (NS_NULIMIT, hp.p, hp.t.numerator, hp.t.denominator, n_max), pool)
     hist = Histogram(counts, draws,
                      f"partitions with <= {max_parts} parts <= {max_part}")
     tv_mc = tv_on_support(hist, law)
@@ -756,13 +761,17 @@ def run_suite(name: str, seed: int, *, workers: int = 1,
     """Run a named experiment suite at the shipped default configuration.
 
     ``scale`` multiplies all Monte Carlo draw counts (gates loosen
-    accordingly); exact suites ignore it.  Each report's runtime is set
+    accordingly); exact suites ignore it.  With ``workers > 1`` one worker
+    pool serves every Monte Carlo runner.  Each report's runtime is set
     here, outside its canonical payload.
     """
     if name not in SUITE_NAMES:
         raise ValueError(f"unknown suite {name!r}; choose from {SUITE_NAMES}")
     chosen = {name} if name != "all" else set(SUITE_NAMES)
-    mc = {"workers": workers}
+    pool = None
+    if workers > 1 and chosen & {"corners", "ergodic", "nulimit"}:
+        pool = worker_pool(workers)
+    mc = {"pool": pool}
     hp1, hp2 = HuaParams(2, Fraction(1)), HuaParams(2, Fraction(1, 2))
     runs = []  # (runner, positional args, keyword args)
     if "oracle" in chosen:
@@ -791,9 +800,13 @@ def run_suite(name: str, seed: int, *, workers: int = 1,
         for hp in (hp1, hp2):
             runs.append((run_nu_limit, (hp, (5, 10, 20, 40), draws, seed), mc))
     reports = []
-    for runner, args, kwargs in runs:
-        t0 = time.perf_counter()
-        report = runner(*args, **kwargs)
-        report.runtime_seconds = time.perf_counter() - t0
-        reports.append(report)
+    try:
+        for runner, args, kwargs in runs:
+            t0 = time.perf_counter()
+            report = runner(*args, **kwargs)
+            report.runtime_seconds = time.perf_counter() - t0
+            reports.append(report)
+    finally:
+        if pool is not None:
+            pool.terminate()
     return reports

@@ -16,6 +16,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from fractions import Fraction
+from math import gcd
 
 from .laws import _singular_values
 from .padic import DIGITS, PrecisionExhausted, check_prime, int_valuation
@@ -148,60 +149,49 @@ def smith_valuations(rows, p: int, digits: int) -> list:
     matrix known modulo p^digits; a reported value of ``digits`` means the
     divisor's valuation is >= digits (uncertified).
 
-    Min-valuation pivoting with full row+column elimination; every
-    multiplier is integral because the pivot valuation is minimal, so the
-    computation is exact modulo p^digits throughout.
+    Shrinking-block elimination: the minimum valuation v of the remaining
+    block is that of the gcd of its entries; the first entry with a nonzero
+    residue mod p^(v+1) is the pivot.  Row operations clear the rest of the
+    pivot column (every multiplier is integral because v is minimal, so the
+    computation is exact modulo p^digits throughout), after which the pivot
+    row and column are dropped: clearing the pivot row by column operations
+    would leave the remaining block unchanged.  The valuations do not
+    depend on which minimum-valuation entry is the pivot.
     """
-    a = [list(r) for r in rows]
-    n = len(a)
     pe = p**digits
+    a = [[e % pe for e in row] for row in rows]
     out = []
-    for step in range(n):
-        best_v = None
-        bi = bj = -1
-        for i in range(step, n):
-            row = a[i]
-            for j in range(step, n):
-                e = row[j]
-                if e:
-                    v = 0
-                    while e % p == 0:
-                        e //= p
-                        v += 1
-                    if best_v is None or v < best_v:
-                        best_v, bi, bj = v, i, j
-                        if v == 0:
-                            break
-            if best_v == 0:
-                break
-        if best_v is None:
-            out.extend([digits] * (n - step))
+    while a:
+        g = 0
+        for row in a:
+            g = gcd(g, *row)
+        if g == 0:
+            out.extend([digits] * len(a))
             break
-        if bi != step:
-            a[bi], a[step] = a[step], a[bi]
-        if bj != step:
-            for row in a[step:]:
-                row[bj], row[step] = row[step], row[bj]
-        v = best_v
-        pv = p**v
-        row_s = a[step]
-        uinv = pow(row_s[step] // pv, -1, pe)
-        for j in range(step, n):
-            row_s[j] = row_s[j] * uinv % pe
-        for i in range(step + 1, n):
-            e = a[i][step]
-            if e:
-                mult = e // pv
-                row_i = a[i]
-                for j in range(step, n):
-                    row_i[j] = (row_i[j] - mult * row_s[j]) % pe
-        for j in range(step + 1, n):
-            e = row_s[j]
-            if e:
-                mult = e // pv
-                for i in range(step, n):
-                    a[i][j] = (a[i][j] - mult * a[i][step]) % pe
+        v = 0
+        pv = 1
+        while g % p == 0:
+            g //= p
+            v += 1
+            pv *= p
         out.append(v)
+        if len(a) == 1:
+            break
+        above = pv * p
+        for bi, row in enumerate(a):
+            for bj, e in enumerate(row):
+                if e % above:
+                    break
+            else:
+                continue
+            break
+        pivot_row = a.pop(bi)
+        uinv = pow(pivot_row.pop(bj) // pv, -1, pe)
+        for i, row in enumerate(a):
+            e = row.pop(bj)
+            if e:
+                mult = e // pv * uinv % pe
+                a[i] = [(x - mult * y) % pe for x, y in zip(row, pivot_row)]
     return out
 
 
@@ -217,6 +207,31 @@ def singular_numbers(m: PadicMatrix, guard: int | None = None) -> SingularTuple:
     floor = m.shift - cutoff
     values = tuple(m.shift - a if a < cutoff else None for a in vals)
     return SingularTuple(m.p, values, floor)
+
+
+def decode_residues(code: int, modulus: int, count: int) -> list:
+    """The ``count`` lowest base-``modulus`` digits of ``code``, least
+    significant first: the same residues as ``count`` sequential
+    ``code, r = divmod(code, modulus)`` steps.
+
+    The code is split in halves until the pieces are short, so a long code
+    is not divided once per residue, which is quadratic in its length.  A
+    power-of-two split is a shift and a mask.
+    """
+    if count <= 16:
+        out = []
+        for _ in range(count):
+            code, r = divmod(code, modulus)
+            out.append(r)
+        return out
+    half = count // 2
+    base = modulus**half
+    if base & (base - 1):
+        hi, lo = divmod(code, base)
+    else:
+        hi, lo = code >> (base.bit_length() - 1), code & (base - 1)
+    return (decode_residues(lo, modulus, half)
+            + decode_residues(hi, modulus, count - half))
 
 
 def _det_mod_p(units, p: int) -> int:
@@ -253,15 +268,8 @@ def sample_haar_gl(n: int, p: int, digits: int, rng, guard: int = 0) -> PadicMat
     while True:
         # One bulk draw per attempt: base-p^digits digits of a uniform
         # integer below p^(digits*n^2) are uniform independent residues.
-        code = rng.randbelow(bulk)
-        units = []
-        for _ in range(n):
-            row = []
-            for _ in range(n):
-                code, r = divmod(code, modulus)
-                row.append(r)
-            units.append(tuple(row))
-        units = tuple(units)
+        flat = decode_residues(rng.randbelow(bulk), modulus, n * n)
+        units = tuple(tuple(flat[i:i + n]) for i in range(0, n * n, n))
         if _det_mod_p(units, p) != 0:
             return PadicMatrix(p, n, 0, digits, units, guard)
 

@@ -18,7 +18,13 @@ from functools import lru_cache
 from math import lcm
 
 from .laws import HuaParams, kernel_row, pi_n, pi_s_bracket
-from .matrix import PadicMatrix, SingularTuple, assemble_orbit, sample_haar_gl
+from .matrix import (
+    PadicMatrix,
+    SingularTuple,
+    assemble_orbit,
+    decode_residues,
+    sample_haar_gl,
+)
 from .padic import GUARD, PrecisionExhausted, check_prime
 from .partitions import Partition
 from .qseries import Bracket
@@ -73,8 +79,17 @@ def sample_pi_n(hp: HuaParams, n: int, rng) -> int:
 
 
 @lru_cache(maxsize=None)
-def _pi_bracket_cached(p: int, t: Fraction, x: int, eps: Fraction) -> Bracket:
-    return pi_s_bracket(HuaParams(p, t), x, eps)
+def _pi_s_cumulative(p: int, t: Fraction, eps: Fraction,
+                     support: int) -> tuple:
+    """Certified brackets of the limiting entrance law's CDF at 0..support,
+    each atom bracketed to within eps."""
+    hp = HuaParams(p, t)
+    cum = []
+    acc = Bracket.exact(0)
+    for x in range(support + 1):
+        acc = acc + pi_s_bracket(hp, x, eps)
+        cum.append(acc)
+    return tuple(cum)
 
 
 def sample_pi_s(hp: HuaParams, rng) -> int:
@@ -94,11 +109,7 @@ def sample_pi_s(hp: HuaParams, rng) -> int:
         scale = 1 << bits
         u_lo = Fraction(u_num, scale)
         u_hi = Fraction(u_num + 1, scale)
-        cum = []
-        acc = Bracket.exact(0)
-        for x in range(support + 1):
-            acc = acc + _pi_bracket_cached(hp.p, hp.t, x, eps)
-            cum.append(acc)
+        cum = _pi_s_cumulative(hp.p, hp.t, eps, support)
         prev_upper = Fraction(0)
         chosen = None
         for x in range(support + 1):
@@ -192,24 +203,19 @@ def sample_ergodic_matrix(p: int, k, n: int, digits: int, rng,
         raise PrecisionExhausted(f"p^-{shift} overflows a {digits}-digit window")
     modulus = p**digits
     r = len(parts)
-    code = rng.randbelow(modulus ** (2 * r * n + n * n))
-    def take():
-        nonlocal code
-        code, res = divmod(code, modulus)
-        return res
-    xs, ys = [], []
-    for _ in parts:
-        xs.append([take() for _ in range(n)])
-        ys.append([take() for _ in range(n)])
-    scales = [p ** (shift - km) for km in parts]
+    z0 = 2 * r * n
+    count = z0 + n * n
+    flat = decode_residues(rng.randbelow(modulus**count), modulus, count)
+    # Row i of the residues: p^shift Z_i + sum_m p^(shift - k_m) X_i^(m) Y^(m).
+    xs = [[p ** (shift - km) * x for x in flat[2 * m * n:(2 * m + 1) * n]]
+          for m, km in enumerate(parts)]
+    ys = [flat[(2 * m + 1) * n:(2 * m + 2) * n] for m in range(r)]
     z_scale = p**shift
     units = []
     for i in range(n):
-        row = []
-        for j in range(n):
-            acc = z_scale * take()
-            for m in range(r):
-                acc += scales[m] * xs[m][i] * ys[m][j]
-            row.append(acc % modulus)
-        units.append(tuple(row))
+        row = [z_scale * e for e in flat[z0 + i * n:z0 + (i + 1) * n]]
+        for x, y in zip(xs, ys):
+            c = x[i]
+            row = [a + c * b for a, b in zip(row, y)]
+        units.append(tuple([a % modulus for a in row]))
     return PadicMatrix(p, n, shift, digits, tuple(units), guard)

@@ -19,6 +19,7 @@ from padic_hua.experiments import (
     scaled_gate,
     tv_distance,
     tv_on_support,
+    worker_pool,
 )
 from padic_hua.laws import ExactLaw, HuaParams
 from padic_hua.partitions import Partition
@@ -102,8 +103,9 @@ class TestReports:
 
 class TestMonteCarloExperiments:
     def test_corners_small_and_deterministic(self):
-        a = run_corners_consistency(HP2, 2, 3000, 42, workers=1)
-        b = run_corners_consistency(HP2, 2, 3000, 42, workers=2)
+        a = run_corners_consistency(HP2, 2, 3000, 42)
+        with worker_pool(2) as pool:
+            b = run_corners_consistency(HP2, 2, 3000, 42, pool=pool)
         assert a.to_json() == b.to_json()
         assert a.passed
 

@@ -1,9 +1,10 @@
+import random
 from fractions import Fraction as F
 from itertools import combinations
 from math import gcd
 
 import pytest
-from hypothesis import given, settings, strategies as st
+from hypothesis import example, given, settings, strategies as st
 
 from padic_hua.laws import HuaParams, _normalization, gamma_exponent, hua_density
 from padic_hua.matrix import (
@@ -12,6 +13,7 @@ from padic_hua.matrix import (
     SingularTuple,
     assemble_orbit,
     corner,
+    decode_residues,
     format_entry,
     parse_matrix_text,
     sample_haar_gl,
@@ -262,3 +264,65 @@ def test_smith_chain_divisibility():
         units = [[rng.randbelow(3**6) for _ in range(4)] for _ in range(4)]
         vals = smith_valuations(units, 3, 6)
         assert all(vals[i] <= vals[i + 1] for i in range(3))
+
+
+def _determinantal_divisor(rows, k):
+    """D_k: the gcd of all k x k minors of an integer matrix (D_0 = 1)."""
+    if k == 0:
+        return 1
+    n = len(rows)
+    return gcd(*(_det([[rows[i][j] for j in csel] for i in rsel])
+                 for rsel in combinations(range(n), k)
+                 for csel in combinations(range(n), k)))
+
+
+@st.composite
+def residue_matrices(draw):
+    """(rows, p, digits): an N x N integer matrix, N <= 3, with entries in
+    [0, p^digits); some are rank deficient, all multiples of p or zero."""
+    p = draw(st.sampled_from([2, 3, 5]))
+    digits = draw(st.integers(1, 4))
+    n = draw(st.integers(1, 3))
+    pe = p**digits
+    kind = draw(st.sampled_from(["any", "repeated-row", "multiple-of-p", "zero"]))
+    step = p if kind == "multiple-of-p" else 1
+    entry = st.integers(0, pe // step - 1).map(lambda e: step * e)
+    rows = draw(st.lists(st.lists(entry, min_size=n, max_size=n),
+                         min_size=n, max_size=n))
+    if kind == "repeated-row":
+        rows[-1] = list(rows[0])
+    elif kind == "zero":
+        rows = [[0] * n for _ in range(n)]
+    return rows, p, digits
+
+
+@given(residue_matrices())
+@example(([[1, 2, 3], [2, 4, 6], [3, 6, 9]], 3, 4))
+@example(([[2, 4], [6, 12]], 2, 4))
+@example(([[0, 0, 0], [0, 0, 0], [0, 0, 0]], 5, 1))
+@settings(max_examples=300)
+def test_smith_matches_determinantal_divisors(case):
+    # a_k = v(D_k) - v(D_(k-1)), capped at the window; v(0) is infinite
+    rows, p, digits = case
+    expected = []
+    prev = _determinantal_divisor(rows, 0)
+    for k in range(1, len(rows) + 1):
+        d = _determinantal_divisor(rows, k)
+        expected.append(digits if d == 0 else
+                        min(int_valuation(d, p) - int_valuation(prev, p), digits))
+        prev = d
+    assert smith_valuations(rows, p, digits) == expected
+
+
+@given(p=st.sampled_from([2, 3, 5, 7, 101]), digits=st.integers(1, 30),
+       count=st.sampled_from([0, 1, 9, 17, 352]), seed=st.integers(0, 2**32))
+@settings(max_examples=100)
+def test_decode_residues_matches_sequential_divmod(p, digits, count, seed):
+    modulus = p**digits
+    code = random.Random(seed).randrange(modulus**count)
+    expected = []
+    rest = code
+    for _ in range(count):
+        rest, r = divmod(rest, modulus)
+        expected.append(r)
+    assert decode_residues(code, modulus, count) == expected

@@ -10,6 +10,7 @@ from padic_hua.padic import PrecisionExhausted, int_valuation
 from padic_hua.partitions import Partition
 from padic_hua.rng import RngStream
 from padic_hua.samplers import (
+    _pi_s_cumulative,
     run_chain,
     sample_ergodic_matrix,
     sample_hua_matrix,
@@ -54,6 +55,18 @@ class TestEntranceDraws:
         for x in (0, 1):
             expected = float(pi_s_bracket(HP2, x, F(1, 10**9)).midpoint)
             assert abs(counts[x] / draws - expected) < three_sigma(expected, draws)
+
+    def test_pi_s_cache_does_not_change_draws(self):
+        def draw(i):
+            rng = RngStream(5, (i,))
+            return sample_pi_s(HP2, rng), rng.bits_consumed
+
+        cold = []
+        for i in range(200):
+            _pi_s_cumulative.cache_clear()
+            cold.append(draw(i))
+        warm = [draw(i) for i in range(200)]
+        assert cold == warm
 
     def test_pi_n_range(self):
         rng = RngStream(4)
