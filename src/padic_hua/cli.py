@@ -203,6 +203,7 @@ def cmd_sample(args) -> int:
     _require(args.N >= 1, f"--N must be >= 1, got {args.N}")
     _require(0 <= guard < digits,
              f"need 0 <= --guard < --E, got guard {guard} and E {digits}")
+    _require(args.count >= 0, f"--count must be >= 0, got {args.count}")
     namespace = _SAMPLE_NS[args.kind]
     lam = None
     if args.kind == "ergodic":
@@ -283,8 +284,19 @@ def cmd_verify(args) -> int:
     _require(args.seed >= 0, f"--seed must be >= 0, got {args.seed}")
     _require(math.isfinite(args.scale) and args.scale >= 0,
              f"--scale must be a finite number >= 0, got {args.scale}")
+    workers = args.workers
+    if workers is None:
+        # Read here, not when the parser is built, so a bad value only
+        # affects the one subcommand that uses it.
+        env = os.environ.get("PADIC_HUA_WORKERS", "1")
+        try:
+            workers = int(env)
+        except ValueError:
+            raise ConfigError(
+                f"PADIC_HUA_WORKERS must be an integer, got {env!r}") from None
+    _require(workers >= 1, f"worker count must be >= 1, got {workers}")
     t0 = time.perf_counter()
-    reports = run_suite(args.suite, args.seed, workers=args.workers,
+    reports = run_suite(args.suite, args.seed, workers=workers,
                         scale=args.scale)
     write_report_files(reports, args.out_dir)
     failed = [r.name for r in reports if not r.passed]
@@ -343,8 +355,9 @@ def build_parser() -> argparse.ArgumentParser:
     verify.add_argument("suite", choices=SUITE_NAMES)
     verify.add_argument("--seed", type=int, required=True)
     verify.add_argument("--out-dir", default="reports")
-    verify.add_argument("--workers", type=int,
-                        default=int(os.environ.get("PADIC_HUA_WORKERS", "1")))
+    verify.add_argument("--workers", type=int, default=None,
+                        help="worker processes (default: $PADIC_HUA_WORKERS "
+                             "or 1)")
     verify.add_argument("--scale", type=float, default=1.0,
                         help="multiplier on Monte Carlo draw counts")
     verify.set_defaults(func=cmd_verify)

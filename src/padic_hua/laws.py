@@ -14,6 +14,7 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 from fractions import Fraction
+from functools import lru_cache
 from itertools import combinations_with_replacement
 from typing import Union
 
@@ -47,7 +48,8 @@ class HuaParams:
         return self.t / self.p
 
     def with_s_zero(self) -> "HuaParams":
-        return HuaParams(self.p, Fraction(1))
+        """The undeformed parameters (t = 1) at the same p."""
+        return _s_zero(self.p)
 
     def s_exponent(self):
         """Integer s with t = p^-s, or None if t is not a power of p."""
@@ -69,6 +71,13 @@ class HuaParams:
                 s -= 1
             return s
         return None
+
+
+@lru_cache(maxsize=None)
+def _s_zero(p: int) -> HuaParams:
+    """HuaParams(p, 1), built once per prime: the chain samplers ask for it
+    on every draw."""
+    return HuaParams(p, Fraction(1))
 
 
 def _singular_values(k) -> tuple:

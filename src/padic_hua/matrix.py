@@ -16,7 +16,9 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from fractions import Fraction
+from functools import lru_cache
 from math import gcd
+from operator import mul
 
 from .laws import _singular_values
 from .padic import DIGITS, PrecisionExhausted, check_prime, int_valuation
@@ -73,6 +75,14 @@ class SingularTuple:
         return tuple(v for v in self.values if v is not None and v > 0)
 
 
+def _check_window(p: int, digits: int, guard: int) -> None:
+    check_prime(p)
+    if digits < 1:
+        raise ValueError(f"digits must be >= 1, got {digits}")
+    if not 0 <= guard < digits:
+        raise ValueError(f"need 0 <= guard < digits, got {guard}, {digits}")
+
+
 @dataclass(frozen=True)
 class PadicMatrix:
     """N x N matrix equal to p^-shift * units, units known mod p^digits."""
@@ -85,11 +95,7 @@ class PadicMatrix:
     guard: int = 0
 
     def __post_init__(self):
-        check_prime(self.p)
-        if self.digits < 1:
-            raise ValueError(f"digits must be >= 1, got {self.digits}")
-        if not 0 <= self.guard < self.digits:
-            raise ValueError(f"need 0 <= guard < digits, got {self.guard}, {self.digits}")
+        _check_window(self.p, self.digits, self.guard)
         if len(self.units) != self.n or any(len(r) != self.n for r in self.units):
             raise ValueError("units must be an n x n grid")
         modulus = self.p**self.digits
@@ -97,6 +103,17 @@ class PadicMatrix:
             raise ValueError("unit residues out of window")
 
     # -- constructors ------------------------------------------------------
+
+    @classmethod
+    def _reduced(cls, p: int, n: int, shift: int, digits: int, units: tuple,
+                 guard: int = 0) -> "PadicMatrix":
+        """For an n x n grid this package has just reduced mod p^digits
+        itself: the window is checked, the grid is not scanned again."""
+        _check_window(p, digits, guard)
+        m = object.__new__(cls)
+        vars(m).update(p=p, n=n, shift=shift, digits=digits, units=units,
+                       guard=guard)
+        return m
 
     @classmethod
     def from_units(cls, units, p: int, shift: int = 0, digits: int = DIGITS,
@@ -140,8 +157,8 @@ def corner(m: PadicMatrix, size: int) -> PadicMatrix:
     """Top-left size x size submatrix; shift and window preserved."""
     if not 1 <= size <= m.n:
         raise ValueError(f"corner size must be in [1, {m.n}], got {size}")
-    units = tuple(row[:size] for row in m.units[:size])
-    return PadicMatrix(m.p, size, m.shift, m.digits, units, m.guard)
+    units = tuple([row[:size] for row in m.units[:size]])
+    return PadicMatrix._reduced(m.p, size, m.shift, m.digits, units, m.guard)
 
 
 def smith_valuations(rows, p: int, digits: int) -> list:
@@ -234,25 +251,36 @@ def decode_residues(code: int, modulus: int, count: int) -> list:
             + decode_residues(hi, modulus, count - half))
 
 
-def _det_mod_p(units, p: int) -> int:
-    """Determinant of the residue matrix mod p (Gaussian elimination)."""
-    a = [[e % p for e in row] for row in units]
-    n = len(a)
-    det = 1
+# Residue patterns mod p whose answer det_is_unit_mod_p remembers.  There
+# are p^(n^2) patterns; all 512 of the largest Haar factor the corner
+# experiments draw, n = 3 at p = 2, fit.
+UNIT_DET_CACHE_SIZE = 4096
+
+
+@lru_cache(maxsize=UNIT_DET_CACHE_SIZE)
+def _unit_det_pattern(p: int, n: int, pattern: tuple) -> bool:
+    """Whether the n x n matrix with row-major residues ``pattern`` mod p
+    has a nonzero determinant mod p (Gaussian elimination over F_p)."""
+    a = [list(pattern[i:i + n]) for i in range(0, n * n, n)]
     for col in range(n):
         pivot = next((i for i in range(col, n) if a[i][col]), None)
         if pivot is None:
-            return 0
-        if pivot != col:
-            a[pivot], a[col] = a[col], a[pivot]
-            det = -det % p
+            return False
+        a[pivot], a[col] = a[col], a[pivot]
         inv = pow(a[col][col], -1, p)
-        det = det * a[col][col] % p
         for i in range(col + 1, n):
             f = a[i][col] * inv % p
             if f:
                 a[i] = [(x - f * y) % p for x, y in zip(a[i], a[col])]
-    return det % p
+    return True
+
+
+def det_is_unit_mod_p(units, p: int) -> bool:
+    """Whether the determinant of a square integer matrix is a unit mod p,
+    i.e. whether the matrix lies in GL(n, Z_p).  The answer depends only on
+    the residues mod p, so it is memoised on that pattern."""
+    pattern = tuple([e % p for row in units for e in row])
+    return _unit_det_pattern(p, len(units), pattern)
 
 
 def sample_haar_gl(n: int, p: int, digits: int, rng, guard: int = 0) -> PadicMatrix:
@@ -269,9 +297,9 @@ def sample_haar_gl(n: int, p: int, digits: int, rng, guard: int = 0) -> PadicMat
         # One bulk draw per attempt: base-p^digits digits of a uniform
         # integer below p^(digits*n^2) are uniform independent residues.
         flat = decode_residues(rng.randbelow(bulk), modulus, n * n)
-        units = tuple(tuple(flat[i:i + n]) for i in range(0, n * n, n))
-        if _det_mod_p(units, p) != 0:
-            return PadicMatrix(p, n, 0, digits, units, guard)
+        if _unit_det_pattern(p, n, tuple([e % p for e in flat])):
+            units = tuple([tuple(flat[i:i + n]) for i in range(0, n * n, n)])
+            return PadicMatrix._reduced(p, n, 0, digits, units, guard)
 
 
 def assemble_orbit(k, b: PadicMatrix, c: PadicMatrix) -> PadicMatrix:
@@ -285,10 +313,9 @@ def assemble_orbit(k, b: PadicMatrix, c: PadicMatrix) -> PadicMatrix:
     if b.p != c.p or b.n != c.n or len(vals) != b.n:
         raise ValueError("incompatible orbit factors")
     for factor in (b, c):
-        if factor.shift != 0 or _det_mod_p(factor.units, factor.p) == 0:
+        if factor.shift != 0 or not det_is_unit_mod_p(factor.units, factor.p):
             raise ValueError("orbit factors must lie in GL(n, Z_p)")
     p = b.p
-    n = b.n
     digits = min(b.digits, c.digits)
     shift = vals[0]
     if shift >= digits:
@@ -296,13 +323,13 @@ def assemble_orbit(k, b: PadicMatrix, c: PadicMatrix) -> PadicMatrix:
             f"p^-{shift} overflows a {digits}-digit window")
     modulus = p**digits
     # Scale the columns of B by p^(shift - k_i), then multiply by C.
-    scaled = [[b.units[i][j] * p ** (shift - vals[j]) % modulus for j in range(n)]
-              for i in range(n)]
-    cu = c.units
-    units = tuple(
-        tuple(sum(srow[t] * cu[t][j] for t in range(n)) % modulus for j in range(n))
-        for srow in scaled)
-    return PadicMatrix(p, n, shift, digits, units, max(b.guard, c.guard))
+    scales = [p ** (shift - v) for v in vals]
+    cols = list(zip(*c.units))
+    units = tuple([
+        tuple([sum(map(mul, srow, col)) % modulus for col in cols])
+        for srow in ([x * s for x, s in zip(brow, scales)] for brow in b.units)])
+    return PadicMatrix._reduced(p, b.n, shift, digits, units,
+                                max(b.guard, c.guard))
 
 
 # -- text format for matrix literals ---------------------------------------

@@ -47,14 +47,18 @@ def _cumulative_weights(masses) -> tuple:
     return d, tuple(cum)
 
 
-@lru_cache(maxsize=None)
-def _kernel_cumulative(p: int, t: Fraction, x1: int):
-    return _cumulative_weights(kernel_row(HuaParams(p, t), x1))
+# The row tables below are keyed by (p, t.numerator, t.denominator, ...):
+# hashing two ints per chain step is much cheaper than hashing a Fraction.
 
 
 @lru_cache(maxsize=None)
-def _pi_n_cumulative(p: int, t: Fraction, n: int):
-    hp = HuaParams(p, t)
+def _kernel_cumulative(p: int, num: int, den: int, x1: int):
+    return _cumulative_weights(kernel_row(HuaParams(p, Fraction(num, den)), x1))
+
+
+@lru_cache(maxsize=None)
+def _pi_n_cumulative(p: int, num: int, den: int, n: int):
+    hp = HuaParams(p, Fraction(num, den))
     return _cumulative_weights(tuple(pi_n(hp, n, x) for x in range(n + 1)))
 
 
@@ -68,13 +72,15 @@ def sample_kernel_step(hp: HuaParams, x: int, rng) -> int:
         raise ValueError(f"need x >= 0, got {x}")
     if x == 0:
         return 0
-    d, cum = _kernel_cumulative(hp.p, hp.t, x)
+    t = hp.t
+    d, cum = _kernel_cumulative(hp.p, t.numerator, t.denominator, x)
     return _draw_from_cumulative(d, cum, rng)
 
 
 def sample_pi_n(hp: HuaParams, n: int, rng) -> int:
     """Exact draw from the finite entrance law on [0, n]."""
-    d, cum = _pi_n_cumulative(hp.p, hp.t, n)
+    t = hp.t
+    d, cum = _pi_n_cumulative(hp.p, t.numerator, t.denominator, n)
     return _draw_from_cumulative(d, cum, rng)
 
 
@@ -218,4 +224,4 @@ def sample_ergodic_matrix(p: int, k, n: int, digits: int, rng,
             c = x[i]
             row = [a + c * b for a, b in zip(row, y)]
         units.append(tuple([a % modulus for a in row]))
-    return PadicMatrix(p, n, shift, digits, tuple(units), guard)
+    return PadicMatrix._reduced(p, n, shift, digits, tuple(units), guard)

@@ -106,11 +106,21 @@ BAD_INPUT = [
     ("verify", "corners", "--seed", "1", "--scale", "nan"),
     ("verify", "corners", "--seed", "1", "--scale", "inf"),
     ("verify", "corners", "--seed", "-1"),
+    ("verify", "corners", "--seed", "1", "--workers", "0"),
+    ("verify", "corners", "--seed", "1", "--workers", "-1"),
+    ("PADIC_HUA_WORKERS=abc", "verify", "corners", "--seed", "1"),
+    ("sample", "hua", "--count", "-1", "--seed", "1"),
 ]
 
 
 @pytest.mark.parametrize("argv", BAD_INPUT, ids=" ".join)
-def test_bad_input_exits_2_with_one_error_line(tmp_path, capsys, argv):
+def test_bad_input_exits_2_with_one_error_line(tmp_path, capsys, monkeypatch,
+                                              argv):
+    # Leading NAME=value words set environment variables, as in a shell.
+    while "=" in argv[0]:
+        name, _, value = argv[0].partition("=")
+        monkeypatch.setenv(name, value)
+        argv = argv[1:]
     if argv[0] == "verify":
         argv += ("--out-dir", str(tmp_path / "reports"))
     code, out, err = run_cli(capsys, *argv)
@@ -118,6 +128,12 @@ def test_bad_input_exits_2_with_one_error_line(tmp_path, capsys, argv):
     assert out == ""
     assert len(err.splitlines()) == 1 and err.startswith("error: ")
     assert not (tmp_path / "reports").exists()
+
+
+def test_bad_worker_variable_leaves_other_subcommands_alone(capsys, monkeypatch):
+    monkeypatch.setenv("PADIC_HUA_WORKERS", "abc")
+    code, out, err = run_cli(capsys, "sample", "nu", "--seed", "1")
+    assert code == 0 and json.loads(out)["kind"] == "nu" and err == ""
 
 
 class TestSing:

@@ -14,6 +14,7 @@ from padic_hua.matrix import (
     assemble_orbit,
     corner,
     decode_residues,
+    det_is_unit_mod_p,
     format_entry,
     parse_matrix_text,
     sample_haar_gl,
@@ -326,3 +327,70 @@ def test_decode_residues_matches_sequential_divmod(p, digits, count, seed):
         rest, r = divmod(rest, modulus)
         expected.append(r)
     assert decode_residues(code, modulus, count) == expected
+
+
+@st.composite
+def small_residue_grids(draw):
+    """(rows, p): an N x N matrix, N <= 4, with any nonnegative entries;
+    some are zero or have a repeated row."""
+    p = draw(st.sampled_from([2, 3, 5]))
+    n = draw(st.integers(1, 4))
+    kind = draw(st.sampled_from(["any", "repeated-row", "zero"]))
+    rows = draw(st.lists(st.lists(st.integers(0, 10**6), min_size=n, max_size=n),
+                         min_size=n, max_size=n))
+    if kind == "repeated-row" and n > 1:
+        rows[-1] = list(rows[0])
+    elif kind == "zero":
+        rows = [[0] * n for _ in range(n)]
+    return rows, p
+
+
+@given(small_residue_grids())
+@example(([[0, 0], [0, 0]], 2))
+@example(([[1, 2, 3], [4, 5, 6], [1, 2, 3]], 5))
+@example(([[3, 1], [6, 2]], 3))
+@settings(max_examples=400)
+def test_det_is_unit_mod_p_matches_laplace(case):
+    rows, p = case
+    expected = _det(rows) % p != 0
+    assert det_is_unit_mod_p(rows, p) == expected
+    # a second call is answered from the memo and must agree
+    assert det_is_unit_mod_p(rows, p) == expected
+
+
+def _reference_haar(n, p, digits, rng):
+    """Plain rejection loop: one uniform residue grid per attempt, decoded
+    by sequential divmod, accepted when the Laplace determinant is a unit."""
+    modulus = p**digits
+    while True:
+        code = rng.randbelow(modulus ** (n * n))
+        flat = []
+        for _ in range(n * n):
+            code, r = divmod(code, modulus)
+            flat.append(r)
+        rows = [flat[i:i + n] for i in range(0, n * n, n)]
+        if _det(rows) % p:
+            return tuple(tuple(row) for row in rows)
+
+
+def test_haar_streams_match_reference_rejection_loop():
+    for i in range(300):
+        n = (1, 2, 3, 5)[i % 4]
+        p = (2, 3)[i // 4 % 2]
+        digits = (3, 24)[i // 8 % 2]
+        ours, ref = RngStream(11, (i,)), RngStream(11, (i,))
+        m = sample_haar_gl(n, p, digits, ours)
+        assert m.units == _reference_haar(n, p, digits, ref)
+        assert ours.bits_consumed == ref.bits_consumed
+
+
+def test_trusted_constructors_match_validated_ones():
+    rng = RngStream(12)
+    b = sample_haar_gl(3, 2, 10, rng, guard=2)
+    c = sample_haar_gl(3, 2, 10, rng)
+    built = [b, assemble_orbit((2, 0, -1), b, c)]
+    built.append(corner(built[1], 2))
+    for m in built:
+        assert m == PadicMatrix(m.p, m.n, m.shift, m.digits, m.units, m.guard)
+    with pytest.raises(ValueError):
+        sample_haar_gl(2, 2, 4, rng, guard=4)

@@ -4,12 +4,21 @@ from math import sqrt
 
 import pytest
 
-from padic_hua.laws import HuaParams, m_n_direct, nu_bracket, pi_s_bracket
+from padic_hua.laws import (
+    HuaParams,
+    _s_zero,
+    m_n_direct,
+    nu_bracket,
+    pi_s_bracket,
+)
 from padic_hua.matrix import sample_haar_gl, singular_numbers
 from padic_hua.padic import PrecisionExhausted, int_valuation
 from padic_hua.partitions import Partition
 from padic_hua.rng import RngStream
 from padic_hua.samplers import (
+    _cumulative_weights,
+    _kernel_cumulative,
+    _pi_n_cumulative,
     _pi_s_cumulative,
     run_chain,
     sample_ergodic_matrix,
@@ -64,6 +73,23 @@ class TestEntranceDraws:
         cold = []
         for i in range(200):
             _pi_s_cumulative.cache_clear()
+            cold.append(draw(i))
+        warm = [draw(i) for i in range(200)]
+        assert cold == warm
+
+    def test_singulars_cache_does_not_change_draws(self):
+        tables = (_cumulative_weights, _kernel_cumulative, _pi_n_cumulative,
+                  _s_zero)
+
+        def draw(i):
+            hp = (HP2, HuaParams(2, F(1, 2)), HuaParams(3, F(1)))[i % 3]
+            rng = RngStream(6, (i,))
+            return sample_hua_singulars(hp, 1 + i % 5, rng), rng.bits_consumed
+
+        cold = []
+        for i in range(200):
+            for table in tables:
+                table.cache_clear()
             cold.append(draw(i))
         warm = [draw(i) for i in range(200)]
         assert cold == warm
