@@ -19,7 +19,6 @@ import math
 import os
 import sys
 import time
-from decimal import Decimal
 from fractions import Fraction
 
 from .experiments import SUITE_NAMES, run_suite
@@ -70,11 +69,16 @@ def parse_fraction(text: str) -> Fraction:
 
 
 def parse_eps(text: str) -> Fraction:
-    """Tolerances may be decimal or scientific; converted exactly."""
+    """Positive tolerance from 'num/den', an integer, a decimal or
+    scientific notation; converted exactly."""
     try:
-        return Fraction(Decimal(text))
-    except ArithmeticError as exc:
-        raise ConfigError(f"cannot parse {text!r} as a tolerance: {exc}") from None
+        eps = Fraction(text.strip())
+    except (ValueError, ZeroDivisionError):
+        raise ConfigError(
+            f"cannot parse {text!r} as a tolerance; write num/den, a decimal "
+            f"or scientific notation (e.g. 1/100, 0.01, 1e-9)") from None
+    _require(eps > 0, f"tolerance must be positive, got {text!r}")
+    return eps
 
 
 def parse_int_list(text: str) -> tuple:

@@ -31,11 +31,11 @@ from .laws import (
     nu_chain_bracket,
     nu_k1_below,
     nu_truncated_law,
-    pi_n,
     pi_n_boundary_tv,
+    pi_n_row,
     rewrite_identity_check,
     rr_cdf,
-    tilde_pi_n,
+    tilde_pi_n_row,
     vol_singular_law,
 )
 from .matrix import (
@@ -633,9 +633,9 @@ def run_identities(seed: int, *, primes=(2, 3, 5),
     completeness_failures = 0
     for hp in grid:
         for n in range(1, completeness_max + 1):
-            if sum(pi_n(hp, n, x) for x in range(n + 1)) != 1:
+            if sum(pi_n_row(hp, n)) != 1:
                 completeness_failures += 1
-            if sum(tilde_pi_n(hp, n, x) for x in range(n + 1)) != 1:
+            if sum(tilde_pi_n_row(hp, n)) != 1:
                 completeness_failures += 1
 
     rng = RngStream(seed, (NS_IDENTITIES, 0))

@@ -14,7 +14,7 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 from fractions import Fraction
-from functools import lru_cache
+from functools import cached_property, lru_cache
 from itertools import combinations_with_replacement
 from typing import Union
 
@@ -38,11 +38,13 @@ class HuaParams:
         if not 0 < self.t < self.p:
             raise ValueError(f"need 0 < t < p, got t = {self.t}, p = {self.p}")
 
-    @property
+    # cached_property stores into the instance __dict__, which a frozen
+    # dataclass allows; the fields, and so equality and hashing, are unchanged.
+    @cached_property
     def q(self) -> Fraction:
         return Fraction(1, self.p)
 
-    @property
+    @cached_property
     def a(self) -> Fraction:
         """p^-(1+s) = t/p, the second Pochhammer base."""
         return self.t / self.p
@@ -98,26 +100,49 @@ def _normalization(hp: HuaParams, n: int) -> Fraction:
 # -- Markov kernel and its fixed laws ---------------------------------------
 
 
+# Kernel rows and finite entrance laws are built once per (p, t, x) and kept
+# in bounded caches keyed by ints.  The identities suite walks rows up to
+# x = 50, whose masses have denominators up to p^(x^2), so unbounded caches
+# would hold every one of them for the life of the process.
+LAW_ROW_CACHE_SIZE = 32
+
+
 def kernel_p(hp: HuaParams, x1: int, x2: int) -> Fraction:
     """One-step transition mass from x1 to x2 (zero outside 0 <= x2 <= x1).
 
     P(x1, x2) = p^(-x2^2) t^x2 (q;q)_x1 (a;q)_x1
                 / [(q;q)_x2 (q;q)_(x1-x2) (a;q)_x2].
     """
-    if x1 < 0:
-        raise ValueError(f"need x1 >= 0, got {x1}")
-    if not 0 <= x2 <= x1:
-        return Fraction(0)
-    q, a = hp.q, hp.a
-    num = Fraction(1, hp.p ** (x2 * x2)) * hp.t**x2 \
-        * pochhammer(q, q, x1) * pochhammer(a, q, x1)
-    den = pochhammer(q, q, x2) * pochhammer(q, q, x1 - x2) * pochhammer(a, q, x2)
-    return num / den
+    row = kernel_row(hp, x1)
+    return row[x2] if 0 <= x2 <= x1 else Fraction(0)
 
 
 def kernel_row(hp: HuaParams, x1: int) -> tuple:
-    """The full row (P(x1, 0), ..., P(x1, x1)); sums to 1 exactly."""
-    return tuple(kernel_p(hp, x1, x2) for x2 in range(x1 + 1))
+    """The full row (P(x1, 0), ..., P(x1, x1)); sums to 1 exactly.
+
+    Built by the ratio recurrence of the closed form in kernel_p:
+    P(x1, 0) = (a;q)_x1 and
+    P(x1, x2+1) = P(x1, x2) t (1 - q^(x1-x2))
+                  / [p^(2 x2 + 1) (1 - q^(x2+1)) (1 - a q^x2)].
+    """
+    if x1 < 0:
+        raise ValueError(f"need x1 >= 0, got {x1}")
+    t = hp.t
+    return _kernel_row(hp.p, t.numerator, t.denominator, x1)
+
+
+@lru_cache(maxsize=LAW_ROW_CACHE_SIZE)
+def _kernel_row(p: int, u: int, v: int, x1: int) -> tuple:
+    # With t = u/v, q = 1/p and m = x1 - x2 the step ratio is the integer
+    # quotient u (p^m - 1) / [p^(m-1) (p^(x2+1) - 1) (v p^(x2+1) - u)].
+    mass = pochhammer(Fraction(u, v * p), Fraction(1, p), x1)
+    row = [mass]
+    for x2 in range(x1):
+        pm = p ** (x1 - x2)
+        px = p ** (x2 + 1)
+        mass *= Fraction(u * (pm - 1), pm // p * (px - 1) * (v * px - u))
+        row.append(mass)
+    return tuple(row)
 
 
 def pi_s_prefactor(hp: HuaParams, x: int) -> Fraction:
@@ -160,29 +185,87 @@ def pi_n(hp: HuaParams, n: int, x: int) -> Fraction:
     pi_n(x) = (a;q)_n^2 (q;q)_n^2 p^(-(n-x)^2) t^(n-x)
               / [(a;q)_2n (q;q)_x^2 (q;q)_(n-x) (a;q)_(n-x)].
     """
-    if not 0 <= x <= n:
-        return Fraction(0)
-    q, a = hp.q, hp.a
-    num = _normalization(hp, n) * pochhammer(q, q, n) ** 2 \
-        * Fraction(1, hp.p ** ((n - x) * (n - x))) * hp.t ** (n - x)
-    den = pochhammer(q, q, x) ** 2 * pochhammer(q, q, n - x) * pochhammer(a, q, n - x)
-    return num / den
+    row = pi_n_row(hp, n)
+    return row[x] if 0 <= x <= n else Fraction(0)
 
 
 def tilde_pi_n(hp: HuaParams, n: int, x: int) -> Fraction:
     """Companion entrance law for the chain started at the count of
-    nonnegative singular numbers.
+    nonnegative singular numbers; zero outside [0, n].
 
     tilde_pi_n(x) = (a;q)_n^2 (q;q)_n^2 p^(-(n-x)^2)
                     / [(a;q)_2n (q;q)_x (a;q)_x (q;q)_(n-x)^2].
     """
-    if not 0 <= x <= n:
-        return Fraction(0)
-    q, a = hp.q, hp.a
-    num = _normalization(hp, n) * pochhammer(q, q, n) ** 2 \
-        * Fraction(1, hp.p ** ((n - x) * (n - x)))
-    den = pochhammer(q, q, x) * pochhammer(a, q, x) * pochhammer(q, q, n - x) ** 2
-    return num / den
+    row = tilde_pi_n_row(hp, n)
+    return row[x] if 0 <= x <= n else Fraction(0)
+
+
+def pi_n_row(hp: HuaParams, n: int) -> tuple:
+    """(pi_n(0), ..., pi_n(n)), by the ratio recurrence of the closed form
+    in pi_n.  With C = (a;q)_n^2 (q;q)_n^2 p^(-n^2) / (a;q)_2n:
+
+    pi_n(0) = C t^n / [(q;q)_n (a;q)_n],
+    pi_n(x+1) = pi_n(x) p^(2(n-x)-1) (1 - q^(n-x)) (1 - a q^(n-x-1))
+                / [t (1 - q^(x+1))^2].
+    """
+    if n < 0:
+        raise ValueError(f"need n >= 0, got {n}")
+    t = hp.t
+    return _pi_n_row(hp.p, t.numerator, t.denominator, n)
+
+
+def tilde_pi_n_row(hp: HuaParams, n: int) -> tuple:
+    """(tilde_pi_n(0), ..., tilde_pi_n(n)), by the ratio recurrence of the
+    closed form in tilde_pi_n.  With C as in pi_n_row:
+
+    tilde_pi_n(0) = C / (q;q)_n^2,
+    tilde_pi_n(x+1) = tilde_pi_n(x) p^(2(n-x)-1) (1 - q^(n-x))^2
+                      / [(1 - q^(x+1)) (1 - a q^x)].
+    """
+    if n < 0:
+        raise ValueError(f"need n >= 0, got {n}")
+    t = hp.t
+    return _tilde_pi_n_row(hp.p, t.numerator, t.denominator, n)
+
+
+def _entrance_constant(p: int, u: int, v: int, n: int) -> tuple:
+    """(C, (q;q)_n, (a;q)_n) for the entrance rows at t = u/v."""
+    q, a = Fraction(1, p), Fraction(u, v * p)
+    qq, aq = pochhammer(q, q, n), pochhammer(a, q, n)
+    c = aq**2 * qq**2 / (pochhammer(a, q, 2 * n) * p ** (n * n))
+    return c, qq, aq
+
+
+@lru_cache(maxsize=LAW_ROW_CACHE_SIZE)
+def _pi_n_row(p: int, u: int, v: int, n: int) -> tuple:
+    # With t = u/v, q = 1/p and m = n - x the step ratio is the integer
+    # quotient (p^m - 1) (v p^m - u) p^(2x+1) / [u (p^(x+1) - 1)^2].
+    c, qq, aq = _entrance_constant(p, u, v, n)
+    mass = c * Fraction(u, v) ** n / (qq * aq)
+    row = [mass]
+    for x in range(n):
+        pm = p ** (n - x)
+        px = p ** (x + 1)
+        mass *= Fraction((pm - 1) * (v * pm - u) * px * px // p,
+                         u * (px - 1) ** 2)
+        row.append(mass)
+    return tuple(row)
+
+
+@lru_cache(maxsize=LAW_ROW_CACHE_SIZE)
+def _tilde_pi_n_row(p: int, u: int, v: int, n: int) -> tuple:
+    # With t = u/v, q = 1/p and m = n - x the step ratio is the integer
+    # quotient (p^m - 1)^2 v p^(2x+1) / [(p^(x+1) - 1) (v p^(x+1) - u)].
+    c, qq, _ = _entrance_constant(p, u, v, n)
+    mass = c / qq**2
+    row = [mass]
+    for x in range(n):
+        pm = p ** (n - x)
+        px = p ** (x + 1)
+        mass *= Fraction((pm - 1) ** 2 * v * px * px // p,
+                         (px - 1) * (v * px - u))
+        row.append(mass)
+    return tuple(row)
 
 
 # -- the singular-number law in its four equivalent forms --------------------

@@ -93,7 +93,8 @@ def _as_bracket(value) -> Bracket:
     return Bracket.exact(value)
 
 
-# Prefix products (a;q)_0, (a;q)_1, ... cached per (a, q).
+# Prefix products (a;q)_0, (a;q)_1, ... per (a, q), keyed by the four ints
+# of a and q: hashing ints is much cheaper than hashing two Fractions.
 _POCHHAMMER_CACHE: dict = {}
 
 
@@ -101,9 +102,11 @@ def pochhammer(a: Rational, q: Rational, n: int) -> Fraction:
     """(a; q)_n = prod_{j=0}^{n-1} (1 - a*q^j), exactly; (a; q)_0 = 1."""
     if n < 0:
         raise ValueError(f"pochhammer length must be >= 0, got {n}")
-    a = Fraction(a)
-    q = Fraction(q)
-    key = (a, q)
+    if not isinstance(a, Fraction):
+        a = Fraction(a)
+    if not isinstance(q, Fraction):
+        q = Fraction(q)
+    key = (a.numerator, a.denominator, q.numerator, q.denominator)
     prefix = _POCHHAMMER_CACHE.get(key)
     if prefix is None:
         prefix = _POCHHAMMER_CACHE[key] = [Fraction(1)]

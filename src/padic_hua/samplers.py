@@ -17,7 +17,7 @@ from fractions import Fraction
 from functools import lru_cache
 from math import lcm
 
-from .laws import HuaParams, kernel_row, pi_n, pi_s_bracket
+from .laws import HuaParams, kernel_row, pi_n_row, pi_s_bracket
 from .matrix import (
     PadicMatrix,
     SingularTuple,
@@ -34,7 +34,6 @@ from .qseries import Bracket
 CHAIN_STEP_CAP = 10_000
 
 
-@lru_cache(maxsize=None)
 def _cumulative_weights(masses) -> tuple:
     """(denominator, cumulative integer weights) for an exact mass row."""
     d = lcm(*(m.denominator for m in masses))
@@ -58,8 +57,7 @@ def _kernel_cumulative(p: int, num: int, den: int, x1: int):
 
 @lru_cache(maxsize=None)
 def _pi_n_cumulative(p: int, num: int, den: int, n: int):
-    hp = HuaParams(p, Fraction(num, den))
-    return _cumulative_weights(tuple(pi_n(hp, n, x) for x in range(n + 1)))
+    return _cumulative_weights(pi_n_row(HuaParams(p, Fraction(num, den)), n))
 
 
 def _draw_from_cumulative(d: int, cum: tuple, rng) -> int:

@@ -43,6 +43,21 @@ class TestLaw:
                                "--k", "0")
         assert code == 2
 
+    def test_eps_accepts_every_exact_form(self, capsys):
+        outs = set()
+        for eps in ("1/100", "0.01", "1e-2"):
+            code, out, _ = run_cli(capsys, "law", "pi_s", "--x", "1",
+                                   "--eps", eps)
+            assert code == 0
+            doc = json.loads(out)
+            outs.add((doc["lower"], doc["upper"]))
+        assert len(outs) == 1
+
+    def test_unparseable_eps_names_the_forms(self, capsys):
+        code, out, err = run_cli(capsys, "law", "pi_s", "--eps", "tiny")
+        assert code == 2 and out == ""
+        assert "num/den" in err and "decimal" in err and "scientific" in err
+
     def test_unknown_law(self, capsys):
         code, _, err = run_cli(capsys, "law", "does-not-exist")
         assert code == 2
@@ -110,6 +125,13 @@ BAD_INPUT = [
     ("verify", "corners", "--seed", "1", "--workers", "-1"),
     ("PADIC_HUA_WORKERS=abc", "verify", "corners", "--seed", "1"),
     ("sample", "hua", "--count", "-1", "--seed", "1"),
+    ("law", "pi_N", "--p", "2", "--t", "1", "--N", "-3", "--x", "0"),
+    ("law", "tilde_pi_N", "--N", "-1"),
+    ("law", "pi_s", "--eps", "0"),
+    ("law", "pi_s", "--eps=-1/100"),
+    ("law", "pi_s", "--eps", "nan"),
+    ("law", "pi_s", "--eps", "inf"),
+    ("law", "nu", "--eps", "1/0"),
 ]
 
 

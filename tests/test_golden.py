@@ -59,6 +59,25 @@ SAMPLE_DIGESTS = [
      "6cdf64e22364c3f2c5263dee7d538a5ac530730bbfdbd50f15473a382c7146db"),
 ]
 
+# `law` stdout for every x2 of the kernel rows x1 in {0, 7, 40} and every x
+# of the entrance laws at N in {1, 12, 30}, one digest per law and (p, t).
+LAW_SIZES = {"kernel": (0, 7, 40), "pi_N": (1, 12, 30),
+             "tilde_pi_N": (1, 12, 30)}
+LAW_DIGESTS = [
+    ("kernel", "2", "1",
+     "cdf31502cd74606792393633f7d21d0b0f30cb88514f49b613b58527e8ce4755"),
+    ("kernel", "5", "3/2",
+     "da8bfe03938400d97d128487e7a790e89a6d9331296b815a1476b3edb4259f40"),
+    ("pi_N", "2", "1",
+     "25abe5b6a6f0b1678011e58917a1131091ce34aaab14c84252b3a84a72ba9be7"),
+    ("pi_N", "5", "3/2",
+     "7fcdf0786afe9fa1719af3a0fb55de1e0bb336f2967ab056c84809178f1f82c3"),
+    ("tilde_pi_N", "2", "1",
+     "b2627d64e7fd9ec96b9cff9fa11458874f024648eab8fc4111159e666dad5b3d"),
+    ("tilde_pi_N", "5", "3/2",
+     "2d228f843418adc7f64460660f532339a232d02a5fca7ebaec4210070e8372c0"),
+]
+
 
 def sha256(data: bytes) -> str:
     return hashlib.sha256(data).hexdigest()
@@ -81,3 +100,16 @@ def test_verify_all_report_bytes(tmp_path, capsys):
 def test_sample_stdout_bytes(capsys, argv, digest):
     assert cli.main(["sample", *argv, "--seed", "3"]) == 0
     assert sha256(capsys.readouterr().out.encode()) == digest
+
+
+@pytest.mark.parametrize("name,p,t,digest", LAW_DIGESTS,
+                         ids=[f"{n} p={p} t={t}" for n, p, t, _ in LAW_DIGESTS])
+def test_law_stdout_bytes(capsys, name, p, t, digest):
+    out = []
+    for size in LAW_SIZES[name]:
+        for x in range(size + 1):
+            where = (("--x1", str(size), "--x2", str(x)) if name == "kernel"
+                     else ("--N", str(size), "--x", str(x)))
+            assert cli.main(["law", name, "--p", p, "--t", t, *where]) == 0
+            out.append(capsys.readouterr().out)
+    assert sha256("".join(out).encode()) == digest

@@ -21,12 +21,14 @@ from padic_hua.laws import (
     nu_truncated_law,
     pi_n,
     pi_n_boundary_tv,
+    pi_n_row,
     pi_s_bracket,
     pi_s_tail_bound,
     rewrite_identity_check,
     rewrite_identity_sides,
     rr_cdf,
     tilde_pi_n,
+    tilde_pi_n_row,
     vol_singular_law,
 )
 from padic_hua.partitions import LProfile, Partition, partitions_in_box
@@ -113,6 +115,74 @@ class TestEntranceLaws:
     def test_out_of_range_is_zero(self):
         assert pi_n(HP2, 3, 4) == 0
         assert tilde_pi_n(HP2, 3, -1) == 0
+
+    def test_negative_size_rejected(self):
+        for call in (lambda: pi_n(HP2, -3, 0), lambda: tilde_pi_n(HP2, -1, 0),
+                     lambda: pi_n_row(HP2, -1), lambda: tilde_pi_n_row(HP2, -1),
+                     lambda: kernel_row(HP2, -1), lambda: kernel_p(HP2, -1, 0)):
+            with pytest.raises(ValueError):
+                call()
+
+
+# The paper's closed forms, written from pochhammer alone: the reference the
+# recurrence-built rows of the laws module must equal exactly.
+
+
+def closed_kernel(hp, x1, x2):
+    q, a = F(1, hp.p), hp.t / hp.p
+    return (F(1, hp.p ** (x2 * x2)) * hp.t**x2
+            * pochhammer(q, q, x1) * pochhammer(a, q, x1)
+            / (pochhammer(q, q, x2) * pochhammer(q, q, x1 - x2)
+               * pochhammer(a, q, x2)))
+
+
+def closed_norm(hp, n):
+    q, a = F(1, hp.p), hp.t / hp.p
+    return (pochhammer(a, q, n) ** 2 * pochhammer(q, q, n) ** 2
+            / pochhammer(a, q, 2 * n))
+
+
+def closed_pi_n(hp, n, x):
+    q, a = F(1, hp.p), hp.t / hp.p
+    return (closed_norm(hp, n) * F(1, hp.p ** ((n - x) ** 2)) * hp.t ** (n - x)
+            / (pochhammer(q, q, x) ** 2 * pochhammer(q, q, n - x)
+               * pochhammer(a, q, n - x)))
+
+
+def closed_tilde_pi_n(hp, n, x):
+    q, a = F(1, hp.p), hp.t / hp.p
+    return (closed_norm(hp, n) * F(1, hp.p ** ((n - x) ** 2))
+            / (pochhammer(q, q, x) * pochhammer(a, q, x)
+               * pochhammer(q, q, n - x) ** 2))
+
+
+grid_params = st.sampled_from([2, 3, 5, 7]).flatmap(
+    lambda p: st.sampled_from([F(1), F(1, 2), F(3, 2), F(1, p)]).map(
+        lambda t: HuaParams(p, t)))
+
+
+class TestRowsMatchClosedForms:
+    @given(hp=grid_params, x1=st.integers(0, 30))
+    @settings(max_examples=80, deadline=None)
+    def test_kernel_row(self, hp, x1):
+        assert kernel_row(hp, x1) == tuple(
+            closed_kernel(hp, x1, x2) for x2 in range(x1 + 1))
+        assert [kernel_p(hp, x1, x2) for x2 in range(x1 + 1)] == list(
+            kernel_row(hp, x1))
+        assert kernel_p(hp, x1, -1) == kernel_p(hp, x1, x1 + 1) == 0
+
+    @given(hp=grid_params, n=st.integers(0, 30))
+    @settings(max_examples=80, deadline=None)
+    def test_entrance_rows(self, hp, n):
+        assert pi_n_row(hp, n) == tuple(
+            closed_pi_n(hp, n, x) for x in range(n + 1))
+        assert tilde_pi_n_row(hp, n) == tuple(
+            closed_tilde_pi_n(hp, n, x) for x in range(n + 1))
+        for x in range(n + 1):
+            assert pi_n(hp, n, x) == pi_n_row(hp, n)[x]
+            assert tilde_pi_n(hp, n, x) == tilde_pi_n_row(hp, n)[x]
+        for x in (-1, n + 1):
+            assert pi_n(hp, n, x) == tilde_pi_n(hp, n, x) == 0
 
 
 class TestSingularLaw:

@@ -4,7 +4,13 @@ import mpmath
 import pytest
 from hypothesis import given, strategies as st
 
-from padic_hua.qseries import Bracket, pochhammer, pochhammer_inf, truncation_order
+from padic_hua.qseries import (
+    _POCHHAMMER_CACHE,
+    Bracket,
+    pochhammer,
+    pochhammer_inf,
+    truncation_order,
+)
 
 small_fractions = st.fractions(min_value=F(0), max_value=F(49, 50),
                                max_denominator=50)
@@ -18,6 +24,15 @@ def test_pochhammer_empty_product():
 def test_pochhammer_known_values():
     assert pochhammer(F(1, 2), F(1, 2), 2) == F(3, 8)
     assert pochhammer(F(1, 2), F(1, 2), 3) == F(21, 64)
+
+
+@pytest.mark.parametrize("n", [0, 1, 5])
+def test_pochhammer_int_and_fraction_share_one_table(n):
+    _POCHHAMMER_CACHE.pop((1, 1, 1, 2), None)
+    before = len(_POCHHAMMER_CACHE)
+    assert pochhammer(1, F(1, 2), n) == pochhammer(F(1), F(1, 2), n)
+    assert len(_POCHHAMMER_CACHE) == before + 1
+    assert (1, 1, 1, 2) in _POCHHAMMER_CACHE
 
 
 def test_pochhammer_negative_length_rejected():

@@ -6,6 +6,8 @@ import pytest
 
 from padic_hua.laws import (
     HuaParams,
+    _kernel_row,
+    _pi_n_row,
     _s_zero,
     m_n_direct,
     nu_bracket,
@@ -16,7 +18,6 @@ from padic_hua.padic import PrecisionExhausted, int_valuation
 from padic_hua.partitions import Partition
 from padic_hua.rng import RngStream
 from padic_hua.samplers import (
-    _cumulative_weights,
     _kernel_cumulative,
     _pi_n_cumulative,
     _pi_s_cumulative,
@@ -78,7 +79,7 @@ class TestEntranceDraws:
         assert cold == warm
 
     def test_singulars_cache_does_not_change_draws(self):
-        tables = (_cumulative_weights, _kernel_cumulative, _pi_n_cumulative,
+        tables = (_kernel_row, _pi_n_row, _kernel_cumulative, _pi_n_cumulative,
                   _s_zero)
 
         def draw(i):
