@@ -238,8 +238,9 @@ def cmd_sample(args) -> int:
 
 def cmd_sing(args) -> int:
     try:
-        text = open(args.file, "r", encoding="utf-8").read()
-    except OSError as exc:
+        with open(args.file, "r", encoding="utf-8") as fh:
+            text = fh.read()
+    except (OSError, UnicodeDecodeError) as exc:
         raise ConfigError(f"cannot read {args.file}: {exc}") from None
     try:
         m = parse_matrix_text(text, args.p, args.E, args.guard)
@@ -299,6 +300,12 @@ def cmd_verify(args) -> int:
             raise ConfigError(
                 f"PADIC_HUA_WORKERS must be an integer, got {env!r}") from None
     _require(workers >= 1, f"worker count must be >= 1, got {workers}")
+    # Made before the run, so an unusable directory fails in a moment
+    # instead of after the whole suite.
+    try:
+        os.makedirs(args.out_dir, exist_ok=True)
+    except OSError as exc:
+        raise ConfigError(f"cannot use --out-dir {args.out_dir}: {exc}") from None
     t0 = time.perf_counter()
     reports = run_suite(args.suite, args.seed, workers=workers,
                         scale=args.scale)

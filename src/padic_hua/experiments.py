@@ -22,6 +22,7 @@ from .laws import (
     HuaParams,
     chain_product_rep1,
     chain_product_rep2,
+    cumulative_weights,
     haar_orbit_mass,
     kernel_row,
     m_n_direct,
@@ -51,7 +52,7 @@ from .rng import RngStream
 from .samplers import (
     sample_ergodic_matrix,
     sample_hua_matrix,
-    sample_hua_singulars,
+    sample_hua_tails,
     sample_nu,
 )
 
@@ -385,12 +386,16 @@ def _ergodic_decomp_draw(params, rng):
 
 
 def _nu_limit_draw(params, rng):
-    """Positive part of an exact singular-number draw.  Events: (largest
-    part < 2,)."""
+    """Positive part of an exact singular-number draw, clipped to the box as
+    in _positive_box_label.  It is labelled from the tail counts: X_1 is the
+    number of parts and the number of tail counts is the largest part.
+    Events: (largest part < 2,)."""
     hp, n, max_parts, max_part = params
-    label, _, top_below_2 = _positive_box_label(
-        sample_hua_singulars(hp, n, rng), max_parts, max_part)
-    return label, (top_below_2,)
+    tails, _ = sample_hua_tails(hp, n, rng)
+    largest = len(tails)
+    in_box = largest <= max_part and (not tails or tails[0] <= max_parts)
+    label = Partition.from_tail_counts(tails) if in_box else OTHER
+    return label, (int(largest < 2),)
 
 
 # -- corners consistency and matrix round trip --------------------------------
@@ -614,6 +619,13 @@ def _random_descending_tuple(rng, n_max: int, lo: int, hi: int) -> tuple:
     return tuple(vals)
 
 
+def _sums_to_one(row) -> bool:
+    """sum(row) == 1 for a row of Fractions, decided on one common-denominator
+    integer sum instead of a gcd per Fraction addition."""
+    d, cum = cumulative_weights(row)
+    return cum[-1] == d
+
+
 def run_identities(seed: int, *, primes=(2, 3, 5),
                    ts=(Fraction(1), Fraction(1, 2), Fraction(3, 2)),
                    row_max: int = 50, completeness_max: int = 30,
@@ -627,15 +639,15 @@ def run_identities(seed: int, *, primes=(2, 3, 5),
     row_failures = 0
     for hp in grid:
         for x1 in range(row_max + 1):
-            if sum(kernel_row(hp, x1)) != 1:
+            if not _sums_to_one(kernel_row(hp, x1)):
                 row_failures += 1
 
     completeness_failures = 0
     for hp in grid:
         for n in range(1, completeness_max + 1):
-            if sum(pi_n_row(hp, n)) != 1:
+            if not _sums_to_one(pi_n_row(hp, n)):
                 completeness_failures += 1
-            if sum(tilde_pi_n_row(hp, n)) != 1:
+            if not _sums_to_one(tilde_pi_n_row(hp, n)):
                 completeness_failures += 1
 
     rng = RngStream(seed, (NS_IDENTITIES, 0))

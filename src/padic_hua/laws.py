@@ -92,6 +92,19 @@ def _singular_values(k) -> tuple:
     return vals
 
 
+def cumulative_weights(row) -> tuple:
+    """(d, cumulative integer weights) of an exact row of Fractions, where d
+    is the lcm of the row's denominators: entry i of the weights is d times
+    the sum of the masses up to i.  The row sums to 1 exactly when the last
+    weight equals d, and no Fraction is built on the way."""
+    d = math.lcm(*(m.denominator for m in row))
+    cum, acc = [], 0
+    for m in row:
+        acc += m.numerator * (d // m.denominator)
+        cum.append(acc)
+    return d, tuple(cum)
+
+
 def _normalization(hp: HuaParams, n: int) -> Fraction:
     """(a; q)_n^2 / (a; q)_2n."""
     return pochhammer(hp.a, hp.q, n) ** 2 / pochhammer(hp.a, hp.q, 2 * n)

@@ -121,17 +121,26 @@ def truncation_order(a: Rational, q: Rational, eps: Rational) -> int:
 
     The geometric tail bound sum_{j>=K} a*q^j = a*q^K/(1-q) controls the
     infinite-product remainder via prod_{j>=K}(1 - a*q^j) >= 1 - a*q^K/(1-q).
+    Requires q < 1.
     """
     a = Fraction(a)
     q = Fraction(q)
     eps = Fraction(eps)
     if eps <= 0:
         raise ValueError(f"eps must be positive, got {eps}")
+    if q >= 1:
+        raise ValueError(f"need q < 1 for a geometric tail, got q = {q}")
     target = min(eps, Fraction(1, 2))
+    # With every denominator positive (1 - q = (qd - qn)/qd > 0),
+    # a q^K/(1-q) > target  iff  an qn^K qd td > tn ad qd^K (qd - qn):
+    # two integer products stepped by qn and qd, and no gcd per step.
+    qn, qd = q.numerator, q.denominator
+    lhs = a.numerator * qd * target.denominator
+    rhs = target.numerator * a.denominator * (qd - qn)
     k = 0
-    tail = a / (1 - q)
-    while tail > target:
-        tail *= q
+    while lhs > rhs:
+        lhs *= qn
+        rhs *= qd
         k += 1
     return k
 

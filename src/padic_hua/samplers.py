@@ -15,9 +15,14 @@ from __future__ import annotations
 from bisect import bisect_right
 from fractions import Fraction
 from functools import lru_cache
-from math import lcm
 
-from .laws import HuaParams, kernel_row, pi_n_row, pi_s_bracket
+from .laws import (
+    HuaParams,
+    cumulative_weights,
+    kernel_row,
+    pi_n_row,
+    pi_s_bracket,
+)
 from .matrix import (
     PadicMatrix,
     SingularTuple,
@@ -34,16 +39,12 @@ from .qseries import Bracket
 CHAIN_STEP_CAP = 10_000
 
 
-def _cumulative_weights(masses) -> tuple:
-    """(denominator, cumulative integer weights) for an exact mass row."""
-    d = lcm(*(m.denominator for m in masses))
-    cum, acc = [], 0
-    for m in masses:
-        acc += m.numerator * (d // m.denominator)
-        cum.append(acc)
-    if acc != d:
+def _draw_table(row) -> tuple:
+    """cumulative_weights of a law's row, which must sum to 1 exactly."""
+    d, cum = cumulative_weights(row)
+    if cum[-1] != d:
         raise AssertionError("row masses do not sum to 1 exactly")
-    return d, tuple(cum)
+    return d, cum
 
 
 # The row tables below are keyed by (p, t.numerator, t.denominator, ...):
@@ -52,12 +53,12 @@ def _cumulative_weights(masses) -> tuple:
 
 @lru_cache(maxsize=None)
 def _kernel_cumulative(p: int, num: int, den: int, x1: int):
-    return _cumulative_weights(kernel_row(HuaParams(p, Fraction(num, den)), x1))
+    return _draw_table(kernel_row(HuaParams(p, Fraction(num, den)), x1))
 
 
 @lru_cache(maxsize=None)
 def _pi_n_cumulative(p: int, num: int, den: int, n: int):
-    return _cumulative_weights(pi_n_row(HuaParams(p, Fraction(num, den)), n))
+    return _draw_table(pi_n_row(HuaParams(p, Fraction(num, den)), n))
 
 
 def _draw_from_cumulative(d: int, cum: tuple, rng) -> int:
@@ -151,19 +152,26 @@ def sample_nu(hp: HuaParams, rng) -> Partition:
     return Partition.from_tail_counts(run_chain(hp, start, rng))
 
 
-def sample_hua_singulars(hp: HuaParams, n: int, rng) -> SingularTuple:
-    """Exact draw of the singular-number tuple of a size-n matrix sample.
+def sample_hua_tails(hp: HuaParams, n: int, rng) -> tuple:
+    """(positive tails, nonpositive tails) of a size-n singular-number draw.
 
     Entrance: x ~ pi_n gives the count of nonpositive parts.  The deformed
-    chain from n - x yields the tail counts of the positive parts; the
-    undeformed chain from x yields the tail counts of the nonpositive side
-    (multiplicities of 0, -1, -2, ...).
+    chain from n - x yields the tail counts X_1 >= X_2 >= ... of the
+    positive parts; the undeformed chain from x yields the tail counts of
+    the nonpositive side (multiplicities of 0, -1, -2, ...).  Both chains
+    always run, so the stream is consumed the same whichever side is used.
     """
     if n < 1:
         raise ValueError(f"need n >= 1, got {n}")
     x = sample_pi_n(hp, n, rng)
     pos_tails = run_chain(hp, n - x, rng)
-    neg_tails = run_chain(hp.with_s_zero(), x, rng)
+    return pos_tails, run_chain(hp.with_s_zero(), x, rng)
+
+
+def sample_hua_singulars(hp: HuaParams, n: int, rng) -> SingularTuple:
+    """Exact draw of the singular-number tuple of a size-n matrix sample,
+    assembled from the tail counts of sample_hua_tails."""
+    pos_tails, neg_tails = sample_hua_tails(hp, n, rng)
     values = list(Partition.from_tail_counts(pos_tails).parts)
     for i in range(len(neg_tails)):
         nxt = neg_tails[i + 1] if i + 1 < len(neg_tails) else 0

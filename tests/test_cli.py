@@ -132,6 +132,7 @@ BAD_INPUT = [
     ("law", "pi_s", "--eps", "nan"),
     ("law", "pi_s", "--eps", "inf"),
     ("law", "nu", "--eps", "1/0"),
+    ("verify", "oracle", "--seed", "1", "--out-dir", "{file}"),
 ]
 
 
@@ -143,7 +144,12 @@ def test_bad_input_exits_2_with_one_error_line(tmp_path, capsys, monkeypatch,
         name, _, value = argv[0].partition("=")
         monkeypatch.setenv(name, value)
         argv = argv[1:]
-    if argv[0] == "verify":
+    # "{file}" names an existing regular file.
+    if "{file}" in argv:
+        path = tmp_path / "file"
+        path.write_text("")
+        argv = tuple(str(path) if a == "{file}" else a for a in argv)
+    elif argv[0] == "verify":
         argv += ("--out-dir", str(tmp_path / "reports"))
     code, out, err = run_cli(capsys, *argv)
     assert code == 2
@@ -178,6 +184,13 @@ class TestSing:
     def test_missing_file(self, capsys):
         code, _, err = run_cli(capsys, "sing", "/nonexistent/m.txt", "--p", "2")
         assert code == 2
+
+    def test_non_utf8_file(self, tmp_path, capsys):
+        path = tmp_path / "bytes.txt"
+        path.write_bytes(b"\xff\xfe 1\n")
+        code, out, err = run_cli(capsys, "sing", str(path), "--p", "2")
+        assert code == 2 and out == ""
+        assert len(err.splitlines()) == 1 and err.startswith("error: ")
 
 
 class TestVerify:

@@ -2,9 +2,12 @@ from fractions import Fraction as F
 
 import pytest
 
+from padic_hua import experiments
 from padic_hua.experiments import (
     ExperimentReport,
     Histogram,
+    _nu_limit_draw,
+    _positive_box_label,
     enumerate_oracle,
     gate,
     label_key,
@@ -23,6 +26,8 @@ from padic_hua.experiments import (
 )
 from padic_hua.laws import ExactLaw, HuaParams
 from padic_hua.partitions import Partition
+from padic_hua.rng import RngStream
+from padic_hua.samplers import sample_hua_singulars
 
 HP2 = HuaParams(2, F(1))
 
@@ -134,11 +139,69 @@ class TestMonteCarloExperiments:
         assert report.passed
 
 
+def reference_nu_limit_draw(params, rng):
+    """The nu-limit draw through a full singular tuple and its positive part."""
+    hp, n, max_parts, max_part = params
+    label, _, top_below_2 = _positive_box_label(
+        sample_hua_singulars(hp, n, rng), max_parts, max_part)
+    return label, (top_below_2,)
+
+
+@pytest.mark.parametrize("n", [1, 5, 40])
+@pytest.mark.parametrize("t", [F(1), F(1, 2)])
+@pytest.mark.parametrize("box", [(3, 6), (1, 1)])
+def test_nu_limit_draw_matches_singular_tuple_reference(n, t, box):
+    params = (HuaParams(2, t), n) + box
+    for i in range(200):
+        fast, ref = RngStream(21, (n, i)), RngStream(21, (n, i))
+        assert _nu_limit_draw(params, fast) == reference_nu_limit_draw(params, ref)
+        assert fast.bits_consumed == ref.bits_consumed
+
+
 def test_identity_suite_reduced():
     report = run_identities(3, primes=(2,), ts=(F(1), F(1, 2)), row_max=12,
                             completeness_max=8, rewrite_trials=300,
                             profile_trials=30, profile_n_max=4)
     assert report.passed
+
+
+def off_by_one(row, i):
+    """The row with the numerator of entry i raised by one."""
+    row = list(row)
+    row[i] = F(row[i].numerator + 1, row[i].denominator)
+    return tuple(row)
+
+
+def small_identities():
+    return run_identities(3, primes=(2,), ts=(F(1), F(1, 2)), row_max=8,
+                          completeness_max=6, rewrite_trials=20,
+                          profile_trials=5, profile_n_max=3)
+
+
+def gate_values(report):
+    return {g["name"]: (g["value"], g["passed"]) for g in report.gates}
+
+
+@pytest.mark.parametrize("row_fn, gate_name, bad_size", [
+    ("kernel_row", "kernel-row-sums", 5),
+    ("pi_n_row", "entrance-law-completeness", 4),
+    ("tilde_pi_n_row", "entrance-law-completeness", 6),
+])
+def test_identity_row_gates_catch_one_bad_numerator(monkeypatch, row_fn,
+                                                    gate_name, bad_size):
+    real = getattr(experiments, row_fn)
+    bad_hp = HuaParams(2, F(1, 2))
+
+    def perturbed(hp, size):
+        row = real(hp, size)
+        return off_by_one(row, size // 2) if (hp, size) == (bad_hp, bad_size) else row
+
+    monkeypatch.setattr(experiments, row_fn, perturbed)
+    report = small_identities()
+    values = gate_values(report)
+    assert values[gate_name] == (1, False)
+    assert all(passed for name, (_, passed) in values.items() if name != gate_name)
+    assert not report.passed
 
 
 def test_chain_checks_reduced():

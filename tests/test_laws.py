@@ -8,6 +8,7 @@ from padic_hua.laws import (
     HuaParams,
     chain_product_rep1,
     chain_product_rep2,
+    cumulative_weights,
     descending_tuples,
     haar_orbit_mass,
     kernel_p,
@@ -183,6 +184,31 @@ class TestRowsMatchClosedForms:
             assert tilde_pi_n(hp, n, x) == tilde_pi_n_row(hp, n)[x]
         for x in (-1, n + 1):
             assert pi_n(hp, n, x) == tilde_pi_n(hp, n, x) == 0
+
+
+class TestCumulativeWeights:
+    @given(hp=grid_params, size=st.integers(0, 30),
+           row_kind=st.sampled_from([kernel_row, pi_n_row, tilde_pi_n_row]),
+           where=st.integers(0, 30), delta=st.integers(-2, 2))
+    @settings(max_examples=120, deadline=None)
+    def test_agrees_with_fraction_sum(self, hp, size, row_kind, where, delta):
+        # A law row, unchanged or with one numerator moved by delta.
+        row = list(row_kind(hp, size))
+        i = where % len(row)
+        row[i] = F(row[i].numerator + delta, row[i].denominator)
+        d, cum = cumulative_weights(row)
+        assert (cum[-1] == d) == (sum(row) == 1) == (delta == 0)
+        assert [F(c, d) for c in cum] == [sum(row[:j + 1])
+                                          for j in range(len(row))]
+
+    @given(row=st.lists(st.fractions(max_denominator=60), min_size=1,
+                        max_size=8), close=st.booleans())
+    def test_agrees_on_arbitrary_rows(self, row, close):
+        if close:
+            row.append(1 - sum(row))
+        d, cum = cumulative_weights(row)
+        assert (cum[-1] == d) == (sum(row) == 1)
+        assert F(cum[-1], d) == sum(row)
 
 
 class TestSingularLaw:

@@ -2,7 +2,7 @@ from fractions import Fraction as F
 
 import mpmath
 import pytest
-from hypothesis import given, strategies as st
+from hypothesis import assume, given, settings, strategies as st
 
 from padic_hua.qseries import (
     _POCHHAMMER_CACHE,
@@ -87,6 +87,37 @@ def test_inf_brackets_nested(exp1, exp2):
     tight = pochhammer_inf(F(1, 2), F(1, 2), eps1)
     loose = pochhammer_inf(F(1, 2), F(1, 2), eps2)
     assert loose.lower <= tight.lower and tight.upper <= loose.upper
+
+
+def fraction_truncation_order(a, q, eps):
+    """Reference: step the Fraction a*q^K/(1-q) down to min(eps, 1/2)."""
+    target = min(F(eps), F(1, 2))
+    k, tail = 0, F(a) / (1 - F(q))
+    while tail > target:
+        tail *= q
+        k += 1
+    return k
+
+
+@given(a=st.one_of(st.just(F(0)), st.fractions(min_value=F(-2), max_value=F(5),
+                                               max_denominator=10**6)),
+       q=st.fractions(min_value=F(0), max_value=F(9, 10),
+                      max_denominator=100),
+       eps=st.one_of(st.sampled_from([F(1, 2), F(3, 4), F(1), F(7)]),
+                     st.fractions(min_value=F(1, 10**30), max_value=F(2),
+                                  max_denominator=10**30)))
+@settings(max_examples=300, deadline=None)
+def test_truncation_order_matches_fraction_loop(a, q, eps):
+    assume(eps > 0)
+    assert truncation_order(a, q, eps) == fraction_truncation_order(a, q, eps)
+
+
+def test_truncation_order_domain():
+    for q in (F(1), F(3, 2)):
+        with pytest.raises(ValueError):
+            truncation_order(F(1, 2), q, F(1, 10))
+    with pytest.raises(ValueError):
+        truncation_order(F(1, 2), F(1, 2), 0)
 
 
 def test_bracket_contains_head_times_tail_bound():
