@@ -626,6 +626,24 @@ def _sums_to_one(row) -> bool:
     return cum[-1] == d
 
 
+def _vol_haar_holds(p: int, k) -> bool:
+    """vol(k) == (q;q)_n p^(n sum(k)) haar(k) for a size-n tuple k, decided by
+    one integer cross-multiplication instead of a chain of Fraction products."""
+    n = len(k)
+    q = Fraction(1, p)
+    vol = vol_singular_law(p, n, k)
+    qq = pochhammer(q, q, n)
+    haar = haar_orbit_mass(p, n, k)
+    lhs = vol.numerator * qq.denominator * haar.denominator
+    rhs = qq.numerator * haar.numerator * vol.denominator
+    e = n * sum(k)
+    if e >= 0:
+        rhs *= p**e
+    else:
+        lhs *= p**-e
+    return lhs == rhs
+
+
 def run_identities(seed: int, *, primes=(2, 3, 5),
                    ts=(Fraction(1), Fraction(1, 2), Fraction(3, 2)),
                    row_max: int = 50, completeness_max: int = 30,
@@ -669,12 +687,7 @@ def run_identities(seed: int, *, primes=(2, 3, 5),
                     == chain_product_rep1(hp, profile)
                     == chain_product_rep2(hp, profile)):
                 form_failures += 1
-            n = len(k)
-            q = Fraction(1, hp.p)
-            lhs = vol_singular_law(hp.p, n, k)
-            rhs = pochhammer(q, q, n) * Fraction(hp.p) ** (n * sum(k)) \
-                * haar_orbit_mass(hp.p, n, k)
-            if lhs != rhs:
+            if not _vol_haar_holds(hp.p, k):
                 relation_failures += 1
 
     gates = [

@@ -12,6 +12,7 @@ Notation used throughout: q = 1/p and a = t/p = p^-(1+s).
 from __future__ import annotations
 
 import math
+from collections import Counter
 from dataclasses import dataclass
 from fractions import Fraction
 from functools import cached_property, lru_cache
@@ -86,8 +87,8 @@ def _singular_values(k) -> tuple:
     """Coerce to exact weakly decreasing ints; marked tuples are rejected."""
     if hasattr(k, "exact_values"):
         return tuple(k.exact_values())
-    vals = tuple(int(v) for v in k)
-    if any(vals[i] < vals[i + 1] for i in range(len(vals) - 1)):
+    vals = tuple(map(int, k))
+    if any(a < b for a, b in zip(vals, vals[1:])):
         raise ValueError(f"not weakly decreasing: {vals}")
     return vals
 
@@ -107,7 +108,60 @@ def cumulative_weights(row) -> tuple:
 
 def _normalization(hp: HuaParams, n: int) -> Fraction:
     """(a; q)_n^2 / (a; q)_2n."""
-    return pochhammer(hp.a, hp.q, n) ** 2 / pochhammer(hp.a, hp.q, 2 * n)
+    t = hp.t
+    return _normalization_ints(hp.p, t.numerator, t.denominator, n)
+
+
+@lru_cache(maxsize=None)
+def _normalization_ints(p: int, u: int, v: int, n: int) -> Fraction:
+    q, a = Fraction(1, p), Fraction(u, v * p)
+    return pochhammer(a, q, n) ** 2 / pochhammer(a, q, 2 * n)
+
+
+@lru_cache(maxsize=None)
+def _qq(p: int, l: int) -> tuple:
+    """(c, e) with (q;q)_l = c / p^e: c = prod_{i<=l} (p^i - 1), which is
+    prime to p, and e = l(l+1)/2."""
+    c = 1
+    for i in range(1, l + 1):
+        c *= p**i - 1
+    return c, l * (l + 1) // 2
+
+
+def _qq_product(p: int, mults) -> tuple:
+    """(c, e) with prod_l (q;q)_l = c / p^e over the multiplicities l."""
+    c, e = 1, 0
+    for l in mults:
+        cl, el = _qq(p, l)
+        c *= cl
+        e += el
+    return c, e
+
+
+def _p_power_mass(num: int, den: int, p: int, e: int) -> Fraction:
+    """num p^e / den as one Fraction, normalised once."""
+    if e >= 0:
+        return Fraction(num * p**e, den)
+    return Fraction(num, den * p**-e)
+
+
+def _tail_counts(mult: dict) -> tuple:
+    """(upper, lower) tail counts of the index -> multiplicity map mult:
+    upper[i] = sum_{j >= i} l_j for 0 <= i <= max(index, 0) and
+    lower[i] = sum_{j <= -i} l_j for 0 <= i <= max(-index, 0).  Each list
+    is one suffix sum, run from its own end of the multiplicities."""
+    upper = [0] * (max(max(mult, default=0), 0) + 1)
+    lower = [0] * (max(-min(mult, default=0), 0) + 1)
+    for i, l in mult.items():
+        if i >= 0:
+            upper[i] += l
+        if i <= 0:
+            lower[-i] += l
+    for i in range(len(upper) - 2, -1, -1):
+        upper[i] += upper[i + 1]
+    for i in range(len(lower) - 2, -1, -1):
+        lower[i] += lower[i + 1]
+    return upper, lower
 
 
 # -- Markov kernel and its fixed laws ---------------------------------------
@@ -292,17 +346,15 @@ def m_n_direct(hp: HuaParams, k) -> Fraction:
     """
     vals = _singular_values(k)
     n = len(vals)
-    q = hp.q
+    p, t = hp.p, hp.t
     g = sum(v for v in vals if v > 0)
     b = sum((2 * j - 2 * n - 1) * kj for j, kj in enumerate(vals, 1))
-    profile = LProfile.from_singular_values(vals)
-    mult_prod = Fraction(1)
-    for _, l in profile.mult:
-        mult_prod *= pochhammer(q, q, l)
-    return (_normalization(hp, n)
-            * hp.t**g * Fraction(hp.p) ** (-2 * n * g)
-            * Fraction(hp.p) ** (-b)
-            * pochhammer(q, q, n) ** 2 / mult_prod)
+    norm = _normalization(hp, n)
+    cn, en = _qq(p, n)
+    cm, em = _qq_product(p, Counter(vals).values())
+    return _p_power_mass(norm.numerator * t.numerator**g * cn * cn,
+                         norm.denominator * t.denominator**g * cm,
+                         p, em - 2 * en - 2 * n * g - b)
 
 
 def m_n_profile(hp: HuaParams, profile: LProfile) -> Fraction:
@@ -313,59 +365,48 @@ def m_n_profile(hp: HuaParams, profile: LProfile) -> Fraction:
          / prod_i (q;q)_{l_i}.
     """
     n = profile.total
-    q = hp.q
+    p, t = hp.p, hp.t
     weight = sum(i * l for i, l in profile.mult if i >= 1)
-    upper_sq = sum(profile.upper_tail(i) ** 2
-                   for i in range(1, max(profile.max_index, 0) + 1))
-    lower_sq = sum(profile.lower_tail(-i) ** 2
-                   for i in range(1, -min(profile.min_index, 0) + 1))
-    mult_prod = Fraction(1)
-    for _, l in profile.mult:
-        mult_prod *= pochhammer(q, q, l)
-    return (_normalization(hp, n) * pochhammer(q, q, n) ** 2
-            * hp.t**weight
-            * Fraction(1, hp.p ** (upper_sq + lower_sq)) / mult_prod)
+    upper, lower = _tail_counts(dict(profile.mult))
+    tail_sq = sum(x * x for x in upper[1:]) + sum(x * x for x in lower[1:])
+    norm = _normalization(hp, n)
+    cn, en = _qq(p, n)
+    cm, em = _qq_product(p, (l for _, l in profile.mult))
+    return _p_power_mass(norm.numerator * t.numerator**weight * cn * cn,
+                         norm.denominator * t.denominator**weight * cm,
+                         p, em - 2 * en - tail_sq)
+
+
+def _chain_mass(start: Fraction, walks) -> Fraction:
+    """start times the kernel steps of each (hp, path) walk, which steps from
+    each state of its path to the next until it reaches 0.  The factors'
+    numerators and denominators are multiplied and normalised once."""
+    num, den = start.numerator, start.denominator
+    for hp, path in walks:
+        for x, nxt in zip(path, path[1:]):
+            if x == 0:
+                break
+            step = kernel_p(hp, x, nxt)
+            num *= step.numerator
+            den *= step.denominator
+    return Fraction(num, den)
 
 
 def chain_product_rep1(hp: HuaParams, profile: LProfile) -> Fraction:
     """Entrance law tilde_pi_N at the nonnegative count, then the deformed
     chain down the positive tail sums and the undeformed chain down the
     complementary counts."""
-    n = profile.total
-    x0 = profile.upper_tail(0)
-    out = tilde_pi_n(hp, n, x0)
-    x, i = x0, 0
-    while x > 0:
-        nxt = profile.upper_tail(i + 1)
-        out *= kernel_p(hp, x, nxt)
-        x, i = nxt, i + 1
-    hp0 = hp.with_s_zero()
-    y, i = n - x0, 0
-    while y > 0:
-        nxt = profile.lower_tail(-i - 2)
-        out *= kernel_p(hp0, y, nxt)
-        y, i = nxt, i + 1
-    return out
+    upper, lower = _tail_counts(dict(profile.mult))
+    return _chain_mass(tilde_pi_n(hp, profile.total, upper[0]),
+                       ((hp, upper + [0]), (hp.with_s_zero(), lower[1:] + [0])))
 
 
 def chain_product_rep2(hp: HuaParams, profile: LProfile) -> Fraction:
     """Entrance law pi_N at the nonpositive count, deformed chain up the
     positive side, undeformed chain down the negative tail sums."""
-    n = profile.total
-    x0 = profile.lower_tail(0)
-    out = pi_n(hp, n, x0)
-    x, i = n - x0, 0
-    while x > 0:
-        nxt = profile.upper_tail(i + 2)
-        out *= kernel_p(hp, x, nxt)
-        x, i = nxt, i + 1
-    hp0 = hp.with_s_zero()
-    y, i = x0, 0
-    while y > 0:
-        nxt = profile.lower_tail(-i - 1)
-        out *= kernel_p(hp0, y, nxt)
-        y, i = nxt, i + 1
-    return out
+    upper, lower = _tail_counts(dict(profile.mult))
+    return _chain_mass(pi_n(hp, profile.total, lower[0]),
+                       ((hp, upper[1:] + [0]), (hp.with_s_zero(), lower + [0])))
 
 
 # -- the matrix-law density ----------------------------------------------------
@@ -406,20 +447,19 @@ def nu_bracket(hp: HuaParams, lam: Partition, eps) -> Bracket:
 
     with X_i the tail counts.  Only the infinite product is inexact.
     """
-    q = hp.q
+    p, t = hp.p, hp.t
     xs = lam.tail_counts()
-    pre = Fraction(1, hp.p ** sum(x * x for x in xs)) * hp.t**lam.weight
-    for i in range(1, lam.largest + 1):
-        pre /= pochhammer(q, q, lam.multiplicity(i))
-    return pochhammer_inf(hp.a, q, Fraction(eps) / pre) * pre
+    w = lam.weight
+    cm, em = _qq_product(p, (x - nxt for x, nxt in zip(xs, xs[1:] + (0,))))
+    pre = _p_power_mass(t.numerator**w, t.denominator**w * cm,
+                        p, em - sum(x * x for x in xs))
+    return pochhammer_inf(hp.a, hp.q, Fraction(eps) / pre) * pre
 
 
 def nu_chain_bracket(hp: HuaParams, lam: Partition, eps) -> Bracket:
     """The same mass as the chain product pi(X_1) prod_i P(X_i, X_{i+1})."""
     xs = lam.tail_counts() + (0,)
-    factor = Fraction(1)
-    for i in range(len(xs) - 1):
-        factor *= kernel_p(hp, xs[i], xs[i + 1])
+    factor = _chain_mass(Fraction(1), ((hp, xs),))
     return pi_s_bracket(hp, xs[0], Fraction(eps) / factor) * factor
 
 
@@ -435,12 +475,10 @@ def vol_singular_law(p: int, n: int, k) -> Fraction:
     vals = _singular_values(k)
     if len(vals) != n:
         raise ValueError(f"expected {n} values, got {len(vals)}")
-    q = Fraction(1, p)
     b = sum((2 * i - 2 * n - 1) * ki for i, ki in enumerate(vals, 1))
-    out = Fraction(p) ** (-b) * pochhammer(q, q, n) ** 2
-    for _, l in LProfile.from_singular_values(vals).mult:
-        out /= pochhammer(q, q, l)
-    return out
+    cn, en = _qq(p, n)
+    cm, em = _qq_product(p, Counter(vals).values())
+    return _p_power_mass(cn * cn, cm, p, em - 2 * en - b)
 
 
 def haar_orbit_mass(p: int, n: int, k) -> Fraction:
@@ -452,12 +490,10 @@ def haar_orbit_mass(p: int, n: int, k) -> Fraction:
     vals = _singular_values(k)
     if len(vals) != n:
         raise ValueError(f"expected {n} values, got {len(vals)}")
-    q = Fraction(1, p)
     b = sum((2 * i - n - 1) * ki for i, ki in enumerate(vals, 1))
-    out = Fraction(p) ** (-b) * pochhammer(q, q, n)
-    for _, l in LProfile.from_singular_values(vals).mult:
-        out /= pochhammer(q, q, l)
-    return out
+    cn, en = _qq(p, n)
+    cm, em = _qq_product(p, Counter(vals).values())
+    return _p_power_mass(cn, cm, p, em - en - b)
 
 
 # -- distribution of the largest part ----------------------------------------
@@ -564,16 +600,18 @@ def rewrite_identity_sides(k) -> tuple:
     """
     vals = _singular_values(k)
     n = len(vals)
-    profile = LProfile.from_singular_values(vals)
-    item1 = (sum(kj * (2 * j - 1) for j, kj in enumerate(vals, 1) if kj > 0),
-             sum(profile.upper_tail(i) ** 2
-                 for i in range(1, max(profile.max_index, 0) + 1)))
-    item2 = (sum(kj * (2 * j - 2 * n - 1) for j, kj in enumerate(vals, 1) if kj <= 0),
-             sum(profile.lower_tail(-i) ** 2
-                 for i in range(1, -min(profile.min_index, 0) + 1)))
-    item3 = (sum(kj for kj in vals if kj > 0),
-             sum(i * l for i, l in profile.mult if i >= 1))
-    return item1, item2, item3
+    lhs1 = lhs2 = lhs3 = 0
+    for j, kj in enumerate(vals, 1):
+        if kj > 0:
+            lhs1 += kj * (2 * j - 1)
+            lhs3 += kj
+        else:
+            lhs2 += kj * (2 * j - 2 * n - 1)
+    mult = Counter(vals)
+    upper, lower = _tail_counts(mult)
+    return ((lhs1, sum(x * x for x in upper[1:])),
+            (lhs2, sum(x * x for x in lower[1:])),
+            (lhs3, sum(i * l for i, l in mult.items() if i >= 1)))
 
 
 def rewrite_identity_check(k) -> tuple:
@@ -605,12 +643,6 @@ class ExactLaw:
     masses: dict
     support: str
     tail: Mass
-
-    def total_mass(self) -> Mass:
-        out = self.tail
-        for mass in self.masses.values():
-            out = out + mass
-        return out
 
 
 def descending_tuples(n: int, lo: int, hi: int):

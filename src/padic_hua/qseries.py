@@ -66,9 +66,15 @@ class Bracket:
         return _as_bracket(other) + (-self)
 
     def __mul__(self, other):
-        o = _as_bracket(other)
-        products = (self.lower * o.lower, self.lower * o.upper,
-                    self.upper * o.lower, self.upper * o.upper)
+        if not isinstance(other, Bracket):
+            # An exact scalar keeps the endpoints' order when it is >= 0
+            # and swaps them when it is negative.
+            s = _as_fraction(other)
+            if s >= 0:
+                return Bracket(self.lower * s, self.upper * s)
+            return Bracket(self.upper * s, self.lower * s)
+        products = (self.lower * other.lower, self.lower * other.upper,
+                    self.upper * other.lower, self.upper * other.upper)
         return Bracket(min(products), max(products))
 
     __rmul__ = __mul__
@@ -93,6 +99,10 @@ def _as_bracket(value) -> Bracket:
     return Bracket.exact(value)
 
 
+def _as_fraction(value: Rational) -> Fraction:
+    return value if isinstance(value, Fraction) else Fraction(value)
+
+
 # Prefix products (a;q)_0, (a;q)_1, ... per (a, q), keyed by the four ints
 # of a and q: hashing ints is much cheaper than hashing two Fractions.
 _POCHHAMMER_CACHE: dict = {}
@@ -102,10 +112,7 @@ def pochhammer(a: Rational, q: Rational, n: int) -> Fraction:
     """(a; q)_n = prod_{j=0}^{n-1} (1 - a*q^j), exactly; (a; q)_0 = 1."""
     if n < 0:
         raise ValueError(f"pochhammer length must be >= 0, got {n}")
-    if not isinstance(a, Fraction):
-        a = Fraction(a)
-    if not isinstance(q, Fraction):
-        q = Fraction(q)
+    a, q = _as_fraction(a), _as_fraction(q)
     key = (a.numerator, a.denominator, q.numerator, q.denominator)
     prefix = _POCHHAMMER_CACHE.get(key)
     if prefix is None:
@@ -123,9 +130,7 @@ def truncation_order(a: Rational, q: Rational, eps: Rational) -> int:
     infinite-product remainder via prod_{j>=K}(1 - a*q^j) >= 1 - a*q^K/(1-q).
     Requires q < 1.
     """
-    a = Fraction(a)
-    q = Fraction(q)
-    eps = Fraction(eps)
+    a, q, eps = _as_fraction(a), _as_fraction(q), _as_fraction(eps)
     if eps <= 0:
         raise ValueError(f"eps must be positive, got {eps}")
     if q >= 1:
@@ -145,6 +150,11 @@ def truncation_order(a: Rational, q: Rational, eps: Rational) -> int:
     return k
 
 
+# Brackets of (a;q)_oo per truncation order, keyed by the ints of a, q and
+# K: the bracket depends on eps only through K, and many eps share one K.
+_POCHHAMMER_INF_CACHE: dict = {}
+
+
 def pochhammer_inf(a: Rational, q: Rational, eps: Rational) -> Bracket:
     """Certified bracket of width <= eps around (a; q)_oo.
 
@@ -152,8 +162,7 @@ def pochhammer_inf(a: Rational, q: Rational, eps: Rational) -> Bracket:
     truncation_order and brackets the tail by
     1 - a*q^K/(1-q) <= prod_{j>=K}(1 - a*q^j) <= 1.
     """
-    a = Fraction(a)
-    q = Fraction(q)
+    a, q = _as_fraction(a), _as_fraction(q)
     if not 0 < q < 1:
         raise ValueError(f"need 0 < q < 1, got q = {q}")
     if a < 0 or a >= 1:
@@ -161,6 +170,10 @@ def pochhammer_inf(a: Rational, q: Rational, eps: Rational) -> Bracket:
     if a == 0:
         return Bracket.exact(1)
     k = truncation_order(a, q, eps)
-    head = pochhammer(a, q, k)
-    tail_lower = 1 - a * q**k / (1 - q)
-    return Bracket(head * tail_lower, head)
+    key = (a.numerator, a.denominator, q.numerator, q.denominator, k)
+    bracket = _POCHHAMMER_INF_CACHE.get(key)
+    if bracket is None:
+        head = pochhammer(a, q, k)
+        tail_lower = 1 - a * q**k / (1 - q)
+        bracket = _POCHHAMMER_INF_CACHE[key] = Bracket(head * tail_lower, head)
+    return bracket

@@ -204,10 +204,56 @@ def test_identity_row_gates_catch_one_bad_numerator(monkeypatch, row_fn,
     assert not report.passed
 
 
+def wrong_on_first_call(real, wrong):
+    """real, except that its first call returns wrong(value, *args)."""
+    calls = []
+
+    def patched(*args):
+        calls.append(args)
+        value = real(*args)
+        return wrong(value, *args) if len(calls) == 1 else value
+
+    return patched
+
+
+@pytest.mark.parametrize("fn, gate_name, wrong", [
+    ("m_n_profile", "four-form-equality",
+     lambda mass, hp, profile: mass * (1 + F(1, hp.p))),
+    ("chain_product_rep2", "four-form-equality",
+     lambda mass, hp, profile: mass * (1 + F(1, hp.p))),
+    ("haar_orbit_mass", "vol-haar-relation",
+     lambda mass, p, n, k: mass * (1 + F(1, p))),
+    ("rewrite_identity_check", "rewriting-identities",
+     lambda sides, k: (not sides[0],) + sides[1:]),
+])
+def test_identity_gates_catch_one_wrong_value(monkeypatch, fn, gate_name,
+                                              wrong):
+    monkeypatch.setattr(experiments, fn,
+                        wrong_on_first_call(getattr(experiments, fn), wrong))
+    report = small_identities()
+    values = gate_values(report)
+    assert values[gate_name] == (1, False)
+    assert all(passed for name, (_, passed) in values.items() if name != gate_name)
+    assert not report.passed
+
+
+def small_chain_checks():
+    return run_chain_checks(primes=(2,), ts=(F(1),), max_parts=3, max_part=4,
+                            x_values=(2,))
+
+
+def test_chain_factorization_gate_catches_one_wrong_bracket(monkeypatch):
+    monkeypatch.setattr(experiments, "nu_chain_bracket", wrong_on_first_call(
+        experiments.nu_chain_bracket,
+        lambda mass, hp, lam, eps: mass * (1 + F(1, hp.p))))
+    report = small_chain_checks()
+    assert gate_values(report) == {"chain-factorization": (1, False),
+                                   "largest-part-cdf": (0, True)}
+    assert not report.passed
+
+
 def test_chain_checks_reduced():
-    report = run_chain_checks(primes=(2,), ts=(F(1),), max_parts=3, max_part=4,
-                              x_values=(2,))
-    assert report.passed
+    assert small_chain_checks().passed
 
 
 def test_suite_names_and_unknown():

@@ -186,6 +186,84 @@ class TestRowsMatchClosedForms:
             assert pi_n(hp, n, x) == tilde_pi_n(hp, n, x) == 0
 
 
+# The four forms of the singular-number law and the two reference measures,
+# as the Fraction closed forms of their docstrings, written from pochhammer
+# and the LProfile tail methods alone.
+
+
+def closed_qq_prod(hp, vals):
+    q = F(1, hp.p)
+    out = F(1)
+    for _, l in LProfile.from_singular_values(vals).mult:
+        out *= pochhammer(q, q, l)
+    return out
+
+
+def closed_m_n_direct(hp, vals):
+    n = len(vals)
+    g = sum(v for v in vals if v > 0)
+    b = sum((2 * j - 2 * n - 1) * kj for j, kj in enumerate(vals, 1))
+    return (closed_norm(hp, n) * hp.t**g * F(hp.p) ** (-2 * n * g - b)
+            / closed_qq_prod(hp, vals))
+
+
+def closed_m_n_profile(hp, vals):
+    profile = LProfile.from_singular_values(vals)
+    weight = sum(i * l for i, l in profile.mult if i >= 1)
+    tail_sq = (sum(profile.upper_tail(i) ** 2
+                   for i in range(1, max(profile.max_index, 0) + 1))
+               + sum(profile.lower_tail(-i) ** 2
+                     for i in range(1, -min(profile.min_index, 0) + 1)))
+    return (closed_norm(hp, len(vals)) * hp.t**weight * F(hp.p) ** -tail_sq
+            / closed_qq_prod(hp, vals))
+
+
+def closed_vol(hp, vals):
+    n = len(vals)
+    q = F(1, hp.p)
+    b = sum((2 * i - 2 * n - 1) * ki for i, ki in enumerate(vals, 1))
+    return F(hp.p) ** -b * pochhammer(q, q, n) ** 2 / closed_qq_prod(hp, vals)
+
+
+def closed_haar(hp, vals):
+    n = len(vals)
+    q = F(1, hp.p)
+    b = sum((2 * i - n - 1) * ki for i, ki in enumerate(vals, 1))
+    return F(hp.p) ** -b * pochhammer(q, q, n) / closed_qq_prod(hp, vals)
+
+
+def descending_of(values):
+    return st.lists(values, max_size=6).map(
+        lambda v: tuple(sorted(v, reverse=True)))
+
+
+# Tuples of length 0 to 6, with all-positive and all-nonpositive ones drawn
+# on purpose: they leave one of the two tail sums empty.
+law_tuples = st.one_of(descending_of(st.integers(-5, 5)),
+                       descending_of(st.integers(1, 5)),
+                       descending_of(st.integers(-5, 0)))
+
+
+class TestFormsMatchClosedForms:
+    @given(hp=grid_params, vals=law_tuples)
+    @settings(max_examples=300, deadline=None)
+    def test_singular_law_forms(self, hp, vals):
+        profile = LProfile.from_singular_values(vals)
+        reference = closed_m_n_direct(hp, vals)
+        assert closed_m_n_profile(hp, vals) == reference
+        assert m_n_direct(hp, vals) == reference
+        assert m_n_profile(hp, profile) == reference
+        assert chain_product_rep1(hp, profile) == reference
+        assert chain_product_rep2(hp, profile) == reference
+
+    @given(hp=grid_params, vals=law_tuples)
+    @settings(max_examples=300, deadline=None)
+    def test_reference_measures(self, hp, vals):
+        n = len(vals)
+        assert vol_singular_law(hp.p, n, vals) == closed_vol(hp, vals)
+        assert haar_orbit_mass(hp.p, n, vals) == closed_haar(hp, vals)
+
+
 class TestCumulativeWeights:
     @given(hp=grid_params, size=st.integers(0, 30),
            row_kind=st.sampled_from([kernel_row, pi_n_row, tilde_pi_n_row]),
@@ -299,7 +377,9 @@ class TestLimitingLaw:
 
     def test_truncated_law_mass(self):
         law = nu_truncated_law(HP2, 3, 6)
-        total = law.total_mass()
+        total = law.tail
+        for mass in law.masses.values():
+            total = total + mass
         assert total.lower <= 1 <= total.upper + law.tail.width + F(1, 10**6)
         assert law.tail.lower >= 0
 
@@ -346,6 +426,25 @@ class TestRewritingIdentities:
     @settings(max_examples=200)
     def test_random_tuples(self, k):
         assert all(rewrite_identity_check(k))
+
+    @given(k=law_tuples)
+    @settings(max_examples=300)
+    def test_sides_match_profile_tails(self, k):
+        # Reference: every tail sum from the LProfile tail methods.
+        n = len(k)
+        profile = LProfile.from_singular_values(k)
+        upper = [profile.upper_tail(i)
+                 for i in range(1, max(profile.max_index, 0) + 1)]
+        lower = [profile.lower_tail(-i)
+                 for i in range(1, -min(profile.min_index, 0) + 1)]
+        assert rewrite_identity_sides(k) == (
+            (sum(kj * (2 * j - 1) for j, kj in enumerate(k, 1) if kj > 0),
+             sum(x * x for x in upper)),
+            (sum(kj * (2 * j - 2 * n - 1) for j, kj in enumerate(k, 1)
+                 if kj <= 0),
+             sum(x * x for x in lower)),
+            (sum(kj for kj in k if kj > 0),
+             sum(i * l for i, l in profile.mult if i >= 1)))
 
 
 def test_boundary_tv_decreasing_small():

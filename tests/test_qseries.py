@@ -4,6 +4,7 @@ import mpmath
 import pytest
 from hypothesis import assume, given, settings, strategies as st
 
+from padic_hua import qseries
 from padic_hua.qseries import (
     _POCHHAMMER_CACHE,
     Bracket,
@@ -141,3 +142,48 @@ def test_bracket_arithmetic():
     assert (b * F(1, 2)) == Bracket(F(1, 2), F(1))
     with pytest.raises(ValueError):
         Bracket(F(2), F(1))
+
+
+@pytest.mark.parametrize("a, q", [(F(1, 2), F(1, 2)), (F(1, 6), F(1, 3)),
+                                  (F(3, 14), F(1, 7))])
+def test_inf_bracket_same_cold_and_warm(monkeypatch, a, q):
+    # Many eps per truncation order K: the bracket depends on eps only
+    # through K, so a cached bracket must equal a freshly built one.
+    eps_values = [F(1, m) for m in range(10**6, 10**6 + 4000, 40)]
+    eps_values += [F(7, 10**9 + m) for m in range(50)]
+    orders = [truncation_order(a, q, eps) for eps in eps_values]
+    assert max(orders.count(k) for k in set(orders)) >= 20
+    cold = []
+    for eps, k in zip(eps_values, orders):
+        monkeypatch.setattr(qseries, "_POCHHAMMER_INF_CACHE", {})
+        cold.append(pochhammer_inf(a, q, eps))
+        head = pochhammer(a, q, k)
+        assert cold[-1] == Bracket(head * (1 - a * q**k / (1 - q)), head)
+    monkeypatch.setattr(qseries, "_POCHHAMMER_INF_CACHE", {})
+    warm = [pochhammer_inf(a, q, eps) for eps in eps_values]
+    assert warm == cold
+    assert len(qseries._POCHHAMMER_INF_CACHE) == len(set(orders))
+
+
+def four_product_mul(b, s):
+    """Reference: b times the exact bracket [s, s], as the hull of the four
+    endpoint products."""
+    s = F(s)
+    products = [x * y for x in (b.lower, b.upper) for y in (s, s)]
+    return Bracket(min(products), max(products))
+
+
+brackets = st.tuples(st.fractions(max_denominator=10**6),
+                     st.fractions(max_denominator=10**6)).map(
+    lambda ends: Bracket(min(ends), max(ends)))
+
+
+@given(b=brackets,
+       s=st.one_of(st.just(0), st.just(F(0)), st.integers(-50, 50),
+                   st.fractions(max_denominator=10**6)))
+@settings(max_examples=300)
+def test_bracket_times_scalar_matches_four_products(b, s):
+    expected = four_product_mul(b, s)
+    assert b * s == expected
+    assert s * b == expected
+    assert b * Bracket.exact(s) == expected
