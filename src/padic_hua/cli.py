@@ -21,7 +21,7 @@ import sys
 import time
 from fractions import Fraction
 
-from .experiments import SUITE_NAMES, run_suite
+from .experiments import DRAW_CHUNK, SUITE_NAMES, run_suite
 from .laws import (
     HuaParams,
     hua_density,
@@ -37,7 +37,12 @@ from .laws import (
     tilde_pi_n,
     vol_singular_law,
 )
-from .matrix import format_entry, parse_matrix_text, singular_numbers
+from .matrix import (
+    format_entry,
+    parse_matrix_text,
+    singular_numbers,
+    stack_singular_numbers,
+)
 from .padic import DIGITS, GUARD, PrecisionExhausted
 from .partitions import Partition
 from .qseries import Bracket, pochhammer, pochhammer_inf
@@ -216,23 +221,32 @@ def cmd_sample(args) -> int:
         except ValueError as exc:
             raise ConfigError(f"bad --k: {exc}") from None
     out = sys.stdout
-    for index in range(args.count):
-        rng = RngStream(args.seed, (namespace, index))
-        record = {"schema": SAMPLE_SCHEMA, "kind": args.kind,
-                  "seed": args.seed, "index": index}
-        try:
-            if args.kind == "nu":
-                record["k"] = list(sample_nu(hp, rng).parts)
-            elif args.kind == "hua":
-                m = sample_hua_matrix(hp, args.N, digits, rng, guard)
-                record["k"] = list(singular_numbers(m).values)
-                record.update(matrix_record(m))
-            else:
-                m = sample_ergodic_matrix(hp.p, lam, args.N, digits, rng, guard)
-                record.update(matrix_record(m))
-        except PrecisionExhausted as exc:
-            record["error"] = str(exc)
-        out.write(json.dumps(record, sort_keys=True) + "\n")
+    # Records are written a chunk at a time, so that the singular numbers
+    # of a chunk's hua matrices come from one batched call.
+    for start in range(0, args.count, DRAW_CHUNK):
+        records, hua = [], []
+        for index in range(start, min(start + DRAW_CHUNK, args.count)):
+            rng = RngStream(args.seed, (namespace, index))
+            record = {"schema": SAMPLE_SCHEMA, "kind": args.kind,
+                      "seed": args.seed, "index": index}
+            records.append(record)
+            try:
+                if args.kind == "nu":
+                    record["k"] = list(sample_nu(hp, rng).parts)
+                elif args.kind == "hua":
+                    m = sample_hua_matrix(hp, args.N, digits, rng, guard)
+                    hua.append((record, m))
+                    record.update(matrix_record(m))
+                else:
+                    m = sample_ergodic_matrix(hp.p, lam, args.N, digits, rng, guard)
+                    record.update(matrix_record(m))
+            except PrecisionExhausted as exc:
+                record["error"] = str(exc)
+        sts = stack_singular_numbers([m for _, m in hua])
+        for (record, _), st in zip(hua, sts):
+            record["k"] = list(st.values)
+        for record in records:
+            out.write(json.dumps(record, sort_keys=True) + "\n")
     return 0
 
 

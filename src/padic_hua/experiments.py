@@ -12,10 +12,13 @@ from __future__ import annotations
 
 import json
 import time
+from collections import Counter
 from dataclasses import dataclass, field
 from fractions import Fraction
 from math import sqrt
 from operator import add
+
+import numpy as np
 
 from .laws import (
     ExactLaw,
@@ -41,9 +44,8 @@ from .laws import (
 )
 from .matrix import (
     corner,
-    decode_residues,
-    singular_numbers,
     smith_valuations,
+    stack_singular_numbers,
 )
 from .padic import DIGITS, GUARD, PrecisionExhausted, check_prime
 from .partitions import LProfile, Partition, partitions_in_box
@@ -68,6 +70,9 @@ NS_IDENTITIES = 7
 
 ORACLE_SIZE_CAP = 2**24
 DEFAULT_BLOCK = 2000
+# Draws sampled before their matrices' Smith valuations are computed in one
+# batch; the chunk's matrices are all that is held at once.
+DRAW_CHUNK = 64
 
 
 # -- histograms and total variation -----------------------------------------
@@ -239,13 +244,15 @@ def enumerate_oracle(p: int, n: int, digits: int) -> Histogram:
     if total > ORACLE_SIZE_CAP:
         raise ValueError(f"enumeration size {total} exceeds cap {ORACLE_SIZE_CAP}")
     pe = p**digits
-    counts: dict = {}
-    for code in range(total):
-        flat = decode_residues(code, pe, n * n)
-        units = [flat[i:i + n] for i in range(0, n * n, n)]
-        vals = smith_valuations(units, p, digits)
-        label = tuple(-a if a < digits else None for a in vals)
-        counts[label] = counts.get(label, 0) + 1
+    # Residue k of every code in a chunk, least significant first, row-major.
+    place = np.array([pe**k for k in range(n * n)]).reshape(n, n, 1)
+    tally: Counter = Counter()
+    for start in range(0, total, DRAW_CHUNK):
+        codes = np.arange(start, min(start + DRAW_CHUNK, total))
+        vals = smith_valuations(codes // place % pe, p, digits)
+        tally.update(map(tuple, vals))
+    counts = {tuple(-a if a < digits else None for a in vals): c
+              for vals, c in tally.items()}
     return Histogram(counts, total, f"values <= -{digits} marked")
 
 
@@ -283,10 +290,12 @@ def run_oracle_equality(p: int, n: int, digits: int) -> ExperimentReport:
 #
 # A run is split into blocks of DEFAULT_BLOCK draws; block i draws from the
 # stream (seed, key + (i,)), so its output does not depend on which process
-# runs it.  A draw function takes (params, rng) and returns (label, events):
-# the label is tallied (None tallies nothing) and the tuple of event counts
-# is summed.  Draw functions are top level so that worker processes can
-# import them.
+# runs it.  A block asks for its draws DRAW_CHUNK at a time.  A draw
+# function takes (params, rng, count) and returns ``count`` pairs
+# (label, events), consuming the stream exactly as ``count`` single draws
+# would: each label is tallied (None tallies nothing) and each tuple of
+# event counts is summed.  Draw functions are top level so that worker
+# processes can import them.
 
 
 def _run_block(args):
@@ -294,11 +303,11 @@ def _run_block(args):
     rng = RngStream(seed, key)
     counts: dict = {}
     sums = None
-    for _ in range(count):
-        label, events = draw(params, rng)
-        if label is not None:
-            counts[label] = counts.get(label, 0) + 1
-        sums = events if sums is None else tuple(map(add, sums, events))
+    for start in range(0, count, DRAW_CHUNK):
+        for label, events in draw(params, rng, min(DRAW_CHUNK, count - start)):
+            if label is not None:
+                counts[label] = counts.get(label, 0) + 1
+            sums = events if sums is None else tuple(map(add, sums, events))
     return counts, sums
 
 
@@ -325,31 +334,40 @@ def monte_carlo(draw, params, draws: int, seed: int, key: tuple,
     return merge_counts(r[0] for r in results), sums
 
 
-def _corner_draw(params, rng):
-    """Singular numbers of a matrix draw's corner.  Draws are conditioned
+def _corner_draw(params, rng, count):
+    """Singular numbers of matrix draws' corners.  Draws are conditioned
     on the top singular number fitting half the window (the resample
     branch of the overflow policy); resamples are counted, never hidden.
     Events: (resamples, flagged)."""
     hp, n, corner_to, digits, guard, bound = params
-    resamples = 0
-    while True:
-        try:
-            m = sample_hua_matrix(hp, n, digits, rng, guard)
-            break
-        except PrecisionExhausted:
-            resamples += 1
-    st = singular_numbers(corner(m, corner_to))
-    if st.is_exact and all(abs(v) <= bound for v in st.values):
-        return st.values, (resamples, 0)
-    return OTHER, (resamples, int(not st.is_exact))
+    corners, resamples = [], []
+    for _ in range(count):
+        tries = 0
+        while True:
+            try:
+                m = sample_hua_matrix(hp, n, digits, rng, guard)
+                break
+            except PrecisionExhausted:
+                tries += 1
+        corners.append(corner(m, corner_to))
+        resamples.append(tries)
+    out = []
+    for st, tries in zip(stack_singular_numbers(corners), resamples):
+        if st.is_exact and all(abs(v) <= bound for v in st.values):
+            out.append((st.values, (tries, 0)))
+        else:
+            out.append((OTHER, (tries, int(not st.is_exact))))
+    return out
 
 
-def _ergodic_match_draw(params, rng):
-    """Whether an ergodic matrix draw's leading singular numbers equal
+def _ergodic_match_draw(params, rng, count):
+    """Whether ergodic matrix draws' leading singular numbers equal
     ``expected``.  Events: (flagged,)."""
     p, lam, n, digits, guard, expected = params
-    st = singular_numbers(sample_ergodic_matrix(p, lam, n, digits, rng, guard))
-    return st.values[:len(expected)] == expected, (int(not st.is_exact),)
+    ms = [sample_ergodic_matrix(p, lam, n, digits, rng, guard)
+          for _ in range(count)]
+    return [(st.values[:len(expected)] == expected, (int(not st.is_exact),))
+            for st in stack_singular_numbers(ms)]
 
 
 def _positive_box_label(st, max_parts: int, max_part: int) -> tuple:
@@ -369,33 +387,45 @@ def _positive_box_label(st, max_parts: int, max_part: int) -> tuple:
     return (pos if in_box else OTHER), int(not st.is_exact), int(pos.largest < 2)
 
 
-def _ergodic_decomp_draw(params, rng):
-    """Partition from the limiting law, then the singular numbers of an
-    ergodic matrix with that parameter.  Events: (errors, flagged, largest
-    part < 2); a parameter that overflows the window is an error and
-    tallies no label."""
+def _ergodic_decomp_draw(params, rng, count):
+    """Partitions from the limiting law, then the singular numbers of an
+    ergodic matrix with each as parameter.  Events: (errors, flagged,
+    largest part < 2); a parameter that overflows the window is an error
+    and tallies no label."""
     hp, n, digits, guard, max_parts, max_part = params
-    lam = sample_nu(hp, rng)
-    try:
-        m = sample_ergodic_matrix(hp.p, lam, n, digits, rng, guard)
-    except PrecisionExhausted:
-        return None, (1, 0, 0)
-    label, flagged, top_below_2 = _positive_box_label(
-        singular_numbers(m), max_parts, max_part)
-    return label, (0, flagged, top_below_2)
+    ms = []  # None where the parameter overflowed
+    for _ in range(count):
+        lam = sample_nu(hp, rng)
+        try:
+            ms.append(sample_ergodic_matrix(hp.p, lam, n, digits, rng, guard))
+        except PrecisionExhausted:
+            ms.append(None)
+    sts = iter(stack_singular_numbers([m for m in ms if m is not None]))
+    out = []
+    for m in ms:
+        if m is None:
+            out.append((None, (1, 0, 0)))
+            continue
+        label, flagged, top_below_2 = _positive_box_label(
+            next(sts), max_parts, max_part)
+        out.append((label, (0, flagged, top_below_2)))
+    return out
 
 
-def _nu_limit_draw(params, rng):
-    """Positive part of an exact singular-number draw, clipped to the box as
-    in _positive_box_label.  It is labelled from the tail counts: X_1 is the
-    number of parts and the number of tail counts is the largest part.
+def _nu_limit_draw(params, rng, count):
+    """Positive parts of exact singular-number draws, clipped to the box as
+    in _positive_box_label.  Each is labelled from the tail counts: X_1 is
+    the number of parts and the number of tail counts is the largest part.
     Events: (largest part < 2,)."""
     hp, n, max_parts, max_part = params
-    tails, _ = sample_hua_tails(hp, n, rng)
-    largest = len(tails)
-    in_box = largest <= max_part and (not tails or tails[0] <= max_parts)
-    label = Partition.from_tail_counts(tails) if in_box else OTHER
-    return label, (int(largest < 2),)
+    out = []
+    for _ in range(count):
+        tails, _ = sample_hua_tails(hp, n, rng)
+        largest = len(tails)
+        in_box = largest <= max_part and (not tails or tails[0] <= max_parts)
+        label = Partition.from_tail_counts(tails) if in_box else OTHER
+        out.append((label, (int(largest < 2),)))
+    return out
 
 
 # -- corners consistency and matrix round trip --------------------------------

@@ -17,8 +17,9 @@ from __future__ import annotations
 from dataclasses import dataclass
 from fractions import Fraction
 from functools import lru_cache
-from math import gcd
 from operator import mul
+
+import numpy as np
 
 from .laws import _singular_values
 from .padic import DIGITS, PrecisionExhausted, check_prime, int_valuation
@@ -161,69 +162,94 @@ def corner(m: PadicMatrix, size: int) -> PadicMatrix:
     return PadicMatrix._reduced(m.p, size, m.shift, m.digits, units, m.guard)
 
 
-def smith_valuations(rows, p: int, digits: int) -> list:
-    """Valuations a_1 <= ... <= a_n of the Smith divisors of an integer
-    matrix known modulo p^digits; a reported value of ``digits`` means the
-    divisor's valuation is >= digits (uncertified).
+def smith_valuations(stack, p: int, digits: int) -> list:
+    """Valuations a_1 <= ... <= a_n of the Smith divisors of every matrix in
+    a stack of n x n integer matrices known modulo p^digits, one list per
+    matrix; a reported value of ``digits`` means the divisor's valuation is
+    >= digits (uncertified).
 
-    Shrinking-block elimination: the minimum valuation v of the remaining
-    block is that of the gcd of its entries; the first entry with a nonzero
-    residue mod p^(v+1) is the pivot.  Row operations clear the rest of the
-    pivot column (every multiplier is integral because v is minimal, so the
-    computation is exact modulo p^digits throughout), after which the pivot
-    row and column are dropped: clearing the pivot row by column operations
-    would leave the remaining block unchanged.  The valuations do not
-    depend on which minimum-valuation entry is the pivot.
+    ``stack[i][j][b]`` is entry (i, j) of matrix b: the batch axis is last,
+    so ``len(stack)`` is the matrix size n.  Entries must be integers (below
+    2^63 in magnitude on the int64 path below).
+
+    One shrinking-block elimination runs on the whole stack at once.  Smith
+    valuations never decrease, so each matrix keeps a level v, raised while
+    no entry of its remaining block is nonzero mod p^(v+1); a block that is
+    zero mod p^digits gets ``digits`` for all its remaining valuations.  The
+    first entry in row-major order that is nonzero mod p^(v+1) is the pivot
+    u p^v, u a unit.  The row operations row_i <- u row_i - (c_i / p^v)
+    pivot_row, c_i the entry of row i in the pivot column, clear that
+    column; they are integral and invertible over Z_p, so the computation
+    is exact modulo p^digits throughout.  The pivot row and column are then
+    dropped (clearing the pivot row by column operations would leave the
+    remaining block unchanged): the front row and column are copied into
+    their places and the front ones dropped, so no other entry moves.  The
+    valuations do not depend on which minimum-valuation entry is the pivot.
+
+    Every product stays below p^(2 digits), so the stack is held as int64
+    when that is below 2^63 and as Python ints (dtype object) otherwise.
     """
     pe = p**digits
-    a = [[e % pe for e in row] for row in rows]
-    out = []
-    while a:
-        g = 0
-        for row in a:
-            g = gcd(g, *row)
-        if g == 0:
-            out.extend([digits] * len(a))
+    dtype = np.int64 if pe * pe < 2**63 else object
+    a = np.array(stack, dtype=dtype, order="C")
+    a %= pe
+    n, _, batch = a.shape
+    cols = np.arange(batch)
+    powers = np.array([p**i for i in range(digits + 2)], dtype=dtype)
+    level = np.zeros(batch, dtype=np.intp)
+    out = np.empty((n, batch), dtype=np.intp)
+    for step in range(n):
+        r = n - step
+        while True:
+            nonzero = (a % powers[level + 1] != 0).reshape(r * r, batch)
+            lagging = ~nonzero.any(axis=0) & (level < digits)
+            if not lagging.any():
+                break
+            level += lagging
+        out[step] = level
+        if r == 1:
             break
-        v = 0
-        pv = 1
-        while g % p == 0:
-            g //= p
-            v += 1
-            pv *= p
-        out.append(v)
-        if len(a) == 1:
-            break
-        above = pv * p
-        for bi, row in enumerate(a):
-            for bj, e in enumerate(row):
-                if e % above:
-                    break
-            else:
-                continue
-            break
-        pivot_row = a.pop(bi)
-        uinv = pow(pivot_row.pop(bj) // pv, -1, pe)
-        for i, row in enumerate(a):
-            e = row.pop(bj)
-            if e:
-                mult = e // pv * uinv % pe
-                a[i] = [(x - mult * y) % pe for x, y in zip(row, pivot_row)]
-    return out
+        bi, bj = np.divmod(nonzero.argmax(axis=0), r)
+        pivot_row = a[bi, :, cols]  # (batch, r)
+        a[bi, :, cols] = a[0].T
+        a = a[1:]
+        pivot_col = a[:, bj, cols]  # (r - 1, batch)
+        a[:, bj, cols] = a[:, 0]
+        a = a[:, 1:]
+        pv = powers[level]
+        unit = pivot_row[cols, bj] // pv
+        pivot_row[cols, bj] = pivot_row[:, 0]
+        a *= unit
+        a -= (pivot_col // pv)[:, None] * pivot_row[:, 1:].T
+        a %= pe
+    return out.T.tolist()
 
 
 def singular_numbers(m: PadicMatrix, guard: int | None = None) -> SingularTuple:
     """Singular numbers of m, certified strictly above the precision floor
     shift - digits + guard; values at or below it come back as markers."""
-    if guard is None:
-        guard = m.guard
-    if not 0 <= guard < m.digits:
-        raise ValueError(f"need 0 <= guard < digits, got {guard}, {m.digits}")
-    vals = smith_valuations(m.units, m.p, m.digits)
-    cutoff = m.digits - guard
-    floor = m.shift - cutoff
-    values = tuple(m.shift - a if a < cutoff else None for a in vals)
-    return SingularTuple(m.p, values, floor)
+    return stack_singular_numbers([m], guard)[0]
+
+
+def stack_singular_numbers(ms, guard: int | None = None) -> list:
+    """singular_numbers of each matrix in ``ms`` (all of one p, size and
+    window; shifts and guards may differ) from one smith_valuations call.
+    ``guard`` overrides every matrix's own guard."""
+    if not ms:
+        return []
+    p, n, digits = ms[0].p, ms[0].n, ms[0].digits
+    if any(m.p != p or m.n != n or m.digits != digits for m in ms):
+        raise ValueError("a stack needs one p, size and window")
+    if guard is not None and not 0 <= guard < digits:
+        raise ValueError(f"need 0 <= guard < digits, got {guard}, {digits}")
+    stack = np.array([m.units for m in ms]).reshape(len(ms), n, n)
+    stack = stack.transpose(1, 2, 0)
+    out = []
+    for m, vals in zip(ms, smith_valuations(stack, p, digits)):
+        cutoff = digits - (m.guard if guard is None else guard)
+        values = tuple([m.shift - a if a < cutoff else None for a in vals])
+        out.append(SingularTuple(p, values, m.shift - cutoff))
+    return out
 
 
 def decode_residues(code: int, modulus: int, count: int) -> list:

@@ -13,6 +13,18 @@ from dataclasses import dataclass
 from typing import Iterable, Mapping
 
 
+def _conjugate(xs) -> tuple:
+    """Conjugate of a weakly decreasing sequence of positive integers: entry
+    j is the number of terms >= j, for j = 1..xs[0]; one pass from the
+    smallest term up."""
+    out = []
+    count = len(xs)
+    for x in reversed(xs):
+        out.extend([count] * (x - len(out)))
+        count -= 1
+    return tuple(out)
+
+
 @dataclass(frozen=True, order=True)
 class Partition:
     """Weakly decreasing tuple of positive integers (possibly empty)."""
@@ -35,8 +47,7 @@ class Partition:
         for i, x in enumerate(xs):
             if x < 1 or (i and x > xs[i - 1]):
                 raise ValueError(f"tail counts must decrease weakly to 0, got {xs}")
-        parts = [sum(1 for x in xs if x >= j) for j in range(1, (xs[0] if xs else 0) + 1)]
-        return cls(tuple(parts))
+        return cls(_conjugate(xs))
 
     @property
     def num_parts(self) -> int:
@@ -53,13 +64,10 @@ class Partition:
     def multiplicity(self, i: int) -> int:
         return sum(1 for part in self.parts if part == i)
 
-    def tail_count(self, i: int) -> int:
-        """X_i = number of parts >= i (so X_1 = number of parts)."""
-        return sum(1 for part in self.parts if part >= i)
-
     def tail_counts(self) -> tuple:
-        """(X_1, ..., X_{largest}); empty for the empty partition."""
-        return tuple(self.tail_count(i) for i in range(1, self.largest + 1))
+        """(X_1, ..., X_{largest}), X_i the number of parts >= i; empty for
+        the empty partition."""
+        return _conjugate(self.parts)
 
     def __repr__(self):
         return f"Partition{self.parts}"

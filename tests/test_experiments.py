@@ -4,10 +4,15 @@ import pytest
 
 from padic_hua import experiments
 from padic_hua.experiments import (
+    OTHER,
     ExperimentReport,
     Histogram,
+    _corner_draw,
+    _ergodic_decomp_draw,
+    _ergodic_match_draw,
     _nu_limit_draw,
     _positive_box_label,
+    _run_block,
     enumerate_oracle,
     gate,
     label_key,
@@ -25,9 +30,16 @@ from padic_hua.experiments import (
     worker_pool,
 )
 from padic_hua.laws import ExactLaw, HuaParams
+from padic_hua.matrix import corner, singular_numbers
+from padic_hua.padic import PrecisionExhausted
 from padic_hua.partitions import Partition
 from padic_hua.rng import RngStream
-from padic_hua.samplers import sample_hua_singulars
+from padic_hua.samplers import (
+    sample_ergodic_matrix,
+    sample_hua_matrix,
+    sample_hua_singulars,
+    sample_nu,
+)
 
 HP2 = HuaParams(2, F(1))
 
@@ -154,8 +166,88 @@ def test_nu_limit_draw_matches_singular_tuple_reference(n, t, box):
     params = (HuaParams(2, t), n) + box
     for i in range(200):
         fast, ref = RngStream(21, (n, i)), RngStream(21, (n, i))
-        assert _nu_limit_draw(params, fast) == reference_nu_limit_draw(params, ref)
+        assert _nu_limit_draw(params, fast, 1) == [reference_nu_limit_draw(params, ref)]
         assert fast.bits_consumed == ref.bits_consumed
+
+
+# One-draw-at-a-time references for the batched draw functions: each
+# samples one draw and computes its singular numbers on its own.
+
+
+def reference_corner_draw(params, rng):
+    hp, n, corner_to, digits, guard, bound = params
+    resamples = 0
+    while True:
+        try:
+            m = sample_hua_matrix(hp, n, digits, rng, guard)
+            break
+        except PrecisionExhausted:
+            resamples += 1
+    st = singular_numbers(corner(m, corner_to))
+    if st.is_exact and all(abs(v) <= bound for v in st.values):
+        return st.values, (resamples, 0)
+    return OTHER, (resamples, int(not st.is_exact))
+
+
+def reference_ergodic_match_draw(params, rng):
+    p, lam, n, digits, guard, expected = params
+    st = singular_numbers(sample_ergodic_matrix(p, lam, n, digits, rng, guard))
+    return st.values[:len(expected)] == expected, (int(not st.is_exact),)
+
+
+def reference_ergodic_decomp_draw(params, rng):
+    hp, n, digits, guard, max_parts, max_part = params
+    lam = sample_nu(hp, rng)
+    try:
+        m = sample_ergodic_matrix(hp.p, lam, n, digits, rng, guard)
+    except PrecisionExhausted:
+        return None, (1, 0, 0)
+    label, flagged, top_below_2 = _positive_box_label(
+        singular_numbers(m), max_parts, max_part)
+    return label, (0, flagged, top_below_2)
+
+
+def reference_block(draw_one, params, seed, key, count):
+    """_run_block with one draw at a time."""
+    rng = RngStream(seed, key)
+    counts, sums = {}, None
+    for _ in range(count):
+        label, events = draw_one(params, rng)
+        if label is not None:
+            counts[label] = counts.get(label, 0) + 1
+        sums = events if sums is None else tuple(map(sum, zip(sums, events)))
+    return counts, sums
+
+
+# Small windows make resamples, flags and overflow errors occur.
+DRAW_CASES = {
+    "corner": (_corner_draw, reference_corner_draw,
+               (HP2, 3, 2, 6, 2, 2)),
+    "ergodic-match": (_ergodic_match_draw, reference_ergodic_match_draw,
+                      (2, Partition((2, 1)), 5, 8, 1, (2, 1, 0))),
+    "ergodic-decomp": (_ergodic_decomp_draw, reference_ergodic_decomp_draw,
+                       (HuaParams(2, F(1, 2)), 4, 3, 1, 3, 6)),
+    "nu-limit": (_nu_limit_draw, reference_nu_limit_draw,
+                 (HuaParams(2, F(1, 2)), 6, 3, 6)),
+}
+
+
+@pytest.mark.parametrize("kind", sorted(DRAW_CASES))
+def test_run_block_matches_one_draw_at_a_time(monkeypatch, kind):
+    draw, draw_one, params = DRAW_CASES[kind]
+    count = 150
+    expected = reference_block(draw_one, params, 4, (1,), count)
+    assert all(expected[1])  # every kind of event occurs
+    for chunk in (1, 7, experiments.DRAW_CHUNK):
+        monkeypatch.setattr(experiments, "DRAW_CHUNK", chunk)
+        assert _run_block((draw, params, 4, (1,), count)) == expected
+    # a chunk consumes the stream exactly as its draws one at a time do
+    for size in (1, 7, 64):
+        batched, single = RngStream(8, (size,)), RngStream(8, (size,))
+        assert draw(params, batched, size) == [draw_one(params, single)
+                                               for _ in range(size)]
+        assert batched.bits_consumed == single.bits_consumed
+    assert draw(params, RngStream(8), 0) == []
 
 
 def test_identity_suite_reduced():

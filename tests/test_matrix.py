@@ -20,6 +20,7 @@ from padic_hua.matrix import (
     sample_haar_gl,
     singular_numbers,
     smith_valuations,
+    stack_singular_numbers,
 )
 from padic_hua.padic import int_valuation
 from padic_hua.rng import RngStream
@@ -259,11 +260,21 @@ def test_corner_singular_numbers_defined_at_every_size():
             assert st_.n == size
 
 
+def stack_of(matrices, n):
+    """Matrices as one smith_valuations stack: entry (i, j) of matrix b at
+    [i][j][b]."""
+    return [[[m[i][j] for m in matrices] for j in range(n)] for i in range(n)]
+
+
+def smith_one(rows, p, digits):
+    return smith_valuations(stack_of([rows], len(rows)), p, digits)[0]
+
+
 def test_smith_chain_divisibility():
     rng = RngStream(8)
     for i in range(30):
         units = [[rng.randbelow(3**6) for _ in range(4)] for _ in range(4)]
-        vals = smith_valuations(units, 3, 6)
+        vals = smith_one(units, 3, 6)
         assert all(vals[i] <= vals[i + 1] for i in range(3))
 
 
@@ -297,14 +308,8 @@ def residue_matrices(draw):
     return rows, p, digits
 
 
-@given(residue_matrices())
-@example(([[1, 2, 3], [2, 4, 6], [3, 6, 9]], 3, 4))
-@example(([[2, 4], [6, 12]], 2, 4))
-@example(([[0, 0, 0], [0, 0, 0], [0, 0, 0]], 5, 1))
-@settings(max_examples=300)
-def test_smith_matches_determinantal_divisors(case):
-    # a_k = v(D_k) - v(D_(k-1)), capped at the window; v(0) is infinite
-    rows, p, digits = case
+def determinantal_valuations(rows, p, digits):
+    """a_k = v(D_k) - v(D_(k-1)), capped at the window; v(0) is infinite."""
     expected = []
     prev = _determinantal_divisor(rows, 0)
     for k in range(1, len(rows) + 1):
@@ -312,7 +317,108 @@ def test_smith_matches_determinantal_divisors(case):
         expected.append(digits if d == 0 else
                         min(int_valuation(d, p) - int_valuation(prev, p), digits))
         prev = d
-    assert smith_valuations(rows, p, digits) == expected
+    return expected
+
+
+@given(residue_matrices())
+@example(([[1, 2, 3], [2, 4, 6], [3, 6, 9]], 3, 4))
+@example(([[2, 4], [6, 12]], 2, 4))
+@example(([[0, 0, 0], [0, 0, 0], [0, 0, 0]], 5, 1))
+@settings(max_examples=300)
+def test_smith_matches_determinantal_divisors(case):
+    rows, p, digits = case
+    assert smith_one(rows, p, digits) == determinantal_valuations(rows, p, digits)
+
+
+@st.composite
+def residue_stacks(draw):
+    """(matrices, n, p, digits): 0 to 20 N x N integer matrices, N <= 3,
+    with entries in [0, p^digits).  Each is random, zero, has a repeated
+    row, or has every entry a multiple of p^j."""
+    p = draw(st.sampled_from([2, 3, 5]))
+    digits = draw(st.integers(1, 4))
+    n = draw(st.integers(1, 3))
+    pe = p**digits
+    matrices = []
+    for _ in range(draw(st.integers(0, 20))):
+        kind = draw(st.sampled_from(["any", "repeated-row", "multiple", "zero"]))
+        step = p ** draw(st.integers(1, digits)) if kind == "multiple" else 1
+        entry = st.integers(0, pe // step - 1).map(lambda e: step * e)
+        rows = draw(st.lists(st.lists(entry, min_size=n, max_size=n),
+                             min_size=n, max_size=n))
+        if kind == "repeated-row":
+            rows[-1] = list(rows[0])
+        elif kind == "zero":
+            rows = [[0] * n for _ in range(n)]
+        matrices.append(rows)
+    return matrices, n, p, digits
+
+
+@given(residue_stacks())
+@example(([[[2, 4], [6, 12]], [[0, 0], [0, 0]], [[1, 0], [0, 8]],
+           [[4, 8], [8, 4]]], 2, 2, 4))
+@example(([], 2, 3, 2))
+@settings(max_examples=300)
+def test_stacked_smith_matches_determinantal_divisors(case):
+    # every matrix of a stack gets its own valuations, whatever it shares
+    # the stack with
+    matrices, n, p, digits = case
+    got = smith_valuations(stack_of(matrices, n), p, digits)
+    assert len(got) == len(matrices)
+    for rows, vals in zip(matrices, got):
+        assert vals == determinantal_valuations(rows, p, digits)
+        assert vals == smith_one(rows, p, digits)
+
+
+def orbit_rows(rng, p, digits, ks):
+    """B diag(p^k) C mod p^digits for random B, C with unit determinant."""
+    n = len(ks)
+    pe = p**digits
+    while True:
+        b, c = ([[rng.randbelow(pe) for _ in range(n)] for _ in range(n)]
+                for _ in range(2))
+        if _det(b) % p and _det(c) % p:
+            break
+    bd = [[e * p**k for e, k in zip(row, ks)] for row in b]
+    return [[sum(bd[i][m] * c[m][j] for m in range(n)) % pe
+             for j in range(n)] for i in range(n)]
+
+
+@pytest.mark.parametrize("p, digits", [(3, 24), (2, 32), (2**31 - 1, 2)])
+def test_wide_windows_match_determinantal_divisors(p, digits):
+    # p^(2 digits) >= 2^63 here: products of residues overflow int64, so
+    # these stacks must be eliminated over Python ints
+    rng = RngStream(23, (p, digits))
+    matrices = []
+    for i in range(40):
+        n = 3
+        ks = sorted(rng.randbelow(digits + 2) for _ in range(n))
+        rows = orbit_rows(rng, p, digits, ks)
+        if i % 4 == 1:
+            rows[-1] = list(rows[0])
+        matrices.append(rows)
+    matrices.append([[0] * 3 for _ in range(3)])
+    matrices.append([[p**digits - 1] * 3 for _ in range(3)])
+    got = smith_valuations(stack_of(matrices, 3), p, digits)
+    for rows, vals in zip(matrices, got):
+        assert vals == determinantal_valuations(rows, p, digits)
+        assert vals == smith_one(rows, p, digits)
+
+
+def test_stack_singular_numbers_match_one_at_a_time():
+    rng = RngStream(31)
+    ms = [PadicMatrix.from_units(
+              orbit_rows(rng, 2, 10, sorted(rng.randbelow(7) for _ in range(3))),
+              2, shift=i % 4, digits=10, guard=i % 3)
+          for i in range(25)]
+    assert stack_singular_numbers(ms) == [singular_numbers(m) for m in ms]
+    assert (stack_singular_numbers(ms, guard=1)
+            == [singular_numbers(m, guard=1) for m in ms])
+    assert stack_singular_numbers([]) == []
+    with pytest.raises(ValueError):
+        stack_singular_numbers(ms + [PadicMatrix.from_units([[1]], 2, digits=10)])
+    with pytest.raises(ValueError):
+        stack_singular_numbers(ms, guard=10)
 
 
 @given(p=st.sampled_from([2, 3, 5, 7, 101]), digits=st.integers(1, 30),
