@@ -21,7 +21,7 @@ import sys
 import time
 from fractions import Fraction
 
-from .experiments import DRAW_CHUNK, SUITE_NAMES, run_suite
+from .experiments import DRAW_CHUNK, SUITE_NAMES, run_suite, suite_runs
 from .laws import (
     HuaParams,
     hua_density,
@@ -234,15 +234,15 @@ def cmd_sample(args) -> int:
                 if args.kind == "nu":
                     record["k"] = list(sample_nu(hp, rng).parts)
                 elif args.kind == "hua":
-                    m = sample_hua_matrix(hp, args.N, digits, rng, guard)
+                    m = sample_hua_matrix(hp, args.N, digits, rng)
                     hua.append((record, m))
                     record.update(matrix_record(m))
                 else:
-                    m = sample_ergodic_matrix(hp.p, lam, args.N, digits, rng, guard)
+                    m = sample_ergodic_matrix(hp.p, lam, args.N, digits, rng)
                     record.update(matrix_record(m))
             except PrecisionExhausted as exc:
                 record["error"] = str(exc)
-        sts = stack_singular_numbers([m for _, m in hua])
+        sts = stack_singular_numbers([m for _, m in hua], guard)
         for (record, _), st in zip(hua, sts):
             record["k"] = list(st.values)
         for record in records:
@@ -257,10 +257,10 @@ def cmd_sing(args) -> int:
     except (OSError, UnicodeDecodeError) as exc:
         raise ConfigError(f"cannot read {args.file}: {exc}") from None
     try:
-        m = parse_matrix_text(text, args.p, args.E, args.guard)
+        m = parse_matrix_text(text, args.p, args.E)
+        st = singular_numbers(m, args.guard)
     except (ValueError, ZeroDivisionError) as exc:
         raise ConfigError(f"bad matrix literal: {exc}") from None
-    st = singular_numbers(m)
     doc = {"schema": "padic-hua/sing/1", "p": args.p, "n": m.n,
            "digits": m.digits, "shift": m.shift, "floor": st.floor,
            "k": [v if v is not None else f"<={st.floor}" for v in st.values]}
@@ -314,6 +314,10 @@ def cmd_verify(args) -> int:
             raise ConfigError(
                 f"PADIC_HUA_WORKERS must be an integer, got {env!r}") from None
     _require(workers >= 1, f"worker count must be >= 1, got {workers}")
+    try:
+        suite_runs(args.suite, args.seed, args.scale)
+    except OverflowError as exc:
+        raise ConfigError(f"--scale {args.scale} is too large: {exc}") from None
     # Made before the run, so an unusable directory fails in a moment
     # instead of after the whole suite.
     try:

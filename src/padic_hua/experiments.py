@@ -81,11 +81,10 @@ DRAW_CHUNK = 64
 @dataclass
 class Histogram:
     """Counts per canonical outcome label; OTHER collects everything that
-    falls outside the declared truncation."""
+    falls outside the truncation the draws are labelled against."""
 
     counts: dict
     total: int
-    truncation: str
 
     def frequency(self, label) -> Fraction:
         return Fraction(self.counts.get(label, 0), self.total)
@@ -253,7 +252,7 @@ def enumerate_oracle(p: int, n: int, digits: int) -> Histogram:
         tally.update(map(tuple, vals))
     counts = {tuple(-a if a < digits else None for a in vals): c
               for vals, c in tally.items()}
-    return Histogram(counts, total, f"values <= -{digits} marked")
+    return Histogram(counts, total)
 
 
 def run_oracle_equality(p: int, n: int, digits: int) -> ExperimentReport:
@@ -345,14 +344,14 @@ def _corner_draw(params, rng, count):
         tries = 0
         while True:
             try:
-                m = sample_hua_matrix(hp, n, digits, rng, guard)
+                m = sample_hua_matrix(hp, n, digits, rng)
                 break
             except PrecisionExhausted:
                 tries += 1
         corners.append(corner(m, corner_to))
         resamples.append(tries)
     out = []
-    for st, tries in zip(stack_singular_numbers(corners), resamples):
+    for st, tries in zip(stack_singular_numbers(corners, guard), resamples):
         if st.is_exact and all(abs(v) <= bound for v in st.values):
             out.append((st.values, (tries, 0)))
         else:
@@ -364,10 +363,9 @@ def _ergodic_match_draw(params, rng, count):
     """Whether ergodic matrix draws' leading singular numbers equal
     ``expected``.  Events: (flagged,)."""
     p, lam, n, digits, guard, expected = params
-    ms = [sample_ergodic_matrix(p, lam, n, digits, rng, guard)
-          for _ in range(count)]
+    ms = [sample_ergodic_matrix(p, lam, n, digits, rng) for _ in range(count)]
     return [(st.values[:len(expected)] == expected, (int(not st.is_exact),))
-            for st in stack_singular_numbers(ms)]
+            for st in stack_singular_numbers(ms, guard)]
 
 
 def _positive_box_label(st, max_parts: int, max_part: int) -> tuple:
@@ -380,9 +378,10 @@ def _positive_box_label(st, max_parts: int, max_part: int) -> tuple:
     value is above the floor, hence above max_part for any desk-scale
     window), so the draw is binned OTHER and flagged.
     """
-    if st.floor is not None and st.floor > 0:
+    try:
+        pos = Partition(st.positive_part())
+    except PrecisionExhausted:
         return OTHER, 1, 0
-    pos = Partition(st.positive_part())
     in_box = pos.num_parts <= max_parts and pos.largest <= max_part
     return (pos if in_box else OTHER), int(not st.is_exact), int(pos.largest < 2)
 
@@ -397,10 +396,10 @@ def _ergodic_decomp_draw(params, rng, count):
     for _ in range(count):
         lam = sample_nu(hp, rng)
         try:
-            ms.append(sample_ergodic_matrix(hp.p, lam, n, digits, rng, guard))
+            ms.append(sample_ergodic_matrix(hp.p, lam, n, digits, rng))
         except PrecisionExhausted:
             ms.append(None)
-    sts = iter(stack_singular_numbers([m for m in ms if m is not None]))
+    sts = iter(stack_singular_numbers([m for m in ms if m is not None], guard))
     out = []
     for m in ms:
         if m is None:
@@ -452,7 +451,7 @@ def run_corners_consistency(hp: HuaParams, n: int, draws: int, seed: int, *,
         _corner_draw, (hp, n, corner_to, digits, guard, bound), draws, seed,
         (namespace, hp.p, hp.t.numerator, hp.t.denominator, n, corner_to),
         pool)
-    hist = Histogram(counts, draws, f"|k_i| <= {bound}")
+    hist = Histogram(counts, draws)
     tv = tv_on_support(hist, law)
     tv_penalized = tv_distance(hist, law)
     threshold = scaled_gate(base_gate, base_draws, draws)
@@ -547,8 +546,7 @@ def run_ergodic_decomposition(hp: HuaParams, n_list, draws: int, digits: int,
             draws, seed,
             (NS_ERGODIC_DECOMP, hp.p, hp.t.numerator, hp.t.denominator, n),
             pool)
-        hist = Histogram(counts, draws,
-                         f"partitions with <= {max_parts} parts <= {max_part}")
+        hist = Histogram(counts, draws)
         errors += n_errors
         flagged += n_flagged
         tvs.append(tv_on_support(hist, law))
@@ -609,8 +607,7 @@ def run_nu_limit(hp: HuaParams, n_list, draws: int, seed: int, *,
     counts, (top_below_2,) = monte_carlo(
         _nu_limit_draw, (hp, n_max, max_parts, max_part), draws, seed,
         (NS_NULIMIT, hp.p, hp.t.numerator, hp.t.denominator, n_max), pool)
-    hist = Histogram(counts, draws,
-                     f"partitions with <= {max_parts} parts <= {max_part}")
+    hist = Histogram(counts, draws)
     tv_mc = tv_on_support(hist, law)
     threshold = scaled_gate(base_gate, base_draws, draws)
     gates.append(gate("tv-mc-on-support", mass_float(tv_mc), threshold,
@@ -811,22 +808,19 @@ def _scaled(draws: int, scale: float) -> int:
     return max(200, round(draws * scale))
 
 
-def run_suite(name: str, seed: int, *, workers: int = 1,
-              scale: float = 1.0) -> list:
-    """Run a named experiment suite at the shipped default configuration.
+def suite_runs(name: str, seed: int, scale: float = 1.0) -> list:
+    """(runner, positional args, keyword args) of each report of a named
+    suite at the shipped default configuration, in report order.  Monte
+    Carlo runners get the keyword ``pool``, None here.
 
     ``scale`` multiplies all Monte Carlo draw counts (gates loosen
-    accordingly); exact suites ignore it.  With ``workers > 1`` one worker
-    pool serves every Monte Carlo runner.  Each report's runtime is set
-    here, outside its canonical payload.
+    accordingly); exact suites ignore it.  Raises OverflowError when a
+    scaled draw count is not finite.
     """
     if name not in SUITE_NAMES:
         raise ValueError(f"unknown suite {name!r}; choose from {SUITE_NAMES}")
     chosen = {name} if name != "all" else set(SUITE_NAMES)
-    pool = None
-    if workers > 1 and chosen & {"corners", "ergodic", "nulimit"}:
-        pool = worker_pool(workers)
-    mc = {"pool": pool}
+    mc = {"pool": None}
     hp1, hp2 = HuaParams(2, Fraction(1)), HuaParams(2, Fraction(1, 2))
     runs = []  # (runner, positional args, keyword args)
     if "oracle" in chosen:
@@ -854,9 +848,24 @@ def run_suite(name: str, seed: int, *, workers: int = 1,
         draws = _scaled(100_000, scale)
         for hp in (hp1, hp2):
             runs.append((run_nu_limit, (hp, (5, 10, 20, 40), draws, seed), mc))
+    return runs
+
+
+def run_suite(name: str, seed: int, *, workers: int = 1,
+              scale: float = 1.0) -> list:
+    """Run the reports of suite_runs(name, seed, scale).  With
+    ``workers > 1`` one worker pool serves every Monte Carlo runner.  Each
+    report's runtime is set here, outside its canonical payload.
+    """
+    runs = suite_runs(name, seed, scale)
+    pool = None
+    if workers > 1 and any("pool" in kwargs for _, _, kwargs in runs):
+        pool = worker_pool(workers)
     reports = []
     try:
         for runner, args, kwargs in runs:
+            if "pool" in kwargs:
+                kwargs = dict(kwargs, pool=pool)
             t0 = time.perf_counter()
             report = runner(*args, **kwargs)
             report.runtime_seconds = time.perf_counter() - t0

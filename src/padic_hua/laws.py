@@ -84,9 +84,7 @@ def _s_zero(p: int) -> HuaParams:
 
 
 def _singular_values(k) -> tuple:
-    """Coerce to exact weakly decreasing ints; marked tuples are rejected."""
-    if hasattr(k, "exact_values"):
-        return tuple(k.exact_values())
+    """Coerce to exact weakly decreasing ints; a marker (None) is refused."""
     vals = tuple(map(int, k))
     if any(a < b for a, b in zip(vals, vals[1:])):
         raise ValueError(f"not weakly decreasing: {vals}")
@@ -413,13 +411,7 @@ def chain_product_rep2(hp: HuaParams, profile: LProfile) -> Fraction:
 
 
 def gamma_exponent(k) -> int:
-    """g with gamma = p^g: the sum of the positive singular numbers.
-
-    A singular tuple with markers is accepted while its floor is <= 0,
-    since the markers then hide no positive value.
-    """
-    if hasattr(k, "positive_part"):
-        return sum(k.positive_part())
+    """g with gamma = p^g: the sum of the positive singular numbers."""
     return sum(v for v in _singular_values(k) if v > 0)
 
 
@@ -430,10 +422,8 @@ def hua_density(hp: HuaParams, k) -> tuple:
     additive volume; coeff = normalization * t^g absorbs all t-dependence
     and power = -2*N*g the rest of the weight gamma^-(s+2N).
     """
-    if getattr(k, "p", hp.p) != hp.p:
-        raise ValueError(f"matrix prime {k.p} != {hp.p}")
     g = gamma_exponent(k)
-    n = len(getattr(k, "values", k))
+    n = len(k)
     return (-2 * n * g, _normalization(hp, n) * hp.t**g)
 
 
@@ -641,7 +631,6 @@ class ExactLaw:
     """Finite outcome -> mass map plus the mass left outside the support."""
 
     masses: dict
-    support: str
     tail: Mass
 
 
@@ -655,7 +644,7 @@ def m_n_truncated_law(hp: HuaParams, n: int, bound: int) -> ExactLaw:
     """The singular-number law restricted to |k_i| <= bound, exact tail."""
     masses = {k: m_n_direct(hp, k) for k in descending_tuples(n, -bound, bound)}
     tail = 1 - sum(masses.values(), Fraction(0))
-    return ExactLaw(masses, f"descending {n}-tuples with |k_i| <= {bound}", tail)
+    return ExactLaw(masses, tail)
 
 
 def nu_truncated_law(hp: HuaParams, max_parts: int, max_part: int,
@@ -668,5 +657,4 @@ def nu_truncated_law(hp: HuaParams, max_parts: int, max_part: int,
     for mass in masses.values():
         total = total + mass
     tail = Bracket(max(Fraction(0), 1 - total.upper), 1 - total.lower)
-    return ExactLaw(masses, f"partitions with at most {max_parts} parts, "
-                            f"each <= {max_part}", tail)
+    return ExactLaw(masses, tail)

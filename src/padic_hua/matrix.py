@@ -7,7 +7,8 @@ of M = B diag(p^-k_1, ..., p^-k_N) C with B, C in GL(N, Z_p) are recovered
 as k_i = shift - a_i where a_1 <= ... <= a_N are the valuations of the
 Smith divisors of the residue matrix.
 
-Certification floor: a pivot valuation is trusted only strictly below
+Certification floor: the guard is an argument of the read alone.
+singular_numbers(m, guard) trusts a pivot valuation only strictly below
 digits - guard; singular numbers at or below shift - digits + guard are
 reported as markers, never as numbers.
 """
@@ -27,16 +28,14 @@ from .padic import DIGITS, PrecisionExhausted, check_prime, int_valuation
 
 @dataclass(frozen=True)
 class SingularTuple:
-    """Weakly decreasing singular numbers; None marks a value <= floor.
+    """Weakly decreasing singular numbers read off a matrix; None marks a
+    value <= floor, the certification floor of the read.
 
-    Markers can only occupy a suffix.  ``floor`` is the certification
-    floor of the producing matrix (None when no markers are possible,
-    e.g. for sampler output that is exact by construction).
+    Markers can only occupy a suffix.
     """
 
-    p: int
     values: tuple
-    floor: int | None = None
+    floor: int
 
     def __post_init__(self):
         seen_marker = False
@@ -44,44 +43,30 @@ class SingularTuple:
         for v in self.values:
             if v is None:
                 seen_marker = True
-                if self.floor is None:
-                    raise ValueError("marker present but no floor declared")
                 continue
             if seen_marker:
                 raise ValueError(f"marker before a certified value in {self.values}")
             if prev is not None and v > prev:
                 raise ValueError(f"values not weakly decreasing: {self.values}")
-            if self.floor is not None and v <= self.floor:
+            if v <= self.floor:
                 raise ValueError(f"certified value {v} at or below floor {self.floor}")
             prev = v
-
-    @property
-    def n(self) -> int:
-        return len(self.values)
 
     @property
     def is_exact(self) -> bool:
         return all(v is not None for v in self.values)
 
-    def exact_values(self) -> tuple:
-        if not self.is_exact:
-            raise PrecisionExhausted(
-                f"singular numbers not fully certified (floor {self.floor}): {self.values}")
-        return self.values
-
     def positive_part(self) -> tuple:
         """The positive singular numbers; always certified when floor <= 0."""
-        if self.floor is not None and self.floor > 0:
+        if self.floor > 0:
             raise PrecisionExhausted(f"floor {self.floor} > 0, positive part uncertain")
         return tuple(v for v in self.values if v is not None and v > 0)
 
 
-def _check_window(p: int, digits: int, guard: int) -> None:
+def _check_window(p: int, digits: int) -> None:
     check_prime(p)
     if digits < 1:
         raise ValueError(f"digits must be >= 1, got {digits}")
-    if not 0 <= guard < digits:
-        raise ValueError(f"need 0 <= guard < digits, got {guard}, {digits}")
 
 
 @dataclass(frozen=True)
@@ -93,10 +78,9 @@ class PadicMatrix:
     shift: int
     digits: int
     units: tuple
-    guard: int = 0
 
     def __post_init__(self):
-        _check_window(self.p, self.digits, self.guard)
+        _check_window(self.p, self.digits)
         if len(self.units) != self.n or any(len(r) != self.n for r in self.units):
             raise ValueError("units must be an n x n grid")
         modulus = self.p**self.digits
@@ -106,26 +90,24 @@ class PadicMatrix:
     # -- constructors ------------------------------------------------------
 
     @classmethod
-    def _reduced(cls, p: int, n: int, shift: int, digits: int, units: tuple,
-                 guard: int = 0) -> "PadicMatrix":
+    def _reduced(cls, p: int, n: int, shift: int, digits: int,
+                 units: tuple) -> "PadicMatrix":
         """For an n x n grid this package has just reduced mod p^digits
         itself: the window is checked, the grid is not scanned again."""
-        _check_window(p, digits, guard)
+        _check_window(p, digits)
         m = object.__new__(cls)
-        vars(m).update(p=p, n=n, shift=shift, digits=digits, units=units,
-                       guard=guard)
+        vars(m).update(p=p, n=n, shift=shift, digits=digits, units=units)
         return m
 
     @classmethod
-    def from_units(cls, units, p: int, shift: int = 0, digits: int = DIGITS,
-                   guard: int = 0) -> "PadicMatrix":
+    def from_units(cls, units, p: int, shift: int = 0,
+                   digits: int = DIGITS) -> "PadicMatrix":
         modulus = p**digits
         grid = tuple(tuple(int(e) % modulus for e in row) for row in units)
-        return cls(p, len(grid), shift, digits, grid, guard)
+        return cls(p, len(grid), shift, digits, grid)
 
     @classmethod
-    def from_rows(cls, rows, p: int, digits: int = DIGITS,
-                  guard: int = 0) -> "PadicMatrix":
+    def from_rows(cls, rows, p: int, digits: int = DIGITS) -> "PadicMatrix":
         """Exact rational entries -> matrix; shift is the max entry shift."""
         check_prime(p)
         entries = [[Fraction(e) for e in row] for row in rows]
@@ -147,7 +129,7 @@ class PadicMatrix:
                 num, den = scaled.numerator, scaled.denominator
                 scaled_row.append(num * pow(den, -1, modulus) % modulus)
             units.append(tuple(scaled_row))
-        return cls(p, n, shift, digits, tuple(units), guard)
+        return cls(p, n, shift, digits, tuple(units))
 
     def __repr__(self):
         return (f"PadicMatrix(p={self.p}, n={self.n}, shift={self.shift}, "
@@ -159,7 +141,7 @@ def corner(m: PadicMatrix, size: int) -> PadicMatrix:
     if not 1 <= size <= m.n:
         raise ValueError(f"corner size must be in [1, {m.n}], got {size}")
     units = tuple([row[:size] for row in m.units[:size]])
-    return PadicMatrix._reduced(m.p, size, m.shift, m.digits, units, m.guard)
+    return PadicMatrix._reduced(m.p, size, m.shift, m.digits, units)
 
 
 def smith_valuations(stack, p: int, digits: int) -> list:
@@ -225,30 +207,30 @@ def smith_valuations(stack, p: int, digits: int) -> list:
     return out.T.tolist()
 
 
-def singular_numbers(m: PadicMatrix, guard: int | None = None) -> SingularTuple:
+def singular_numbers(m: PadicMatrix, guard: int = 0) -> SingularTuple:
     """Singular numbers of m, certified strictly above the precision floor
     shift - digits + guard; values at or below it come back as markers."""
     return stack_singular_numbers([m], guard)[0]
 
 
-def stack_singular_numbers(ms, guard: int | None = None) -> list:
+def stack_singular_numbers(ms, guard: int = 0) -> list:
     """singular_numbers of each matrix in ``ms`` (all of one p, size and
-    window; shifts and guards may differ) from one smith_valuations call.
-    ``guard`` overrides every matrix's own guard."""
+    window; shifts may differ) at one guard, from one smith_valuations
+    call."""
     if not ms:
         return []
     p, n, digits = ms[0].p, ms[0].n, ms[0].digits
     if any(m.p != p or m.n != n or m.digits != digits for m in ms):
         raise ValueError("a stack needs one p, size and window")
-    if guard is not None and not 0 <= guard < digits:
+    if not 0 <= guard < digits:
         raise ValueError(f"need 0 <= guard < digits, got {guard}, {digits}")
     stack = np.array([m.units for m in ms]).reshape(len(ms), n, n)
     stack = stack.transpose(1, 2, 0)
+    cutoff = digits - guard
     out = []
     for m, vals in zip(ms, smith_valuations(stack, p, digits)):
-        cutoff = digits - (m.guard if guard is None else guard)
         values = tuple([m.shift - a if a < cutoff else None for a in vals])
-        out.append(SingularTuple(p, values, m.shift - cutoff))
+        out.append(SingularTuple(values, m.shift - cutoff))
     return out
 
 
@@ -309,7 +291,7 @@ def det_is_unit_mod_p(units, p: int) -> bool:
     return _unit_det_pattern(p, len(units), pattern)
 
 
-def sample_haar_gl(n: int, p: int, digits: int, rng, guard: int = 0) -> PadicMatrix:
+def sample_haar_gl(n: int, p: int, digits: int, rng) -> PadicMatrix:
     """Haar-distributed element of GL(n, Z_p) truncated to the window.
 
     Rejection sampler: uniform residues on Mat(n, Z/p^digits) accepted
@@ -325,7 +307,7 @@ def sample_haar_gl(n: int, p: int, digits: int, rng, guard: int = 0) -> PadicMat
         flat = decode_residues(rng.randbelow(bulk), modulus, n * n)
         if _unit_det_pattern(p, n, tuple([e % p for e in flat])):
             units = tuple([tuple(flat[i:i + n]) for i in range(0, n * n, n)])
-            return PadicMatrix._reduced(p, n, 0, digits, units, guard)
+            return PadicMatrix._reduced(p, n, 0, digits, units)
 
 
 def assemble_orbit(k, b: PadicMatrix, c: PadicMatrix) -> PadicMatrix:
@@ -354,8 +336,7 @@ def assemble_orbit(k, b: PadicMatrix, c: PadicMatrix) -> PadicMatrix:
     units = tuple([
         tuple([sum(map(mul, srow, col)) % modulus for col in cols])
         for srow in ([x * s for x, s in zip(brow, scales)] for brow in b.units)])
-    return PadicMatrix._reduced(p, b.n, shift, digits, units,
-                                max(b.guard, c.guard))
+    return PadicMatrix._reduced(p, b.n, shift, digits, units)
 
 
 # -- text format for matrix literals ---------------------------------------
@@ -377,8 +358,7 @@ def parse_entry(token: str, p: int) -> Fraction:
     return Fraction(int(token))
 
 
-def parse_matrix_text(text: str, p: int, digits: int = DIGITS,
-                      guard: int = 0) -> PadicMatrix:
+def parse_matrix_text(text: str, p: int, digits: int = DIGITS) -> PadicMatrix:
     """Matrix literal: one row per line, whitespace-separated entries."""
     rows = []
     for line in text.splitlines():
@@ -388,7 +368,7 @@ def parse_matrix_text(text: str, p: int, digits: int = DIGITS,
         rows.append([parse_entry(tok, p) for tok in line.split()])
     if not rows:
         raise ValueError("empty matrix literal")
-    return PadicMatrix.from_rows(rows, p, digits, guard)
+    return PadicMatrix.from_rows(rows, p, digits)
 
 
 def format_entry(m: PadicMatrix, i: int, j: int) -> str:

@@ -61,9 +61,6 @@ class Partition:
     def largest(self) -> int:
         return self.parts[0] if self.parts else 0
 
-    def multiplicity(self, i: int) -> int:
-        return sum(1 for part in self.parts if part == i)
-
     def tail_counts(self) -> tuple:
         """(X_1, ..., X_{largest}), X_i the number of parts >= i; empty for
         the empty partition."""
@@ -129,12 +126,6 @@ class LProfile:
     @property
     def max_index(self) -> int:
         return self.mult[-1][0] if self.mult else 0
-
-    def multiplicity(self, i: int) -> int:
-        for idx, l in self.mult:
-            if idx == i:
-                return l
-        return 0
 
     def upper_tail(self, i: int) -> int:
         """Sum of l_j over j >= i."""

@@ -25,12 +25,11 @@ from .laws import (
 )
 from .matrix import (
     PadicMatrix,
-    SingularTuple,
     assemble_orbit,
     decode_residues,
     sample_haar_gl,
 )
-from .padic import GUARD, PrecisionExhausted, check_prime
+from .padic import PrecisionExhausted, check_prime
 from .partitions import Partition
 from .qseries import Bracket
 
@@ -168,19 +167,19 @@ def sample_hua_tails(hp: HuaParams, n: int, rng) -> tuple:
     return pos_tails, run_chain(hp.with_s_zero(), x, rng)
 
 
-def sample_hua_singulars(hp: HuaParams, n: int, rng) -> SingularTuple:
+def sample_hua_singulars(hp: HuaParams, n: int, rng) -> tuple:
     """Exact draw of the singular-number tuple of a size-n matrix sample,
-    assembled from the tail counts of sample_hua_tails."""
+    weakly decreasing ints assembled from the tail counts of
+    sample_hua_tails."""
     pos_tails, neg_tails = sample_hua_tails(hp, n, rng)
     values = list(Partition.from_tail_counts(pos_tails).parts)
     for i in range(len(neg_tails)):
         nxt = neg_tails[i + 1] if i + 1 < len(neg_tails) else 0
         values.extend([-i] * (neg_tails[i] - nxt))
-    return SingularTuple(hp.p, tuple(values))
+    return tuple(values)
 
 
-def sample_hua_matrix(hp: HuaParams, n: int, digits: int, rng,
-                      guard: int = GUARD) -> PadicMatrix:
+def sample_hua_matrix(hp: HuaParams, n: int, digits: int, rng) -> PadicMatrix:
     """Matrix draw from the size-n bi-invariant law at the given window.
 
     Two-stage exact construction: singular numbers from the chain
@@ -189,16 +188,15 @@ def sample_hua_matrix(hp: HuaParams, n: int, digits: int, rng,
     more than half the window (probability ~ p^-(digits/2)^2).
     """
     k = sample_hua_singulars(hp, n, rng)
-    if k.values[0] > digits // 2:
+    if k[0] > digits // 2:
         raise PrecisionExhausted(
-            f"drawn singular number {k.values[0]} exceeds half the window {digits}")
-    b = sample_haar_gl(n, hp.p, digits, rng, guard)
-    c = sample_haar_gl(n, hp.p, digits, rng, guard)
+            f"drawn singular number {k[0]} exceeds half the window {digits}")
+    b = sample_haar_gl(n, hp.p, digits, rng)
+    c = sample_haar_gl(n, hp.p, digits, rng)
     return assemble_orbit(k, b, c)
 
 
-def sample_ergodic_matrix(p: int, k, n: int, digits: int, rng,
-                          guard: int = GUARD) -> PadicMatrix:
+def sample_ergodic_matrix(p: int, k, n: int, digits: int, rng) -> PadicMatrix:
     """n x n corner of the ergodic matrix with parameter k (a partition:
     nonnegative, eventually zero).
 
@@ -230,4 +228,4 @@ def sample_ergodic_matrix(p: int, k, n: int, digits: int, rng,
             c = x[i]
             row = [a + c * b for a, b in zip(row, y)]
         units.append(tuple([a % modulus for a in row]))
-    return PadicMatrix._reduced(p, n, shift, digits, tuple(units), guard)
+    return PadicMatrix._reduced(p, n, shift, digits, tuple(units))

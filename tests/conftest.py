@@ -29,5 +29,4 @@ def matmul(a, b):
         tuple(sum(arow[k] * b.units[k][j] for k in range(a.n)) % modulus
               for j in range(a.n))
         for arow in a.units)
-    return PadicMatrix(a.p, a.n, a.shift + b.shift, digits, units,
-                       max(a.guard, b.guard))
+    return PadicMatrix(a.p, a.n, a.shift + b.shift, digits, units)

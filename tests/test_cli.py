@@ -106,6 +106,19 @@ class TestSample:
         record = json.loads(out)
         assert code == 0 and record["shift"] == 2
 
+    def test_guard_only_changes_the_read(self, capsys):
+        args = ("sample", "hua", "--N", "3", "--count", "64", "--seed", "5")
+        _, out0, _ = run_cli(capsys, *args, "--guard", "0")
+        _, out8, _ = run_cli(capsys, *args, "--guard", "8")
+        pairs = [(json.loads(a), json.loads(b))
+                 for a, b in zip(out0.splitlines(), out8.splitlines())]
+        assert len(pairs) == 64
+        for r0, r8 in pairs:
+            k0, k8 = r0.pop("k"), r8.pop("k")
+            assert r0 == r8  # the matrix, its shift and all else
+            assert all(v8 in (v0, None) for v0, v8 in zip(k0, k8))
+            assert len(k0) == len(k8) == 3
+
     def test_seed_required(self, capsys):
         with pytest.raises(SystemExit) as exc:
             cli.main(["sample", "nu", "--count", "1"])
@@ -120,6 +133,7 @@ BAD_INPUT = [
     ("sample", "nu", "--seed", "-1"),
     ("verify", "corners", "--seed", "1", "--scale", "nan"),
     ("verify", "corners", "--seed", "1", "--scale", "inf"),
+    ("verify", "corners", "--seed", "1", "--scale", "1e308"),
     ("verify", "corners", "--seed", "-1"),
     ("verify", "corners", "--seed", "1", "--workers", "0"),
     ("verify", "corners", "--seed", "1", "--workers", "-1"),
@@ -180,6 +194,14 @@ class TestSing:
         doc = json.loads(out)
         assert code == 0
         assert doc["k"] == ["<=-4", "<=-4"]
+
+    def test_guard_outside_window(self, tmp_path, capsys):
+        path = tmp_path / "m.txt"
+        path.write_text("2 1\n0 4\n")
+        code, out, err = run_cli(capsys, "sing", str(path), "--p", "2",
+                                 "--E", "4", "--guard", "4")
+        assert code == 2 and out == ""
+        assert len(err.splitlines()) == 1 and err.startswith("error: ")
 
     def test_missing_file(self, capsys):
         code, _, err = run_cli(capsys, "sing", "/nonexistent/m.txt", "--p", "2")

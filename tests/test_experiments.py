@@ -78,22 +78,22 @@ class TestOracleEquality:
 
 class TestTvDistance:
     def law(self, masses, tail=F(0)):
-        return ExactLaw(dict(masses), "test", tail)
+        return ExactLaw(dict(masses), tail)
 
     def test_empirical_proportional_to_law_gives_tail(self):
         law = self.law({"a": F(3, 8), "b": F(4, 8)}, tail=F(1, 8))
-        hist = Histogram({"a": 3, "b": 4, "other": 1}, 8, "test")
+        hist = Histogram({"a": 3, "b": 4, "other": 1}, 8)
         assert tv_distance(hist, law) == F(1, 8)
         assert tv_on_support(hist, law) == 0
 
     def test_disjoint_supports(self):
         law = self.law({"a": F(1)})
-        hist = Histogram({"b": 5}, 5, "test")
+        hist = Histogram({"b": 5}, 5)
         assert tv_distance(hist, law) == 1
 
     def test_on_support_is_lower_bound(self):
         law = self.law({"a": F(1, 2), "b": F(1, 4)}, tail=F(1, 4))
-        hist = Histogram({"a": 2, "b": 1, "c": 1}, 4, "test")
+        hist = Histogram({"a": 2, "b": 1, "c": 1}, 4)
         assert tv_on_support(hist, law) <= tv_distance(hist, law)
 
     def test_scaled_gate(self):
@@ -154,9 +154,9 @@ class TestMonteCarloExperiments:
 def reference_nu_limit_draw(params, rng):
     """The nu-limit draw through a full singular tuple and its positive part."""
     hp, n, max_parts, max_part = params
-    label, _, top_below_2 = _positive_box_label(
-        sample_hua_singulars(hp, n, rng), max_parts, max_part)
-    return label, (top_below_2,)
+    pos = Partition(tuple(v for v in sample_hua_singulars(hp, n, rng) if v > 0))
+    in_box = pos.num_parts <= max_parts and pos.largest <= max_part
+    return (pos if in_box else OTHER), (int(pos.largest < 2),)
 
 
 @pytest.mark.parametrize("n", [1, 5, 40])
@@ -179,11 +179,11 @@ def reference_corner_draw(params, rng):
     resamples = 0
     while True:
         try:
-            m = sample_hua_matrix(hp, n, digits, rng, guard)
+            m = sample_hua_matrix(hp, n, digits, rng)
             break
         except PrecisionExhausted:
             resamples += 1
-    st = singular_numbers(corner(m, corner_to))
+    st = singular_numbers(corner(m, corner_to), guard)
     if st.is_exact and all(abs(v) <= bound for v in st.values):
         return st.values, (resamples, 0)
     return OTHER, (resamples, int(not st.is_exact))
@@ -191,7 +191,7 @@ def reference_corner_draw(params, rng):
 
 def reference_ergodic_match_draw(params, rng):
     p, lam, n, digits, guard, expected = params
-    st = singular_numbers(sample_ergodic_matrix(p, lam, n, digits, rng, guard))
+    st = singular_numbers(sample_ergodic_matrix(p, lam, n, digits, rng), guard)
     return st.values[:len(expected)] == expected, (int(not st.is_exact),)
 
 
@@ -199,11 +199,11 @@ def reference_ergodic_decomp_draw(params, rng):
     hp, n, digits, guard, max_parts, max_part = params
     lam = sample_nu(hp, rng)
     try:
-        m = sample_ergodic_matrix(hp.p, lam, n, digits, rng, guard)
+        m = sample_ergodic_matrix(hp.p, lam, n, digits, rng)
     except PrecisionExhausted:
         return None, (1, 0, 0)
     label, flagged, top_below_2 = _positive_box_label(
-        singular_numbers(m), max_parts, max_part)
+        singular_numbers(m, guard), max_parts, max_part)
     return label, (0, flagged, top_below_2)
 
 

@@ -329,11 +329,8 @@ class TestSingularLaw:
                 assert tilde_pi_n(hp, 5, x) > 0
 
     def test_markers_rejected(self):
-        from padic_hua.matrix import SingularTuple
-
-        marked = SingularTuple(2, (1, None), floor=-3)
         with pytest.raises(Exception):
-            m_n_direct(HP2, marked)
+            m_n_direct(HP2, (1, None))
 
 
 class TestReferenceMeasures:

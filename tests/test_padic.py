@@ -4,10 +4,8 @@ from fractions import Fraction as F
 import pytest
 from hypothesis import given, strategies as st
 
-from padic_hua.laws import HuaParams, hua_density
 from padic_hua.matrix import (
     PadicMatrix,
-    SingularTuple,
     format_entry,
     parse_entry,
     singular_numbers,
@@ -26,7 +24,7 @@ def entry(value, p=2) -> str:
 def haar_zp(p, digits, rng) -> PadicMatrix:
     """One Haar residue on Z_p: a 1x1 ergodic draw with no positive parts
     is exactly its Z entry."""
-    return sample_ergodic_matrix(p, Partition(()), 1, digits, rng, guard=0)
+    return sample_ergodic_matrix(p, Partition(()), 1, digits, rng)
 
 
 nonzero_ints = st.integers(-10**6, 10**6).filter(lambda x: x != 0)
@@ -59,10 +57,6 @@ class TestArithmetic:
         # singular number is a marker at the floor, never a number
         st_ = singular_numbers(PadicMatrix.from_rows([[1, 1], [1, 1]], 2, 10))
         assert st_.values == (0, None) and st_.floor == -10
-
-    def test_mixed_primes_rejected(self):
-        with pytest.raises(ValueError):
-            hua_density(HuaParams(3, F(1)), SingularTuple(2, (1,)))
 
     def test_lift_round_trip(self):
         # a printed entry parses back to the rational modulo p^(digits - shift)
@@ -129,11 +123,14 @@ class TestHaarSampling:
 
 def test_budget_validation():
     assert 0 <= GUARD < DIGITS
-    PadicMatrix.from_units([[1]], 2, digits=24, guard=8)
+    m = PadicMatrix.from_units([[1]], 2, digits=8)
+    assert singular_numbers(m, 7).values == (0,)
     with pytest.raises(ValueError):
-        PadicMatrix.from_units([[1]], 2, digits=8, guard=8)
+        singular_numbers(m, 8)
     with pytest.raises(ValueError):
-        PadicMatrix.from_units([[1]], 2, digits=8, guard=-1)
+        singular_numbers(m, -1)
+    with pytest.raises(ValueError):
+        PadicMatrix.from_units([[1]], 2, digits=0)
 
 
 def test_prime_validation():
