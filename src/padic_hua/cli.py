@@ -47,7 +47,13 @@ from .padic import DIGITS, GUARD, PrecisionExhausted
 from .partitions import Partition
 from .qseries import Bracket, pochhammer, pochhammer_inf
 from .rng import RngStream
-from .samplers import sample_ergodic_matrix, sample_hua_matrix, sample_nu
+from .samplers import (
+    ergodic_matrices,
+    hua_matrices,
+    sample_ergodic_matrix,
+    sample_hua_matrix,
+    sample_nu,
+)
 
 LAW_SCHEMA = "padic-hua/law/1"
 SAMPLE_SCHEMA = "padic-hua/sample/1"
@@ -199,10 +205,10 @@ def cmd_law(args) -> int:
     return 0
 
 
-def matrix_record(m) -> dict:
-    return {"n": m.n, "digits": m.digits, "shift": m.shift,
-            "matrix": [[format_entry(m, i, j) for j in range(m.n)]
-                       for i in range(m.n)]}
+def matrix_record(units, shift: int, p: int, digits: int) -> dict:
+    return {"n": len(units), "digits": digits, "shift": shift,
+            "matrix": [[format_entry(u, p, shift, digits) for u in row]
+                       for row in units.tolist()]}
 
 
 def cmd_sample(args) -> int:
@@ -221,10 +227,11 @@ def cmd_sample(args) -> int:
         except ValueError as exc:
             raise ConfigError(f"bad --k: {exc}") from None
     out = sys.stdout
-    # Records are written a chunk at a time, so that the singular numbers
-    # of a chunk's hua matrices come from one batched call.
+    # Records are written a chunk at a time: the chunk's matrices are
+    # assembled as one stack, and their singular numbers come from one
+    # batched call.
     for start in range(0, args.count, DRAW_CHUNK):
-        records, hua = [], []
+        records, drawn, draws = [], [], []
         for index in range(start, min(start + DRAW_CHUNK, args.count)):
             rng = RngStream(args.seed, (namespace, index))
             record = {"schema": SAMPLE_SCHEMA, "kind": args.kind,
@@ -234,17 +241,23 @@ def cmd_sample(args) -> int:
                 if args.kind == "nu":
                     record["k"] = list(sample_nu(hp, rng).parts)
                 elif args.kind == "hua":
-                    m = sample_hua_matrix(hp, args.N, digits, rng)
-                    hua.append((record, m))
-                    record.update(matrix_record(m))
+                    draws.append(sample_hua_matrix(hp, args.N, digits, rng))
+                    drawn.append(record)
                 else:
-                    m = sample_ergodic_matrix(hp.p, lam, args.N, digits, rng)
-                    record.update(matrix_record(m))
+                    draws.append(
+                        sample_ergodic_matrix(hp.p, lam, args.N, digits, rng))
+                    drawn.append(record)
             except PrecisionExhausted as exc:
                 record["error"] = str(exc)
-        sts = stack_singular_numbers([m for _, m in hua], guard)
-        for (record, _), st in zip(hua, sts):
-            record["k"] = list(st.values)
+        if drawn:
+            assemble = hua_matrices if args.kind == "hua" else ergodic_matrices
+            units, shifts = assemble(draws, hp.p, args.N, digits)
+            for record, m, shift in zip(drawn, units, shifts):
+                record.update(matrix_record(m, shift, hp.p, digits))
+            if args.kind == "hua":
+                sts = stack_singular_numbers(units, shifts, hp.p, digits, guard)
+                for record, st in zip(drawn, sts):
+                    record["k"] = list(st.values)
         for record in records:
             out.write(json.dumps(record, sort_keys=True) + "\n")
     return 0
@@ -256,11 +269,14 @@ def cmd_sing(args) -> int:
             text = fh.read()
     except (OSError, UnicodeDecodeError) as exc:
         raise ConfigError(f"cannot read {args.file}: {exc}") from None
+    _require(args.E >= 1, f"--E must be >= 1, got {args.E}")
+    _require(0 <= args.guard < args.E,
+             f"need 0 <= --guard < --E, got guard {args.guard} and E {args.E}")
     try:
         m = parse_matrix_text(text, args.p, args.E)
-        st = singular_numbers(m, args.guard)
     except (ValueError, ZeroDivisionError) as exc:
         raise ConfigError(f"bad matrix literal: {exc}") from None
+    st = singular_numbers(m, args.guard)
     doc = {"schema": "padic-hua/sing/1", "p": args.p, "n": m.n,
            "digits": m.digits, "shift": m.shift, "floor": st.floor,
            "k": [v if v is not None else f"<={st.floor}" for v in st.values]}

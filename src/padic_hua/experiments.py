@@ -42,16 +42,14 @@ from .laws import (
     tilde_pi_n_row,
     vol_singular_law,
 )
-from .matrix import (
-    corner,
-    smith_valuations,
-    stack_singular_numbers,
-)
+from .matrix import smith_valuations, stack_singular_numbers
 from .padic import DIGITS, GUARD, PrecisionExhausted, check_prime
 from .partitions import LProfile, Partition, partitions_in_box
 from .qseries import Bracket, pochhammer
 from .rng import RngStream
 from .samplers import (
+    ergodic_matrices,
+    hua_matrices,
     sample_ergodic_matrix,
     sample_hua_matrix,
     sample_hua_tails,
@@ -320,17 +318,20 @@ def worker_pool(workers: int):
 
 def monte_carlo(draw, params, draws: int, seed: int, key: tuple,
                 pool=None) -> tuple:
-    """(label counts, summed event counts) over ``draws`` draws; the blocks
-    are mapped over ``pool`` when one is given, else run in this process."""
-    blocks = [(draw, params, seed, key + (idx,),
+    """(label counts, summed event counts) over ``draws`` draws.  The blocks
+    are generated lazily and run in this process, or mapped in order over
+    ``pool`` when one is given; their counts are merged as they arrive, so
+    memory holds the blocks in flight, not one entry per block."""
+    blocks = ((draw, params, seed, key + (idx,),
                min(DEFAULT_BLOCK, draws - idx * DEFAULT_BLOCK))
-              for idx in range(-(-draws // DEFAULT_BLOCK))]
-    if pool is None:
-        results = [_run_block(b) for b in blocks]
-    else:
-        results = pool.map(_run_block, blocks)
-    sums = tuple(map(sum, zip(*(r[1] for r in results))))
-    return merge_counts(r[0] for r in results), sums
+              for idx in range(-(-draws // DEFAULT_BLOCK)))
+    results = (map(_run_block, blocks) if pool is None
+               else pool.imap(_run_block, blocks))
+    counts, sums = {}, None
+    for block_counts, block_sums in results:
+        counts = merge_counts((counts, block_counts))
+        sums = block_sums if sums is None else tuple(map(add, sums, block_sums))
+    return counts, sums
 
 
 def _corner_draw(params, rng, count):
@@ -339,19 +340,21 @@ def _corner_draw(params, rng, count):
     branch of the overflow policy); resamples are counted, never hidden.
     Events: (resamples, flagged)."""
     hp, n, corner_to, digits, guard, bound = params
-    corners, resamples = [], []
+    draws, resamples = [], []
     for _ in range(count):
         tries = 0
         while True:
             try:
-                m = sample_hua_matrix(hp, n, digits, rng)
+                draws.append(sample_hua_matrix(hp, n, digits, rng))
                 break
             except PrecisionExhausted:
                 tries += 1
-        corners.append(corner(m, corner_to))
         resamples.append(tries)
+    units, shifts = hua_matrices(draws, hp.p, n, digits, corner_to)
     out = []
-    for st, tries in zip(stack_singular_numbers(corners, guard), resamples):
+    for st, tries in zip(
+            stack_singular_numbers(units, shifts, hp.p, digits, guard),
+            resamples):
         if st.is_exact and all(abs(v) <= bound for v in st.values):
             out.append((st.values, (tries, 0)))
         else:
@@ -363,9 +366,10 @@ def _ergodic_match_draw(params, rng, count):
     """Whether ergodic matrix draws' leading singular numbers equal
     ``expected``.  Events: (flagged,)."""
     p, lam, n, digits, guard, expected = params
-    ms = [sample_ergodic_matrix(p, lam, n, digits, rng) for _ in range(count)]
+    draws = [sample_ergodic_matrix(p, lam, n, digits, rng) for _ in range(count)]
+    units, shifts = ergodic_matrices(draws, p, n, digits)
     return [(st.values[:len(expected)] == expected, (int(not st.is_exact),))
-            for st in stack_singular_numbers(ms, guard)]
+            for st in stack_singular_numbers(units, shifts, p, digits, guard)]
 
 
 def _positive_box_label(st, max_parts: int, max_part: int) -> tuple:
@@ -392,17 +396,19 @@ def _ergodic_decomp_draw(params, rng, count):
     largest part < 2); a parameter that overflows the window is an error
     and tallies no label."""
     hp, n, digits, guard, max_parts, max_part = params
-    ms = []  # None where the parameter overflowed
+    draws, overflowed = [], []
     for _ in range(count):
         lam = sample_nu(hp, rng)
         try:
-            ms.append(sample_ergodic_matrix(hp.p, lam, n, digits, rng))
+            draws.append(sample_ergodic_matrix(hp.p, lam, n, digits, rng))
+            overflowed.append(False)
         except PrecisionExhausted:
-            ms.append(None)
-    sts = iter(stack_singular_numbers([m for m in ms if m is not None], guard))
+            overflowed.append(True)
+    units, shifts = ergodic_matrices(draws, hp.p, n, digits)
+    sts = iter(stack_singular_numbers(units, shifts, hp.p, digits, guard))
     out = []
-    for m in ms:
-        if m is None:
+    for error in overflowed:
+        if error:
             out.append((None, (1, 0, 0)))
             continue
         label, flagged, top_below_2 = _positive_box_label(

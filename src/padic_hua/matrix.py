@@ -7,6 +7,11 @@ of M = B diag(p^-k_1, ..., p^-k_N) C with B, C in GL(N, Z_p) are recovered
 as k_i = shift - a_i where a_1 <= ... <= a_N are the valuations of the
 Smith divisors of the residue matrix.
 
+A PadicMatrix holds one matrix, such as a literal.  Monte Carlo draws are
+held as stacks instead: a (batch, n, n) numpy array of residues, one shift
+per matrix, read from the stream (read_residues, residues), assembled
+(assemble_orbit) and handed to smith_valuations as they are.
+
 Certification floor: the guard is an argument of the read alone.
 singular_numbers(m, guard) trusts a pivot valuation only strictly below
 digits - guard; singular numbers at or below shift - digits + guard are
@@ -18,11 +23,9 @@ from __future__ import annotations
 from dataclasses import dataclass
 from fractions import Fraction
 from functools import lru_cache
-from operator import mul
 
 import numpy as np
 
-from .laws import _singular_values
 from .padic import DIGITS, PrecisionExhausted, check_prime, int_valuation
 
 
@@ -168,11 +171,11 @@ def smith_valuations(stack, p: int, digits: int) -> list:
     their places and the front ones dropped, so no other entry moves.  The
     valuations do not depend on which minimum-valuation entry is the pivot.
 
-    Every product stays below p^(2 digits), so the stack is held as int64
-    when that is below 2^63 and as Python ints (dtype object) otherwise.
+    Every product stays below p^(2 digits), so the stack is held in
+    residue_dtype(p, digits).
     """
     pe = p**digits
-    dtype = np.int64 if pe * pe < 2**63 else object
+    dtype = residue_dtype(p, digits)
     a = np.array(stack, dtype=dtype, order="C")
     a %= pe
     n, _, batch = a.shape
@@ -207,30 +210,35 @@ def smith_valuations(stack, p: int, digits: int) -> list:
     return out.T.tolist()
 
 
+def residue_dtype(p: int, digits: int, terms: int = 1):
+    """numpy dtype of residue stacks mod p^digits: int64 when a sum of
+    ``terms`` products of two residues stays below 2^63, else object
+    (Python ints)."""
+    return np.int64 if terms * p ** (2 * digits) < 2**63 else object
+
+
 def singular_numbers(m: PadicMatrix, guard: int = 0) -> SingularTuple:
     """Singular numbers of m, certified strictly above the precision floor
     shift - digits + guard; values at or below it come back as markers."""
-    return stack_singular_numbers([m], guard)[0]
+    units = np.array([m.units], dtype=residue_dtype(m.p, m.digits))
+    return stack_singular_numbers(units, [m.shift], m.p, m.digits, guard)[0]
 
 
-def stack_singular_numbers(ms, guard: int = 0) -> list:
-    """singular_numbers of each matrix in ``ms`` (all of one p, size and
-    window; shifts may differ) at one guard, from one smith_valuations
-    call."""
-    if not ms:
-        return []
-    p, n, digits = ms[0].p, ms[0].n, ms[0].digits
-    if any(m.p != p or m.n != n or m.digits != digits for m in ms):
-        raise ValueError("a stack needs one p, size and window")
+def stack_singular_numbers(units, shifts, p: int, digits: int,
+                           guard: int = 0) -> list:
+    """singular_numbers of each matrix p^-shift U of a stack, at one guard,
+    from one smith_valuations call: ``units`` is a (batch, n, n) array of
+    residues mod p^digits and ``shifts`` holds one int per matrix."""
     if not 0 <= guard < digits:
         raise ValueError(f"need 0 <= guard < digits, got {guard}, {digits}")
-    stack = np.array([m.units for m in ms]).reshape(len(ms), n, n)
-    stack = stack.transpose(1, 2, 0)
+    if not len(units):
+        return []
     cutoff = digits - guard
     out = []
-    for m, vals in zip(ms, smith_valuations(stack, p, digits)):
-        values = tuple([m.shift - a if a < cutoff else None for a in vals])
-        out.append(SingularTuple(values, m.shift - cutoff))
+    for shift, vals in zip(shifts, smith_valuations(
+            units.transpose(1, 2, 0), p, digits)):
+        values = tuple([shift - a if a < cutoff else None for a in vals])
+        out.append(SingularTuple(values, shift - cutoff))
     return out
 
 
@@ -259,16 +267,64 @@ def decode_residues(code: int, modulus: int, count: int) -> list:
             + decode_residues(hi, modulus, count - half))
 
 
-# Residue patterns mod p whose answer det_is_unit_mod_p remembers.  There
+# -- reading residues from a stream --------------------------------------------
+#
+# A read of c residues mod p^digits consumes the stream exactly as
+# randbelow(p^(digits c)) does, and its residues are that integer's base
+# p^digits digits, least significant first.
+
+
+@lru_cache(maxsize=None)
+def byte_width(p: int, digits: int) -> int:
+    """m when p^digits = 2^(8m) and residues are held as int64, else 0.
+
+    Then randbelow(p^(digits c)) is exactly randbits(8 m c), with no
+    rejection: a read is the stream's next m c bytes, and residue i is the
+    i-th big-endian group of m bytes counted from the end.
+    """
+    if p == 2 and digits % 8 == 0 and residue_dtype(p, digits) is np.int64:
+        return digits // 8
+    return 0
+
+
+def read_residues(rng, p: int, digits: int, count: int):
+    """A read of ``count`` uniform residues mod p^digits: the bytes on the
+    byte path (see byte_width), else the decoded list of residues."""
+    width = byte_width(p, digits)
+    if width:
+        return rng.randbytes(width * count)
+    modulus = p**digits
+    return decode_residues(rng.randbelow(modulus**count), modulus, count)
+
+
+def residues(reads, p: int, digits: int) -> np.ndarray:
+    """Every residue of a list of reads as one flat array of
+    residue_dtype(p, digits), in read order and least significant first
+    within a read."""
+    width = byte_width(p, digits)
+    if not width:
+        return np.array([e for read in reads for e in read],
+                        dtype=residue_dtype(p, digits))
+    # Reversing the joined bytes of the reads taken last to first puts each
+    # read's groups in residue order, each group little-endian.
+    raw = np.frombuffer(b"".join(reversed(reads))[::-1], dtype=np.uint8)
+    return raw.reshape(-1, width).astype(np.int64) @ 256 ** np.arange(width)
+
+
+# Residue patterns mod p whose answer _unit_det_pattern remembers.  There
 # are p^(n^2) patterns; all 512 of the largest Haar factor the corner
 # experiments draw, n = 3 at p = 2, fit.
 UNIT_DET_CACHE_SIZE = 4096
 
+# Low bit of every byte value: a residue's parity on the byte path.
+_PARITY = bytes(b & 1 for b in range(256))
+
 
 @lru_cache(maxsize=UNIT_DET_CACHE_SIZE)
 def _unit_det_pattern(p: int, n: int, pattern: tuple) -> bool:
-    """Whether the n x n matrix with row-major residues ``pattern`` mod p
-    has a nonzero determinant mod p (Gaussian elimination over F_p)."""
+    """Whether the n x n matrix with the row-major tuple ``pattern`` of
+    residues mod p has a nonzero determinant mod p (Gaussian elimination
+    over F_p)."""
     a = [list(pattern[i:i + n]) for i in range(0, n * n, n)]
     for col in range(n):
         pivot = next((i for i in range(col, n) if a[i][col]), None)
@@ -283,60 +339,71 @@ def _unit_det_pattern(p: int, n: int, pattern: tuple) -> bool:
     return True
 
 
-def det_is_unit_mod_p(units, p: int) -> bool:
-    """Whether the determinant of a square integer matrix is a unit mod p,
-    i.e. whether the matrix lies in GL(n, Z_p).  The answer depends only on
-    the residues mod p, so it is memoised on that pattern."""
-    pattern = tuple([e % p for row in units for e in row])
-    return _unit_det_pattern(p, len(units), pattern)
-
-
-def sample_haar_gl(n: int, p: int, digits: int, rng) -> PadicMatrix:
-    """Haar-distributed element of GL(n, Z_p) truncated to the window.
+def sample_haar_gl(n: int, p: int, digits: int, rng):
+    """Haar-distributed element of GL(n, Z_p) truncated to the window, as
+    the read of its n x n residues in row-major order (see read_residues;
+    ``residues(reads, p, digits).reshape(-1, n, n)`` stacks a chunk).
 
     Rejection sampler: uniform residues on Mat(n, Z/p^digits) accepted
     when the determinant is a unit mod p.  Acceptance probability is
-    (p^-1; p^-1)_n, which stays above 0.28 for all n.
+    (p^-1; p^-1)_n, which stays above 0.28 for all n.  Acceptance depends
+    only on the residues mod p, memoised by their pattern: on the byte path
+    (p = 2) the low bit of the last byte of each group.
     """
     check_prime(p)
-    modulus = p**digits
-    bulk = modulus ** (n * n)
+    width = byte_width(p, digits)
     while True:
-        # One bulk draw per attempt: base-p^digits digits of a uniform
-        # integer below p^(digits*n^2) are uniform independent residues.
-        flat = decode_residues(rng.randbelow(bulk), modulus, n * n)
-        if _unit_det_pattern(p, n, tuple([e % p for e in flat])):
-            units = tuple([tuple(flat[i:i + n]) for i in range(0, n * n, n)])
-            return PadicMatrix._reduced(p, n, 0, digits, units)
+        if width:
+            read = rng.randbytes(width * n * n)
+            pattern = tuple(read[::-width].translate(_PARITY))
+        else:
+            read = read_residues(rng, p, digits, n * n)
+            pattern = tuple([e % p for e in read])
+        if _unit_det_pattern(p, n, pattern):
+            return read
 
 
-def assemble_orbit(k, b: PadicMatrix, c: PadicMatrix) -> PadicMatrix:
-    """B * diag(p^-k_1, ..., p^-k_N) * C for exact singular numbers k.
+def power_residues(p: int, digits: int, exponents, dtype) -> np.ndarray:
+    """p^e mod p^digits for an integer array of exponents e >= 0, as
+    ``dtype``; exponents at or above digits give 0."""
+    powers = np.array([p**i for i in range(digits)] + [0], dtype=dtype)
+    return powers[np.minimum(exponents, digits)]
 
-    B and C must be invertible over Z_p (shift 0, unit determinant mod p).
-    The result carries shift k_1; raises PrecisionExhausted when p^-k_1
-    does not fit the window at all.
+
+def assemble_orbit(ks, b, c, p: int, digits: int, size: int | None = None):
+    """Residues and shifts of B diag(p^-k_1, ..., p^-k_n) C for a stack of
+    exact singular numbers k, cut to the top-left size x size corner
+    (default n); only the corner's rows of B and columns of C are
+    multiplied.
+
+    ``ks`` holds one weakly decreasing n-tuple per matrix; ``b`` and ``c``
+    are (batch, n, n) residue stacks of factors in GL(n, Z_p).  Matrix j is
+    p^-k_1 times residues mod p^digits, so the shifts are the k_1.  Raises
+    PrecisionExhausted when some p^-k_1 does not fit the window at all.
     """
-    vals = _singular_values(k)
-    if b.p != c.p or b.n != c.n or len(vals) != b.n:
+    batch, n = len(ks), b.shape[-1]
+    k = np.array(ks, dtype=np.int64).reshape(batch, n)
+    if b.shape != (batch, n, n) or c.shape != b.shape:
         raise ValueError("incompatible orbit factors")
-    for factor in (b, c):
-        if factor.shift != 0 or not det_is_unit_mod_p(factor.units, factor.p):
-            raise ValueError("orbit factors must lie in GL(n, Z_p)")
-    p = b.p
-    digits = min(b.digits, c.digits)
-    shift = vals[0]
-    if shift >= digits:
-        raise PrecisionExhausted(
-            f"p^-{shift} overflows a {digits}-digit window")
-    modulus = p**digits
-    # Scale the columns of B by p^(shift - k_i), then multiply by C.
-    scales = [p ** (shift - v) for v in vals]
-    cols = list(zip(*c.units))
-    units = tuple([
-        tuple([sum(map(mul, srow, col)) % modulus for col in cols])
-        for srow in ([x * s for x, s in zip(brow, scales)] for brow in b.units)])
-    return PadicMatrix._reduced(p, b.n, shift, digits, units)
+    if (k[:, :-1] < k[:, 1:]).any():
+        raise ValueError("singular numbers must be weakly decreasing")
+    size = n if size is None else size
+    if not 1 <= size <= n:
+        raise ValueError(f"corner size must be in [1, {n}], got {size}")
+    patterns = (np.concatenate([b, c]) % p).reshape(2 * batch, n * n)
+    if not all(_unit_det_pattern(p, n, tuple(row)) for row in patterns.tolist()):
+        raise ValueError("orbit factors must lie in GL(n, Z_p)")
+    if batch:
+        shift = int(k[:, 0].max())
+        if shift >= digits:
+            raise PrecisionExhausted(
+                f"p^-{shift} overflows a {digits}-digit window")
+    pe = p**digits
+    dtype = residue_dtype(p, digits, n)
+    scales = power_residues(p, digits, k[:, :1] - k, dtype)
+    left = b[:, :size].astype(dtype) * scales[:, None, :] % pe
+    units = left @ c[:, :, :size].astype(dtype) % pe
+    return units, k[:, 0].tolist()
 
 
 # -- text format for matrix literals ---------------------------------------
@@ -371,11 +438,11 @@ def parse_matrix_text(text: str, p: int, digits: int = DIGITS) -> PadicMatrix:
     return PadicMatrix.from_rows(rows, p, digits)
 
 
-def format_entry(m: PadicMatrix, i: int, j: int) -> str:
-    """Entry (i, j) as 'unit*p^v', or 'O(p^w)' when its residue is zero
-    (the entry is then only known to lie in p^w Z_p, w = digits - shift)."""
-    u = m.units[i][j]
+def format_entry(u: int, p: int, shift: int, digits: int) -> str:
+    """The entry p^-shift u, u a residue mod p^digits, as 'unit*p^v', or
+    'O(p^w)' when u is zero (the entry is then only known to lie in
+    p^w Z_p, w = digits - shift)."""
     if u == 0:
-        return f"O({m.p}^{m.digits - m.shift})"
-    v = int_valuation(u, m.p)
-    return f"{u // m.p**v}*{m.p}^{v - m.shift}"
+        return f"O({p}^{digits - shift})"
+    v = int_valuation(u, p)
+    return f"{u // p**v}*{p}^{v - shift}"

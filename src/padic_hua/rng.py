@@ -32,23 +32,33 @@ class RngStream:
         """Independent stream addressed by appending indices to the key."""
         return RngStream(self.seed, self.key + indices)
 
-    def randbits(self, k: int) -> int:
-        """Uniform integer in [0, 2^k)."""
-        if k <= 0:
-            raise ValueError(f"need k >= 1, got {k}")
-        nbytes = (k + 7) // 8
-        end = self._pos + nbytes
+    def randbytes(self, k: int) -> bytes:
+        """The next k bytes of the stream: the bits randbits(8 k) reads,
+        big-endian."""
+        end = self._pos + k
         if end > len(self._buf):
             # Buffered refill; the byte sequence consumed is identical to an
             # unbuffered generator, just fetched in larger slabs.
             self._buf = self._buf[self._pos:] + self._gen.bytes(
-                max(self._REFILL, nbytes))
+                max(self._REFILL, k))
             self._pos = 0
-            end = nbytes
-        raw = int.from_bytes(self._buf[self._pos:end], "big")
+            end = k
+        out = self._buf[self._pos:end]
         self._pos = end
-        self.bits_consumed += k
-        return raw >> (8 * nbytes - k)
+        self.bits_consumed += 8 * k
+        return out
+
+    def randbits(self, k: int) -> int:
+        """Uniform integer in [0, 2^k): the top k bits of the next whole
+        bytes.  The low bits of the last byte are dropped and not counted
+        in bits_consumed."""
+        if k <= 0:
+            raise ValueError(f"need k >= 1, got {k}")
+        nbytes = (k + 7) // 8
+        drop = 8 * nbytes - k
+        raw = int.from_bytes(self.randbytes(nbytes), "big")
+        self.bits_consumed -= drop
+        return raw >> drop
 
     def randbelow(self, n: int) -> int:
         """Uniform integer in [0, n) by rejection; exact for any n >= 1."""

@@ -16,6 +16,8 @@ from bisect import bisect_right
 from fractions import Fraction
 from functools import lru_cache
 
+import numpy as np
+
 from .laws import (
     HuaParams,
     cumulative_weights,
@@ -24,9 +26,11 @@ from .laws import (
     pi_s_bracket,
 )
 from .matrix import (
-    PadicMatrix,
     assemble_orbit,
-    decode_residues,
+    power_residues,
+    read_residues,
+    residue_dtype,
+    residues,
     sample_haar_gl,
 )
 from .padic import PrecisionExhausted, check_prime
@@ -179,13 +183,16 @@ def sample_hua_singulars(hp: HuaParams, n: int, rng) -> tuple:
     return tuple(values)
 
 
-def sample_hua_matrix(hp: HuaParams, n: int, digits: int, rng) -> PadicMatrix:
-    """Matrix draw from the size-n bi-invariant law at the given window.
+def sample_hua_matrix(hp: HuaParams, n: int, digits: int, rng) -> tuple:
+    """One draw from the size-n bi-invariant law at the given window, as
+    (k, b, c): its singular numbers and the reads of two independent Haar
+    factors (see matrix.sample_haar_gl); hua_matrices assembles a chunk.
 
     Two-stage exact construction: singular numbers from the chain
-    representation, then conjugation by two independent Haar factors.
-    Raises PrecisionExhausted when the drawn top singular number would eat
-    more than half the window (probability ~ p^-(digits/2)^2).
+    representation, then conjugation by the two Haar factors.  Raises
+    PrecisionExhausted, before any factor is read, when the drawn top
+    singular number would eat more than half the window (probability
+    ~ p^-(digits/2)^2).
     """
     k = sample_hua_singulars(hp, n, rng)
     if k[0] > digits // 2:
@@ -193,17 +200,29 @@ def sample_hua_matrix(hp: HuaParams, n: int, digits: int, rng) -> PadicMatrix:
             f"drawn singular number {k[0]} exceeds half the window {digits}")
     b = sample_haar_gl(n, hp.p, digits, rng)
     c = sample_haar_gl(n, hp.p, digits, rng)
-    return assemble_orbit(k, b, c)
+    return k, b, c
 
 
-def sample_ergodic_matrix(p: int, k, n: int, digits: int, rng) -> PadicMatrix:
-    """n x n corner of the ergodic matrix with parameter k (a partition:
-    nonnegative, eventually zero).
+def hua_matrices(draws, p: int, n: int, digits: int, size: int | None = None):
+    """(residues, shifts) of the size x size corners (default n) of a chunk
+    of sample_hua_matrix draws, as assemble_orbit gives them."""
+    ks = [k for k, _, _ in draws]
+    b = residues([b for _, b, _ in draws], p, digits).reshape(-1, n, n)
+    c = residues([c for _, _, c in draws], p, digits).reshape(-1, n, n)
+    return assemble_orbit(ks, b, c, p, digits, size)
 
-    Entry (i, j) is sum_m p^(-k_m) X_i^(m) Y_j^(m) + Z_ij over the positive
-    parts k_m, with all X, Y, Z i.i.d. Haar on Z_p at the window.  The
-    residues come from one bulk draw decoded in a fixed order (X then Y per
-    part, then Z row-major), so samples are a pure function of the stream.
+
+def sample_ergodic_matrix(p: int, k, n: int, digits: int, rng) -> tuple:
+    """One draw of the n x n corner of the ergodic matrix with parameter k
+    (a partition: nonnegative, eventually zero), as (parts, read): the
+    positive parts k_m and the read of its 2 r n + n^2 residues, r the
+    number of parts; ergodic_matrices assembles a chunk.
+
+    Entry (i, j) is sum_m p^(-k_m) X_i^(m) Y_j^(m) + Z_ij, with all X, Y, Z
+    i.i.d. Haar on Z_p at the window, taken from the read in a fixed order
+    (X then Y per part, then Z row-major), so samples are a pure function
+    of the stream.  Raises PrecisionExhausted when p^-k_1 does not fit the
+    window.
     """
     check_prime(p)
     lam = k if isinstance(k, Partition) else Partition(tuple(v for v in k if v != 0))
@@ -211,21 +230,40 @@ def sample_ergodic_matrix(p: int, k, n: int, digits: int, rng) -> PadicMatrix:
     shift = parts[0] if parts else 0
     if shift >= digits:
         raise PrecisionExhausted(f"p^-{shift} overflows a {digits}-digit window")
-    modulus = p**digits
-    r = len(parts)
-    z0 = 2 * r * n
-    count = z0 + n * n
-    flat = decode_residues(rng.randbelow(modulus**count), modulus, count)
-    # Row i of the residues: p^shift Z_i + sum_m p^(shift - k_m) X_i^(m) Y^(m).
-    xs = [[p ** (shift - km) * x for x in flat[2 * m * n:(2 * m + 1) * n]]
-          for m, km in enumerate(parts)]
-    ys = [flat[(2 * m + 1) * n:(2 * m + 2) * n] for m in range(r)]
-    z_scale = p**shift
-    units = []
-    for i in range(n):
-        row = [z_scale * e for e in flat[z0 + i * n:z0 + (i + 1) * n]]
-        for x, y in zip(xs, ys):
-            c = x[i]
-            row = [a + c * b for a, b in zip(row, y)]
-        units.append(tuple([a % modulus for a in row]))
-    return PadicMatrix._reduced(p, n, shift, digits, tuple(units))
+    return parts, read_residues(rng, p, digits, (2 * len(parts) + n) * n)
+
+
+def ergodic_matrices(draws, p: int, n: int, digits: int):
+    """(residues, shifts) of a chunk of sample_ergodic_matrix draws: a
+    (batch, n, n) stack of p^k_1 times each matrix mod p^digits, and the
+    shifts k_1 (0 for an empty parameter).
+
+    Parameters with fewer parts than the chunk's longest are padded with
+    parts of scale 0, so one product sums every part of every draw.
+    """
+    batch = len(draws)
+    r = np.array([len(parts) for parts, _ in draws], dtype=np.intp)
+    rmax = int(r.max()) if batch else 0
+    shifts = [parts[0] if parts else 0 for parts, _ in draws]
+    # Padding parts sit digits below the shift, where the scale is 0.
+    k = np.array([parts + (s - digits,) * (rmax - len(parts))
+                  for (parts, _), s in zip(draws, shifts)],
+                 dtype=np.int64).reshape(batch, rmax)
+    pe = p**digits
+    dtype = residue_dtype(p, digits, rmax + 1)
+    top = np.array(shifts, dtype=np.int64)
+    scales = power_residues(p, digits, top[:, None] - k, dtype)
+    flat = residues([read for _, read in draws], p, digits).astype(
+        dtype, copy=False)
+    # Draw j's residues start at its offset: X^(m) at 2 m n, Y^(m) right
+    # after it, Z after the parts.  Padding parts index the first X.
+    sizes = (2 * r + n) * n
+    start = np.cumsum(sizes) - sizes
+    x_at = np.where(np.arange(rmax) < r[:, None],
+                    start[:, None] + 2 * n * np.arange(rmax), 0)
+    x_at = x_at[:, :, None] + np.arange(n)
+    x = flat[x_at] * scales[:, :, None] % pe  # (batch, part, i)
+    y = flat[x_at + n]  # (batch, part, j)
+    z = flat[(start + 2 * r * n)[:, None] + np.arange(n * n)]
+    z_scale = power_residues(p, digits, top, dtype)[:, None, None]
+    return (x.transpose(0, 2, 1) @ y + z.reshape(batch, n, n) * z_scale) % pe, shifts

@@ -1,6 +1,14 @@
 """Shared fixtures and the acceptance summary printed at the end of a run."""
 
-from padic_hua.matrix import PadicMatrix
+from padic_hua.matrix import PadicMatrix, residues, sample_haar_gl
+from padic_hua.padic import PrecisionExhausted
+from padic_hua.partitions import Partition
+from padic_hua.samplers import (
+    ergodic_matrices,
+    hua_matrices,
+    sample_ergodic_matrix,
+    sample_hua_matrix,
+)
 
 _CRITERION_LINES = {}
 
@@ -30,3 +38,104 @@ def matmul(a, b):
               for j in range(a.n))
         for arow in a.units)
     return PadicMatrix(a.p, a.n, a.shift + b.shift, digits, units)
+
+
+def laplace_det(rows):
+    n = len(rows)
+    if n == 1:
+        return rows[0][0]
+    return sum((-1) ** j * rows[0][j]
+               * laplace_det([row[:j] + row[j + 1:] for row in rows[1:]])
+               for j in range(n))
+
+
+# Scalar references for the stacked matrix draws: one Python-int matrix at
+# a time, read by one randbelow code decoded by sequential divmod.
+
+
+def reference_residues(rng, modulus, count):
+    code = rng.randbelow(modulus**count)
+    flat = []
+    for _ in range(count):
+        code, r = divmod(code, modulus)
+        flat.append(r)
+    return flat
+
+
+def reference_haar(n, p, digits, rng):
+    """Plain rejection loop: one uniform residue grid per attempt, decoded
+    by sequential divmod, accepted when the Laplace determinant is a unit."""
+    while True:
+        flat = reference_residues(rng, p**digits, n * n)
+        rows = [flat[i:i + n] for i in range(0, n * n, n)]
+        if laplace_det(rows) % p:
+            return tuple(tuple(row) for row in rows)
+
+
+def reference_orbit(k, b, c, p, digits):
+    """B diag(p^-k_1, ..., p^-k_n) C for row tuples b and c."""
+    shift = k[0]
+    if shift >= digits:
+        raise PrecisionExhausted(f"p^-{shift} overflows a {digits}-digit window")
+    modulus = p**digits
+    scales = [p ** (shift - v) for v in k]
+    units = tuple(
+        tuple(sum(x * s * y for x, s, y in zip(brow, scales, col)) % modulus
+              for col in zip(*c))
+        for brow in b)
+    return PadicMatrix(p, len(k), shift, digits, units)
+
+
+def reference_ergodic(p, parts, flat, n, digits):
+    """sum_m p^(-k_m) X^(m) Y^(m)^T + Z from residues in the order X then Y
+    per part, then Z row-major."""
+    shift = parts[0] if parts else 0
+    modulus = p**digits
+    z0 = 2 * len(parts) * n
+    units = []
+    for i in range(n):
+        row = []
+        for j in range(n):
+            e = p**shift * flat[z0 + i * n + j]
+            for m, km in enumerate(parts):
+                e += (p ** (shift - km) * flat[2 * m * n + i]
+                      * flat[(2 * m + 1) * n + j])
+            row.append(e % modulus)
+        units.append(tuple(row))
+    return PadicMatrix(p, n, shift, digits, tuple(units))
+
+
+def reference_ergodic_matrix(p, k, n, digits, rng):
+    """sample_ergodic_matrix, assembled, one matrix at a time."""
+    if not isinstance(k, Partition):
+        k = Partition(tuple(v for v in k if v != 0))
+    parts = k.parts
+    if parts and parts[0] >= digits:
+        raise PrecisionExhausted(f"p^-{parts[0]} overflows a {digits}-digit window")
+    flat = reference_residues(rng, p**digits, (2 * len(parts) + n) * n)
+    return reference_ergodic(p, parts, flat, n, digits)
+
+
+def stack_matrices(units, shifts, p, digits):
+    """The matrices of a residue stack, one PadicMatrix each."""
+    return [PadicMatrix(p, len(u), shift, digits, tuple(map(tuple, u.tolist())))
+            for u, shift in zip(units, shifts)]
+
+
+def haar_matrix(n, p, digits, rng):
+    """One sample_haar_gl draw as a PadicMatrix."""
+    flat = residues([sample_haar_gl(n, p, digits, rng)], p, digits).tolist()
+    return PadicMatrix(p, n, 0, digits,
+                       tuple(tuple(flat[i:i + n]) for i in range(0, n * n, n)))
+
+
+def hua_matrix(hp, n, digits, rng):
+    """One sample_hua_matrix draw, assembled, as a PadicMatrix."""
+    draw = sample_hua_matrix(hp, n, digits, rng)
+    return stack_matrices(*hua_matrices([draw], hp.p, n, digits), hp.p, digits)[0]
+
+
+def ergodic_matrix(p, k, n, digits, rng):
+    """One sample_ergodic_matrix draw, assembled, as a PadicMatrix."""
+    draw = sample_ergodic_matrix(p, k, n, digits, rng)
+    return stack_matrices(*ergodic_matrices([draw], p, n, digits), p, digits)[0]

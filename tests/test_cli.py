@@ -202,6 +202,8 @@ class TestSing:
                                  "--E", "4", "--guard", "4")
         assert code == 2 and out == ""
         assert len(err.splitlines()) == 1 and err.startswith("error: ")
+        # the literal is valid: the message blames the guard
+        assert "--guard" in err and "literal" not in err
 
     def test_missing_file(self, capsys):
         code, _, err = run_cli(capsys, "sing", "/nonexistent/m.txt", "--p", "2")

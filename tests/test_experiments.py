@@ -16,6 +16,7 @@ from padic_hua.experiments import (
     enumerate_oracle,
     gate,
     label_key,
+    monte_carlo,
     run_chain_checks,
     run_corners_consistency,
     run_ergodic_convergence,
@@ -34,11 +35,12 @@ from padic_hua.matrix import corner, singular_numbers
 from padic_hua.padic import PrecisionExhausted
 from padic_hua.partitions import Partition
 from padic_hua.rng import RngStream
-from padic_hua.samplers import (
-    sample_ergodic_matrix,
-    sample_hua_matrix,
-    sample_hua_singulars,
-    sample_nu,
+from padic_hua.samplers import sample_hua_singulars, sample_nu
+
+from conftest import (
+    reference_ergodic_matrix,
+    reference_haar,
+    reference_orbit,
 )
 
 HP2 = HuaParams(2, F(1))
@@ -171,7 +173,17 @@ def test_nu_limit_draw_matches_singular_tuple_reference(n, t, box):
 
 
 # One-draw-at-a-time references for the batched draw functions: each
-# samples one draw and computes its singular numbers on its own.
+# samples one draw with the scalar references and computes its singular
+# numbers on its own.
+
+
+def reference_hua_matrix(hp, n, digits, rng):
+    k = sample_hua_singulars(hp, n, rng)
+    if k[0] > digits // 2:
+        raise PrecisionExhausted(f"drawn singular number {k[0]} exceeds half")
+    b = reference_haar(n, hp.p, digits, rng)
+    c = reference_haar(n, hp.p, digits, rng)
+    return reference_orbit(k, b, c, hp.p, digits)
 
 
 def reference_corner_draw(params, rng):
@@ -179,7 +191,7 @@ def reference_corner_draw(params, rng):
     resamples = 0
     while True:
         try:
-            m = sample_hua_matrix(hp, n, digits, rng)
+            m = reference_hua_matrix(hp, n, digits, rng)
             break
         except PrecisionExhausted:
             resamples += 1
@@ -191,7 +203,7 @@ def reference_corner_draw(params, rng):
 
 def reference_ergodic_match_draw(params, rng):
     p, lam, n, digits, guard, expected = params
-    st = singular_numbers(sample_ergodic_matrix(p, lam, n, digits, rng), guard)
+    st = singular_numbers(reference_ergodic_matrix(p, lam, n, digits, rng), guard)
     return st.values[:len(expected)] == expected, (int(not st.is_exact),)
 
 
@@ -199,7 +211,7 @@ def reference_ergodic_decomp_draw(params, rng):
     hp, n, digits, guard, max_parts, max_part = params
     lam = sample_nu(hp, rng)
     try:
-        m = sample_ergodic_matrix(hp.p, lam, n, digits, rng)
+        m = reference_ergodic_matrix(hp.p, lam, n, digits, rng)
     except PrecisionExhausted:
         return None, (1, 0, 0)
     label, flagged, top_below_2 = _positive_box_label(
@@ -219,25 +231,41 @@ def reference_block(draw_one, params, seed, key, count):
     return counts, sums
 
 
-# Small windows make resamples, flags and overflow errors occur.
+# Draw cases: (draw, reference, params, the events that must occur).  Small
+# windows make resamples, flags and overflow errors occur.  Windows of 8
+# and 24 digits at p = 2 are read as whole bytes; p = 3 at 24 digits
+# assembles over Python ints.  t = 3/2 gives top singular numbers above
+# 12, which 24 digits resample.
 DRAW_CASES = {
     "corner": (_corner_draw, reference_corner_draw,
-               (HP2, 3, 2, 6, 2, 2)),
+               (HP2, 3, 2, 6, 2, 2), (0, 1)),
+    "corner-E4": (_corner_draw, reference_corner_draw,
+                  (HP2, 3, 2, 4, 1, 2), (0, 1)),
+    "corner-E24": (_corner_draw, reference_corner_draw,
+                   (HuaParams(2, F(3, 2)), 3, 2, 24, 20, 2), (0, 1)),
+    "corner-p3": (_corner_draw, reference_corner_draw,
+                  (HuaParams(3, F(3, 2)), 3, 2, 24, 20, 2), (1,)),
     "ergodic-match": (_ergodic_match_draw, reference_ergodic_match_draw,
-                      (2, Partition((2, 1)), 5, 8, 1, (2, 1, 0))),
+                      (2, Partition((2, 1)), 5, 8, 1, (2, 1, 0)), (0,)),
+    "ergodic-match-E24": (_ergodic_match_draw, reference_ergodic_match_draw,
+                          (2, Partition((3, 1)), 4, 24, 21, (3, 1, 0)), (0,)),
+    "ergodic-match-p3": (_ergodic_match_draw, reference_ergodic_match_draw,
+                         (3, Partition((2, 1)), 3, 24, 22, (2, 1, 0)), (0,)),
     "ergodic-decomp": (_ergodic_decomp_draw, reference_ergodic_decomp_draw,
-                       (HuaParams(2, F(1, 2)), 4, 3, 1, 3, 6)),
+                       (HuaParams(2, F(1, 2)), 4, 3, 1, 3, 6), (0, 1, 2)),
+    "ergodic-decomp-E24": (_ergodic_decomp_draw, reference_ergodic_decomp_draw,
+                           (HuaParams(2, F(1, 2)), 4, 24, 22, 3, 6), (1, 2)),
     "nu-limit": (_nu_limit_draw, reference_nu_limit_draw,
-                 (HuaParams(2, F(1, 2)), 6, 3, 6)),
+                 (HuaParams(2, F(1, 2)), 6, 3, 6), (0,)),
 }
 
 
 @pytest.mark.parametrize("kind", sorted(DRAW_CASES))
 def test_run_block_matches_one_draw_at_a_time(monkeypatch, kind):
-    draw, draw_one, params = DRAW_CASES[kind]
+    draw, draw_one, params, events = DRAW_CASES[kind]
     count = 150
     expected = reference_block(draw_one, params, 4, (1,), count)
-    assert all(expected[1])  # every kind of event occurs
+    assert all(expected[1][i] for i in events)  # these events occur
     for chunk in (1, 7, experiments.DRAW_CHUNK):
         monkeypatch.setattr(experiments, "DRAW_CHUNK", chunk)
         assert _run_block((draw, params, 4, (1,), count)) == expected
@@ -248,6 +276,23 @@ def test_run_block_matches_one_draw_at_a_time(monkeypatch, kind):
                                                for _ in range(size)]
         assert batched.bits_consumed == single.bits_consumed
     assert draw(params, RngStream(8), 0) == []
+
+
+class FirstDraw(Exception):
+    pass
+
+
+def _raising_draw(params, rng, count):
+    raise FirstDraw
+
+
+def test_monte_carlo_runs_blocks_before_listing_them():
+    # 10^300 draws are 5 * 10^296 blocks: the first block's draw must run,
+    # and raise, before memory holds more than the blocks in flight
+    with pytest.raises(FirstDraw):
+        monte_carlo(_raising_draw, None, 10**300, 1, (0,))
+    with worker_pool(1) as pool, pytest.raises(FirstDraw):
+        monte_carlo(_raising_draw, None, 10**300, 1, (0,), pool)
 
 
 def test_identity_suite_reduced():

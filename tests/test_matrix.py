@@ -4,6 +4,7 @@ from itertools import combinations
 from math import gcd
 
 import pytest
+import numpy as np
 from hypothesis import example, given, settings, strategies as st
 
 from padic_hua.laws import HuaParams, _normalization, gamma_exponent, hua_density
@@ -14,9 +15,10 @@ from padic_hua.matrix import (
     assemble_orbit,
     corner,
     decode_residues,
-    det_is_unit_mod_p,
     format_entry,
     parse_matrix_text,
+    read_residues,
+    residues,
     sample_haar_gl,
     singular_numbers,
     smith_valuations,
@@ -25,7 +27,13 @@ from padic_hua.matrix import (
 from padic_hua.padic import int_valuation
 from padic_hua.rng import RngStream
 
-from conftest import matmul
+from conftest import (
+    haar_matrix,
+    laplace_det as _det,
+    matmul,
+    reference_haar,
+    stack_matrices,
+)
 
 
 def minor_gcd_singular_numbers(rows, p):
@@ -52,15 +60,6 @@ def minor_gcd_singular_numbers(rows, p):
         ks.append(-(val - prev_val))
         prev_val = val
     return tuple(sorted(ks, reverse=True))
-
-
-def _det(rows):
-    n = len(rows)
-    if n == 1:
-        return rows[0][0]
-    return sum((-1) ** j * rows[0][j]
-               * _det([row[:j] + row[j + 1:] for row in rows[1:]])
-               for j in range(n))
 
 
 class TestSingularNumbers:
@@ -129,7 +128,7 @@ class TestCorner:
 class TestHaarGl:
     def test_invertible_and_singular_zero(self):
         for i in range(50):
-            m = sample_haar_gl(3, 2, 12, RngStream(3, (i,)))
+            m = haar_matrix(3, 2, 12, RngStream(3, (i,)))
             assert singular_numbers(m).values == (0, 0, 0)
 
     def test_gl2_f2_count_is_six(self):
@@ -145,7 +144,7 @@ class TestHaarGl:
         draws = 20000
         counts = {}
         for i in range(draws):
-            m = sample_haar_gl(2, 2, 8, RngStream(17, (i,)))
+            m = haar_matrix(2, 2, 8, RngStream(17, (i,)))
             key = tuple(e % 2 for row in m.units for e in row)
             counts[key] = counts.get(key, 0) + 1
         assert len(counts) == 6
@@ -154,35 +153,43 @@ class TestHaarGl:
         assert chi2 < 35  # df=5, far beyond any reasonable quantile
 
 
+def eye_stack(n, batch=1):
+    return np.array([np.eye(n, dtype=np.int64)] * batch)
+
+
 class TestOrbit:
     def test_identity_factors_give_diagonal(self):
-        eye = PadicMatrix.from_rows([[1, 0], [0, 1]], 2)
-        m = assemble_orbit((1, -2), eye, eye)
+        eye = eye_stack(2)
+        units, shifts = assemble_orbit([(1, -2)], eye, eye, 2, 24)
         # 2^-1 * diag(1, 8) = diag(1/2, 4), off-diagonal residues zero
-        assert m.shift == 1
-        assert m.units == ((1, 0), (0, 8))
+        assert shifts == [1]
+        assert units.tolist() == [[[1, 0], [0, 8]]]
 
     def test_round_trip_and_determinant(self):
         rng = RngStream(99)
         for i, k in enumerate([(0, 0, 0), (2, 1, -1), (3, 0, -2), (-1, -1, -4)]):
-            b = sample_haar_gl(3, 2, 24, rng.child(2 * i))
-            c = sample_haar_gl(3, 2, 24, rng.child(2 * i + 1))
-            m = assemble_orbit(k, b, c)
+            b = haar_matrix(3, 2, 24, rng.child(2 * i))
+            c = haar_matrix(3, 2, 24, rng.child(2 * i + 1))
+            [m] = stack_matrices(*assemble_orbit(
+                [k], np.array([b.units]), np.array([c.units]), 2, 24), 2, 24)
             assert singular_numbers(m).values == k
             # det(m) = p^(-n*shift) det(units), det(units) known mod p^digits
             det = _det([list(row) for row in m.units]) % 2**m.digits
             assert int_valuation(det, 2) - 3 * m.shift == -sum(k)
 
     def test_window_overflow(self):
-        eye = PadicMatrix.from_rows([[1]], 2, digits=8)
+        eye = eye_stack(1, 2)
         with pytest.raises(PrecisionExhausted):
-            assemble_orbit((8,), eye, eye)
+            assemble_orbit([(0,), (8,)], eye, eye, 2, 8)
 
     def test_non_invertible_factor_rejected(self):
-        eye = PadicMatrix.from_rows([[1, 0], [0, 1]], 2)
-        bad = PadicMatrix.from_rows([[2, 0], [0, 1]], 2)
+        eye = eye_stack(2, 2)
+        bad = eye.copy()
+        bad[1, 0, 0] = 2
         with pytest.raises(ValueError):
-            assemble_orbit((0, 0), bad, eye)
+            assemble_orbit([(0, 0)] * 2, bad, eye, 2, 24)
+        with pytest.raises(ValueError):
+            assemble_orbit([(0, 0)] * 2, eye, bad, 2, 24)
 
 
 def test_bi_invariance_of_singular_numbers():
@@ -190,8 +197,8 @@ def test_bi_invariance_of_singular_numbers():
     m = PadicMatrix.from_rows([[6, F(1, 2), 3], [0, 12, 5], [8, 1, 2]], 2)
     reference = singular_numbers(m).values
     for i in range(10):
-        b = sample_haar_gl(3, 2, 24, rng.child(2 * i))
-        c = sample_haar_gl(3, 2, 24, rng.child(2 * i + 1))
+        b = haar_matrix(3, 2, 24, rng.child(2 * i))
+        c = haar_matrix(3, 2, 24, rng.child(2 * i + 1))
         assert singular_numbers(matmul(matmul(b, m), c)).values == reference
 
 
@@ -240,9 +247,12 @@ class TestMatrixText:
 
     def test_format_round_trip(self):
         m = PadicMatrix.from_rows([[F(3, 2), 0], [7, 1]], 2)
-        assert format_entry(m, 0, 0) == "3*2^-1"
-        assert format_entry(m, 1, 0) == "7*2^0"
-        assert format_entry(m, 0, 1) == "O(2^23)"
+        def entry(i, j):
+            return format_entry(m.units[i][j], m.p, m.shift, m.digits)
+
+        assert entry(0, 0) == "3*2^-1"
+        assert entry(1, 0) == "7*2^0"
+        assert entry(0, 1) == "O(2^23)"
 
     def test_comments_and_blank_lines(self):
         m = parse_matrix_text("# header\n\n1 0\n0 1\n", 2)
@@ -410,14 +420,14 @@ def test_stack_singular_numbers_match_one_at_a_time():
               orbit_rows(rng, 2, 10, sorted(rng.randbelow(7) for _ in range(3))),
               2, shift=i % 4, digits=10)
           for i in range(25)]
+    units = np.array([m.units for m in ms])
+    shifts = [m.shift for m in ms]
     for guard in range(3):
-        assert (stack_singular_numbers(ms, guard)
+        assert (stack_singular_numbers(units, shifts, 2, 10, guard)
                 == [singular_numbers(m, guard) for m in ms])
-    assert stack_singular_numbers([]) == []
+    assert stack_singular_numbers(units[:0], [], 2, 10) == []
     with pytest.raises(ValueError):
-        stack_singular_numbers(ms + [PadicMatrix.from_units([[1]], 2, digits=10)])
-    with pytest.raises(ValueError):
-        stack_singular_numbers(ms, guard=10)
+        stack_singular_numbers(units, shifts, 2, 10, guard=10)
 
 
 @given(p=st.sampled_from([2, 3, 5, 7, 101]), digits=st.integers(1, 30),
@@ -450,32 +460,69 @@ def small_residue_grids(draw):
     return rows, p
 
 
+class ServedReads:
+    """Stream stand-in for sample_haar_gl: serves its reads in order and
+    has no more."""
+
+    def __init__(self, *reads):
+        self.reads = list(reads)
+
+    def next_read(self, _size):
+        assert self.reads, "the identity's read was rejected"
+        return self.reads.pop(0)
+
+    randbelow = randbytes = next_read
+
+
+def accepts(rows, p, digits, encode):
+    """Whether sample_haar_gl accepts the grid ``rows`` as its first
+    attempt; a rejected attempt is followed by the identity's read."""
+    n = len(rows)
+    flat = [e for row in rows for e in row]
+    eye = [int(i == j) for i in range(n) for j in range(n)]
+    read = sample_haar_gl(n, p, digits, ServedReads(encode(flat), encode(eye)))
+    return residues([read], p, digits).tolist() == flat
+
+
 @given(small_residue_grids())
 @example(([[0, 0], [0, 0]], 2))
 @example(([[1, 2, 3], [4, 5, 6], [1, 2, 3]], 5))
 @example(([[3, 1], [6, 2]], 3))
 @settings(max_examples=400)
 def test_det_is_unit_mod_p_matches_laplace(case):
+    # Haar acceptance on windows read by decoding one integer code: the
+    # window holds every entry of the grid, up to 10^6
     rows, p = case
-    expected = _det(rows) % p != 0
-    assert det_is_unit_mod_p(rows, p) == expected
-    # a second call is answered from the memo and must agree
-    assert det_is_unit_mod_p(rows, p) == expected
-
-
-def _reference_haar(n, p, digits, rng):
-    """Plain rejection loop: one uniform residue grid per attempt, decoded
-    by sequential divmod, accepted when the Laplace determinant is a unit."""
+    digits = {2: 20, 3: 13, 5: 9}[p]
     modulus = p**digits
-    while True:
-        code = rng.randbelow(modulus ** (n * n))
-        flat = []
-        for _ in range(n * n):
-            code, r = divmod(code, modulus)
-            flat.append(r)
-        rows = [flat[i:i + n] for i in range(0, n * n, n)]
-        if _det(rows) % p:
-            return tuple(tuple(row) for row in rows)
+
+    def encode(flat):
+        return sum(e * modulus**i for i, e in enumerate(flat))
+
+    expected = _det(rows) % p != 0
+    assert accepts(rows, p, digits, encode) == expected
+    # a second call is answered from the memo and must agree
+    assert accepts(rows, p, digits, encode) == expected
+
+
+@pytest.mark.parametrize("digits", [8, 24])
+def test_parity_byte_acceptance_matches_laplace(digits):
+    # every one of the 512 patterns mod 2 of a 3 x 3 grid, under random
+    # high bits, on windows read as whole bytes
+    width = digits // 8
+    rng = RngStream(29, (digits,))
+
+    def encode(flat):
+        return b"".join(e.to_bytes(width, "big") for e in reversed(flat))
+
+    accepted = 0
+    for pattern in range(512):
+        flat = [rng.randbits(digits - 1) << 1 | pattern >> i & 1 for i in range(9)]
+        rows = [flat[i:i + 3] for i in range(0, 9, 3)]
+        expected = _det(rows) % 2 != 0
+        assert accepts(rows, 2, digits, encode) == expected
+        accepted += expected
+    assert accepted == 168  # |GL(3, F_2)|
 
 
 def test_haar_streams_match_reference_rejection_loop():
@@ -484,18 +531,35 @@ def test_haar_streams_match_reference_rejection_loop():
         p = (2, 3)[i // 4 % 2]
         digits = (3, 24)[i // 8 % 2]
         ours, ref = RngStream(11, (i,)), RngStream(11, (i,))
-        m = sample_haar_gl(n, p, digits, ours)
-        assert m.units == _reference_haar(n, p, digits, ref)
+        m = haar_matrix(n, p, digits, ours)
+        assert m.units == reference_haar(n, p, digits, ref)
         assert ours.bits_consumed == ref.bits_consumed
+
+
+def test_residues_of_a_chunk_match_one_read_at_a_time():
+    # reads of different lengths, decoded together and one at a time
+    for p, digits in ((2, 8), (2, 16), (2, 24), (2, 12), (3, 24)):
+        rng = RngStream(37, (p, digits))
+        reads = [read_residues(rng, p, digits, count) for count in (1, 9, 4, 0, 7)]
+        ref = RngStream(37, (p, digits))
+        expected = []
+        for count in (1, 9, 4, 0, 7):
+            code = ref.randbelow((p**digits)**count)
+            expected += decode_residues(code, p**digits, count)
+        assert residues(reads, p, digits).tolist() == expected
+        assert rng.bits_consumed == ref.bits_consumed
+    assert residues([], 2, 24).tolist() == []
 
 
 def test_trusted_constructors_match_validated_ones():
     rng = RngStream(12)
-    b = sample_haar_gl(3, 2, 10, rng)
-    c = sample_haar_gl(3, 2, 10, rng)
-    built = [b, assemble_orbit((2, 0, -1), b, c)]
-    built.append(corner(built[1], 2))
-    for m in built:
-        assert m == PadicMatrix(m.p, m.n, m.shift, m.digits, m.units)
+    b = haar_matrix(3, 2, 10, rng)
+    c = haar_matrix(3, 2, 10, rng)
+    [m] = stack_matrices(*assemble_orbit(
+        [(2, 0, -1)], np.array([b.units]), np.array([c.units]), 2, 10), 2, 10)
+    for size in (1, 2, 3):
+        built = corner(m, size)
+        assert built == PadicMatrix(built.p, built.n, built.shift, built.digits,
+                                    built.units)
     with pytest.raises(ValueError):
         PadicMatrix._reduced(2, 1, 0, 0, ((0,),))

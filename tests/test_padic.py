@@ -13,18 +13,23 @@ from padic_hua.matrix import (
 from padic_hua.padic import DIGITS, GUARD, check_prime, int_valuation
 from padic_hua.partitions import Partition
 from padic_hua.rng import RngStream
-from padic_hua.samplers import sample_ergodic_matrix
+
+from conftest import ergodic_matrix
 
 
 def entry(value, p=2) -> str:
     """A rational printed as the single entry of a 1x1 residue matrix."""
-    return format_entry(PadicMatrix.from_rows([[F(value)]], p), 0, 0)
+    return format_single(PadicMatrix.from_rows([[F(value)]], p))
+
+
+def format_single(m) -> str:
+    return format_entry(m.units[0][0], m.p, m.shift, m.digits)
 
 
 def haar_zp(p, digits, rng) -> PadicMatrix:
     """One Haar residue on Z_p: a 1x1 ergodic draw with no positive parts
     is exactly its Z entry."""
-    return sample_ergodic_matrix(p, Partition(()), 1, digits, rng)
+    return ergodic_matrix(p, Partition(()), 1, digits, rng)
 
 
 nonzero_ints = st.integers(-10**6, 10**6).filter(lambda x: x != 0)
@@ -62,7 +67,7 @@ class TestArithmetic:
         # a printed entry parses back to the rational modulo p^(digits - shift)
         for v in (F(12), F(-3, 8), F(5, 3)):
             m = PadicMatrix.from_rows([[v]], 2)
-            diff = parse_entry(format_entry(m, 0, 0), 2) - v
+            diff = parse_entry(format_single(m), 2) - v
             assert diff == 0 or (int_valuation(diff.numerator, 2)
                                  - int_valuation(diff.denominator, 2)
                                  >= m.digits - m.shift)
@@ -95,7 +100,7 @@ class TestHaarSampling:
         # counts are an exhaustive-count oracle.
         counts = Counter()
         for r in range(8):
-            text = format_entry(PadicMatrix.from_units([[r]], 2, digits=3), 0, 0)
+            text = format_single(PadicMatrix.from_units([[r]], 2, digits=3))
             counts[text if text.startswith("O(") else int(text.split("^")[1])] += 1
         assert counts == {0: 4, 1: 2, 2: 1, "O(2^3)": 1}
 
@@ -118,7 +123,7 @@ class TestHaarSampling:
             def randbelow(self, n):
                 return 0
 
-        assert format_entry(haar_zp(2, 6, ZeroRng()), 0, 0) == "O(2^6)"
+        assert format_single(haar_zp(2, 6, ZeroRng())) == "O(2^6)"
 
 
 def test_budget_validation():

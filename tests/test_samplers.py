@@ -13,7 +13,12 @@ from padic_hua.laws import (
     nu_bracket,
     pi_s_bracket,
 )
-from padic_hua.matrix import sample_haar_gl, singular_numbers
+from padic_hua.matrix import (
+    corner,
+    sample_haar_gl,
+    singular_numbers,
+    stack_singular_numbers,
+)
 from padic_hua.padic import PrecisionExhausted, int_valuation
 from padic_hua.partitions import Partition
 from padic_hua.rng import RngStream
@@ -21,6 +26,8 @@ from padic_hua.samplers import (
     _kernel_cumulative,
     _pi_n_cumulative,
     _pi_s_cumulative,
+    ergodic_matrices,
+    hua_matrices,
     run_chain,
     sample_ergodic_matrix,
     sample_hua_matrix,
@@ -31,7 +38,16 @@ from padic_hua.samplers import (
     sample_pi_s,
 )
 
-from conftest import matmul
+from conftest import (
+    ergodic_matrix,
+    haar_matrix,
+    hua_matrix,
+    matmul,
+    reference_ergodic_matrix,
+    reference_haar,
+    reference_orbit,
+    stack_matrices,
+)
 
 HP2 = HuaParams(2, F(1))
 
@@ -164,16 +180,18 @@ class TestHuaSingulars:
 class TestHuaMatrix:
     def test_round_trip_law(self):
         draws = 8000
-        counts = Counter()
+        drawn = []
         for i in range(draws):
             rng = RngStream(11, (i,))
             while True:
                 try:
-                    m = sample_hua_matrix(HP2, 2, 24, rng)
+                    drawn.append(sample_hua_matrix(HP2, 2, 24, rng))
                     break
                 except PrecisionExhausted:
                     pass
-            counts[singular_numbers(m).values] += 1
+        units, shifts = hua_matrices(drawn, 2, 2, 24)
+        counts = Counter(
+            st.values for st in stack_singular_numbers(units, shifts, 2, 24))
         for k in ((0, 0), (1, 0), (0, -1)):
             expected = float(m_n_direct(HP2, k))
             assert abs(counts[k] / draws - expected) < three_sigma(expected, draws)
@@ -193,9 +211,9 @@ class TestHuaMatrix:
         # change the singular numbers
         for i in range(10):
             rng = RngStream(13, (i,))
-            m = sample_hua_matrix(HP2, 3, 24, rng)
-            b = sample_haar_gl(3, 2, 24, rng)
-            c = sample_haar_gl(3, 2, 24, rng)
+            m = hua_matrix(HP2, 3, 24, rng)
+            b = haar_matrix(3, 2, 24, rng)
+            c = haar_matrix(3, 2, 24, rng)
             assert singular_numbers(matmul(matmul(b, m), c)).values \
                 == singular_numbers(m).values
 
@@ -203,7 +221,7 @@ class TestHuaMatrix:
 class TestErgodicMatrix:
     def test_zero_parameter_matches_raw_haar_draws(self):
         # with no positive parts the matrix is exactly the Z block
-        m = sample_ergodic_matrix(2, Partition(()), 3, 24, RngStream(14))
+        m = ergodic_matrix(2, Partition(()), 3, 24, RngStream(14))
         modulus = 2**24
         code = RngStream(14).randbelow(modulus**9)
         expected = []
@@ -216,7 +234,7 @@ class TestErgodicMatrix:
         assert m.units == tuple(expected) and m.shift == 0
 
     def test_entry_scale_bound(self):
-        m = sample_ergodic_matrix(2, Partition((2, 1)), 4, 24, RngStream(15))
+        m = ergodic_matrix(2, Partition((2, 1)), 4, 24, RngStream(15))
         assert m.shift == 2
         for row in m.units:
             for u in row:
@@ -226,7 +244,7 @@ class TestErgodicMatrix:
     def test_size_one_single_part_construction(self):
         # entry must equal p^-1 X Y + Z for the same stream
         rng = RngStream(16)
-        m = sample_ergodic_matrix(2, Partition((1,)), 1, 24, rng)
+        m = ergodic_matrix(2, Partition((1,)), 1, 24, rng)
         modulus = 2**24
         code = RngStream(16).randbelow(modulus**3)
         code, x = divmod(code, modulus)
@@ -239,7 +257,7 @@ class TestErgodicMatrix:
             sample_ergodic_matrix(2, Partition((9,)), 2, 8, RngStream(17))
 
     def test_accepts_delta_zero_sequences(self):
-        m = sample_ergodic_matrix(2, (2, 1, 0, 0), 3, 24, RngStream(18))
+        m = ergodic_matrix(2, (2, 1, 0, 0), 3, 24, RngStream(18))
         assert m.shift == 2
 
 
@@ -248,3 +266,33 @@ def test_worker_independence_of_child_streams():
     forward = [RngStream(19, (i,)).randbits(64) for i in range(8)]
     backward = [RngStream(19, (i,)).randbits(64) for i in reversed(range(8))]
     assert forward == list(reversed(backward))
+
+
+@pytest.mark.parametrize("p, digits", [(2, 24), (2, 4), (3, 24)])
+def test_stacked_assembly_matches_scalar_reference(p, digits):
+    # 24 digits at p = 2 are read as bytes, 4 digits by decoding one
+    # integer, and p = 3 assembles over Python ints.  Nonpositive k_i make
+    # scales p^(k_1 - k_i) at and above p^digits, which are 0 mod p^digits.
+    n = 3
+    ks = [(0, 0, 0), (1, 0, -digits), (1, 1, 1 - digits),
+          (2, -1, -digits - 5), (-1, -2, -2), (3, 1, 0)]
+    rng, ref = RngStream(41, (p, digits)), RngStream(41, (p, digits))
+    draws, expected = [], []
+    for k in ks:
+        b = sample_haar_gl(n, p, digits, rng)
+        draws.append((k, b, sample_haar_gl(n, p, digits, rng)))
+        b = reference_haar(n, p, digits, ref)
+        expected.append(reference_orbit(
+            k, b, reference_haar(n, p, digits, ref), p, digits))
+    assert rng.bits_consumed == ref.bits_consumed
+    for size in (1, 2, 3):
+        units, shifts = hua_matrices(draws, p, n, digits, size)
+        assert (stack_matrices(units, shifts, p, digits)
+                == [corner(m, size) for m in expected])
+    # parameters with 0 to 3 parts share one stack
+    lams = [(), (3,), (2, 2, 1), (1,), ()]
+    draws = [sample_ergodic_matrix(p, lam, n, digits, rng) for lam in lams]
+    expected = [reference_ergodic_matrix(p, lam, n, digits, ref) for lam in lams]
+    assert rng.bits_consumed == ref.bits_consumed
+    assert stack_matrices(*ergodic_matrices(draws, p, n, digits),
+                          p, digits) == expected
