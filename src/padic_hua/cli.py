@@ -6,8 +6,10 @@ file, ``verify`` runs named experiment suites and writes JSON reports plus
 CSV tables.
 
 Exit codes are a stable contract: 0 pass, 1 gate failure, 2 usage or
-configuration error.  Exact rationals are always serialized as "num/den"
-strings; decimals are display-only.
+configuration error.  A reader that closes stdout early (``| head``) ends
+the run quietly with 141, the status of a process killed by SIGPIPE.
+Exact rationals are always serialized as "num/den" strings; decimals are
+display-only.
 """
 
 from __future__ import annotations
@@ -413,10 +415,19 @@ def main(argv=None) -> int:
     parser = build_parser()
     args = parser.parse_args(argv)
     try:
-        return args.func(args)
+        code = args.func(args)
+        sys.stdout.flush()
+        return code
     except ConfigError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2
+    except BrokenPipeError:
+        # Point stdout at the null device, so that the flush at exit does
+        # not raise again on the closed pipe.
+        devnull = os.open(os.devnull, os.O_WRONLY)
+        os.dup2(devnull, sys.stdout.fileno())
+        os.close(devnull)
+        return 141
 
 
 if __name__ == "__main__":

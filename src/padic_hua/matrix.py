@@ -158,9 +158,11 @@ def smith_valuations(stack, p: int, digits: int) -> list:
     2^63 in magnitude on the int64 path below).
 
     One shrinking-block elimination runs on the whole stack at once.  Smith
-    valuations never decrease, so each matrix keeps a level v, raised while
-    no entry of its remaining block is nonzero mod p^(v+1); a block that is
-    zero mod p^digits gets ``digits`` for all its remaining valuations.  The
+    valuations never decrease, so each matrix keeps a level v, the least
+    valuation in its remaining block: a step where no entry of some block
+    is nonzero mod p^(v+1) sets every level to min(valuation, digits) at
+    once, read off gcd(block, p^digits).  A block that is zero mod
+    p^digits gets ``digits`` for all its remaining valuations.  The
     first entry in row-major order that is nonzero mod p^(v+1) is the pivot
     u p^v, u a unit.  The row operations row_i <- u row_i - (c_i / p^v)
     pivot_row, c_i the entry of row i in the pivot column, clear that
@@ -185,12 +187,14 @@ def smith_valuations(stack, p: int, digits: int) -> list:
     out = np.empty((n, batch), dtype=np.intp)
     for step in range(n):
         r = n - step
-        while True:
-            nonzero = (a % powers[level + 1] != 0).reshape(r * r, batch)
-            lagging = ~nonzero.any(axis=0) & (level < digits)
-            if not lagging.any():
-                break
-            level += lagging
+        nonzero = (a % powers[level + 1] != 0).reshape(r * r, batch)
+        if (~nonzero.any(axis=0) & (level < digits)).any():
+            # Some level lags: gcd(block, p^digits) = p^min(v, digits) sets
+            # them all at once.  A gcd at every step would cost more on
+            # large matrices, whose levels seldom lag.
+            block = a.reshape(r * r, batch)
+            level = np.searchsorted(powers, np.gcd(np.gcd.reduce(block), pe))
+            nonzero = block % powers[level + 1] != 0
         out[step] = level
         if r == 1:
             break
@@ -322,9 +326,9 @@ _PARITY = bytes(b & 1 for b in range(256))
 
 @lru_cache(maxsize=UNIT_DET_CACHE_SIZE)
 def _unit_det_pattern(p: int, n: int, pattern: tuple) -> bool:
-    """Whether the n x n matrix with the row-major tuple ``pattern`` of
-    residues mod p has a nonzero determinant mod p (Gaussian elimination
-    over F_p)."""
+    """Whether the n x n matrix with the row-major residues mod p in
+    ``pattern`` (a tuple, or bytes on the byte path) has a nonzero
+    determinant mod p (Gaussian elimination over F_p)."""
     a = [list(pattern[i:i + n]) for i in range(0, n * n, n)]
     for col in range(n):
         pivot = next((i for i in range(col, n) if a[i][col]), None)
@@ -355,7 +359,7 @@ def sample_haar_gl(n: int, p: int, digits: int, rng):
     while True:
         if width:
             read = rng.randbytes(width * n * n)
-            pattern = tuple(read[::-width].translate(_PARITY))
+            pattern = read[::-width].translate(_PARITY)
         else:
             read = read_residues(rng, p, digits, n * n)
             pattern = tuple([e % p for e in read])

@@ -66,9 +66,15 @@ class RngStream:
             raise ValueError(f"need n >= 1, got {n}")
         if n == 1:
             return 0
+        # Each attempt is randbits(k), inlined: one read of whole bytes,
+        # shifted down to its top k bits, the dropped bits not counted.
         k = (n - 1).bit_length()
+        nbytes = (k + 7) // 8
+        drop = 8 * nbytes - k
+        randbytes = self.randbytes
         while True:
-            r = self.randbits(k)
+            r = int.from_bytes(randbytes(nbytes), "big") >> drop
+            self.bits_consumed -= drop
             if r < n:
                 return r
 

@@ -34,7 +34,7 @@ from .matrix import (
     sample_haar_gl,
 )
 from .padic import PrecisionExhausted, check_prime
-from .partitions import Partition
+from .partitions import Partition, _conjugate
 from .qseries import Bracket
 
 # Absorption at 0 is almost sure and fast (masses decay like p^-x^2);
@@ -62,28 +62,6 @@ def _kernel_cumulative(p: int, num: int, den: int, x1: int):
 @lru_cache(maxsize=None)
 def _pi_n_cumulative(p: int, num: int, den: int, n: int):
     return _draw_table(pi_n_row(HuaParams(p, Fraction(num, den)), n))
-
-
-def _draw_from_cumulative(d: int, cum: tuple, rng) -> int:
-    return bisect_right(cum, rng.randbelow(d))
-
-
-def sample_kernel_step(hp: HuaParams, x: int, rng) -> int:
-    """One exact step of the chain from state x (0 is absorbing)."""
-    if x < 0:
-        raise ValueError(f"need x >= 0, got {x}")
-    if x == 0:
-        return 0
-    t = hp.t
-    d, cum = _kernel_cumulative(hp.p, t.numerator, t.denominator, x)
-    return _draw_from_cumulative(d, cum, rng)
-
-
-def sample_pi_n(hp: HuaParams, n: int, rng) -> int:
-    """Exact draw from the finite entrance law on [0, n]."""
-    t = hp.t
-    d, cum = _pi_n_cumulative(hp.p, t.numerator, t.denominator, n)
-    return _draw_from_cumulative(d, cum, rng)
 
 
 @lru_cache(maxsize=None)
@@ -136,14 +114,21 @@ def sample_pi_s(hp: HuaParams, rng) -> int:
 
 def run_chain(hp: HuaParams, start: int, rng) -> tuple:
     """States of the chain from ``start`` down to absorption at 0,
-    including the start, excluding the absorbing 0."""
+    including the start, excluding the absorbing 0.
+
+    A step from x draws u = randbelow(d) and moves to the first state whose
+    cumulative weight in the kernel row of x exceeds u.
+    """
+    p, num, den = hp.p, hp.t.numerator, hp.t.denominator
+    randbelow = rng.randbelow
     path = []
     x = start
     while x > 0:
         path.append(x)
         if len(path) > CHAIN_STEP_CAP:
             raise AssertionError("chain failed to absorb within the step cap")
-        x = sample_kernel_step(hp, x, rng)
+        d, cum = _kernel_cumulative(p, num, den, x)
+        x = bisect_right(cum, randbelow(d))
     return tuple(path)
 
 
@@ -158,15 +143,17 @@ def sample_nu(hp: HuaParams, rng) -> Partition:
 def sample_hua_tails(hp: HuaParams, n: int, rng) -> tuple:
     """(positive tails, nonpositive tails) of a size-n singular-number draw.
 
-    Entrance: x ~ pi_n gives the count of nonpositive parts.  The deformed
-    chain from n - x yields the tail counts X_1 >= X_2 >= ... of the
-    positive parts; the undeformed chain from x yields the tail counts of
-    the nonpositive side (multiplicities of 0, -1, -2, ...).  Both chains
-    always run, so the stream is consumed the same whichever side is used.
+    Entrance: x ~ pi_n, drawn by inverse CDF like a chain step, gives the
+    count of nonpositive parts.  The deformed chain from n - x yields the
+    tail counts X_1 >= X_2 >= ... of the positive parts; the undeformed
+    chain from x yields the tail counts of the nonpositive side
+    (multiplicities of 0, -1, -2, ...).  Both chains always run, so the
+    stream is consumed the same whichever side is used.
     """
     if n < 1:
         raise ValueError(f"need n >= 1, got {n}")
-    x = sample_pi_n(hp, n, rng)
+    d, cum = _pi_n_cumulative(hp.p, hp.t.numerator, hp.t.denominator, n)
+    x = bisect_right(cum, rng.randbelow(d))
     pos_tails = run_chain(hp, n - x, rng)
     return pos_tails, run_chain(hp.with_s_zero(), x, rng)
 
@@ -174,13 +161,16 @@ def sample_hua_tails(hp: HuaParams, n: int, rng) -> tuple:
 def sample_hua_singulars(hp: HuaParams, n: int, rng) -> tuple:
     """Exact draw of the singular-number tuple of a size-n matrix sample,
     weakly decreasing ints assembled from the tail counts of
-    sample_hua_tails."""
+    sample_hua_tails.
+
+    Chain paths decrease weakly by construction, so each side is the
+    conjugate of its tails: the positive parts directly, and the
+    nonpositive ones as 1 - c over the conjugate's entries c, smallest
+    first (the value -i occurs X_i - X_(i+1) times).
+    """
     pos_tails, neg_tails = sample_hua_tails(hp, n, rng)
-    values = list(Partition.from_tail_counts(pos_tails).parts)
-    for i in range(len(neg_tails)):
-        nxt = neg_tails[i + 1] if i + 1 < len(neg_tails) else 0
-        values.extend([-i] * (neg_tails[i] - nxt))
-    return tuple(values)
+    return _conjugate(pos_tails) + tuple(
+        [1 - c for c in reversed(_conjugate(neg_tails))])
 
 
 def sample_hua_matrix(hp: HuaParams, n: int, digits: int, rng) -> tuple:

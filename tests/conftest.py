@@ -1,5 +1,8 @@
 """Shared fixtures and the acceptance summary printed at the end of a run."""
 
+from bisect import bisect_right
+
+from padic_hua.laws import cumulative_weights, kernel_row, pi_n_row
 from padic_hua.matrix import PadicMatrix, residues, sample_haar_gl
 from padic_hua.padic import PrecisionExhausted
 from padic_hua.partitions import Partition
@@ -47,6 +50,54 @@ def laplace_det(rows):
     return sum((-1) ** j * rows[0][j]
                * laplace_det([row[:j] + row[j + 1:] for row in rows[1:]])
                for j in range(n))
+
+
+# Stream references for the draw loops: every rejection attempt one
+# randbits call, every chain step one inverse-CDF draw from its kernel row,
+# built here from the row itself.
+
+
+def reference_randbelow(rng, n):
+    """Uniform integer in [0, n) by rejection, one randbits(k) an attempt."""
+    if n == 1:
+        return 0
+    k = (n - 1).bit_length()
+    while True:
+        r = rng.randbits(k)
+        if r < n:
+            return r
+
+
+def reference_draw(row, rng):
+    """Inverse-CDF draw from an exact row over the integer cumulative
+    weights of its common denominator."""
+    d, cum = cumulative_weights(row)
+    return bisect_right(cum, reference_randbelow(rng, d))
+
+
+def reference_chain(hp, start, rng):
+    path = []
+    x = start
+    while x > 0:
+        path.append(x)
+        x = reference_draw(kernel_row(hp, x), rng)
+    return tuple(path)
+
+
+def reference_hua_tails(hp, n, rng):
+    x = reference_draw(pi_n_row(hp, n), rng)
+    return reference_chain(hp, n - x, rng), reference_chain(hp.with_s_zero(), x, rng)
+
+
+def reference_hua_singulars(pos_tails, neg_tails):
+    """The singular-number tuple of two tail-count paths: the parts of the
+    partition with the positive tails, then -i repeated X_i - X_(i+1)
+    times for the nonpositive tails X_0, X_1, ..."""
+    values = list(Partition.from_tail_counts(pos_tails).parts)
+    for i, x in enumerate(neg_tails):
+        nxt = neg_tails[i + 1] if i + 1 < len(neg_tails) else 0
+        values.extend([-i] * (x - nxt))
+    return tuple(values)
 
 
 # Scalar references for the stacked matrix draws: one Python-int matrix at

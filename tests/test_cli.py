@@ -1,5 +1,8 @@
 import json
 import os
+import subprocess
+import sys
+from pathlib import Path
 
 import pytest
 
@@ -265,3 +268,23 @@ class TestVerify:
             a = open(os.path.join(dir1, name), "rb").read()
             b = open(os.path.join(dir2, name), "rb").read()
             assert a == b, name
+
+
+def test_closed_stdout_ends_quietly():
+    # a reader that stops after 300 bytes of a long sample: no traceback,
+    # nothing on stderr, and not the bad-input status
+    src = str(Path(__file__).resolve().parents[1] / "src")
+    env = dict(os.environ)
+    env["PYTHONPATH"] = os.pathsep.join(
+        filter(None, (src, os.environ.get("PYTHONPATH"))))
+    proc = subprocess.Popen(
+        [sys.executable, "-m", "padic_hua.cli", "sample", "hua", "--N", "8",
+         "--count", "2000", "--seed", "1"],
+        stdout=subprocess.PIPE, stderr=subprocess.PIPE, env=env)
+    head = proc.stdout.read(300)
+    proc.stdout.close()
+    err = proc.stderr.read()
+    proc.stderr.close()
+    assert proc.wait(timeout=120) == 141
+    assert err == b""
+    assert head.startswith(b'{"digits": 24, "index": 0,')

@@ -18,6 +18,7 @@ from padic_hua.matrix import (
     format_entry,
     parse_matrix_text,
     read_residues,
+    residue_dtype,
     residues,
     sample_haar_gl,
     singular_numbers,
@@ -412,6 +413,27 @@ def test_wide_windows_match_determinantal_divisors(p, digits):
     for rows, vals in zip(matrices, got):
         assert vals == determinantal_valuations(rows, p, digits)
         assert vals == smith_one(rows, p, digits)
+
+
+@pytest.mark.parametrize("p, digits, dtype", [
+    (2, 10, np.int64), (3, 6, np.int64), (5, 4, np.int64),
+    (2, 32, object), (3, 20, object), (5, 14, object)])
+def test_smith_levels_jump_several_powers_in_one_stack(p, digits, dtype):
+    # Matrices that never lag share a stack with ones whose level rises by
+    # several powers of p at one step, and with blocks that are zero mod
+    # p^digits from the first step or from a later one.
+    assert residue_dtype(p, digits) is dtype
+    rng = RngStream(53, (p, digits))
+    exponents = [(0, 0, 0), (3, 3, digits - 1), (0, 4, digits + 1),
+                 (1, digits, digits), (digits + 2,) * 3, (2, 5, 5), (0, 0, 2)]
+    matrices = [orbit_rows(rng, p, digits, ks)
+                for _ in range(3) for ks in exponents]
+    got = smith_valuations(stack_of(matrices, 3), p, digits)
+    for rows, vals in zip(matrices, got):
+        assert vals == determinantal_valuations(rows, p, digits)
+    for vals in ([0, 0, 0], [3, 3, digits - 1], [1, digits, digits],
+                 [digits] * 3):
+        assert vals in got
 
 
 def test_stack_singular_numbers_match_one_at_a_time():

@@ -1,5 +1,7 @@
 from padic_hua.rng import RngStream
 
+from conftest import reference_randbelow
+
 
 def test_randbytes_matches_randbits_across_refills():
     # reads longer than a refill, and bit reads that are not whole bytes
@@ -12,3 +14,15 @@ def test_randbytes_matches_randbits_across_refills():
             assert ours.randbits(width) == ref.randbits(width)
             assert ours.randbytes(k) == ref.randbits(8 * k).to_bytes(k, "big")
             assert ours.bits_consumed == ref.bits_consumed
+
+
+def test_randbelow_matches_randbits_rejection_loop():
+    # bounds just below, at and above byte and word sizes, and one of about
+    # 4000 bits whose 500-byte attempts cross the 512-byte refill
+    bounds = (1, 2, 3, 255, 256, 257, 2**64 + 1, 3**2524)
+    ours, ref = RngStream(5, (2,)), RngStream(5, (2,))
+    for _ in range(6):
+        for n in bounds:
+            assert ours.randbelow(n) == reference_randbelow(ref, n)
+            assert ours.bits_consumed == ref.bits_consumed
+            assert ours.randbytes(7) == ref.randbytes(7)

@@ -32,9 +32,8 @@ from padic_hua.samplers import (
     sample_ergodic_matrix,
     sample_hua_matrix,
     sample_hua_singulars,
-    sample_kernel_step,
+    sample_hua_tails,
     sample_nu,
-    sample_pi_n,
     sample_pi_s,
 )
 
@@ -43,8 +42,11 @@ from conftest import (
     haar_matrix,
     hua_matrix,
     matmul,
+    reference_chain,
     reference_ergodic_matrix,
     reference_haar,
+    reference_hua_singulars,
+    reference_hua_tails,
     reference_orbit,
     stack_matrices,
 )
@@ -56,21 +58,27 @@ def three_sigma(p_mass: float, draws: int) -> float:
     return 3 * sqrt(p_mass * (1 - p_mass) / draws)
 
 
+def first_step(hp, x, rng):
+    """The state run_chain moves to from x in its first step (0 from 0)."""
+    path = run_chain(hp, x, rng)
+    return path[1] if len(path) > 1 else 0
+
+
 class TestKernelStep:
     def test_absorbing(self):
         rng = RngStream(0)
-        assert all(sample_kernel_step(HP2, 0, rng) == 0 for _ in range(20))
+        assert all(first_step(HP2, 0, rng) == 0 for _ in range(20))
 
     def test_support_bound(self):
         rng = RngStream(1)
         for _ in range(500):
             x = 1 + rng.randbelow(6)
-            assert 0 <= sample_kernel_step(HP2, x, rng) <= x
+            assert 0 <= first_step(HP2, x, rng) <= x
 
     def test_row_frequencies(self):
         draws = 30000
         rng = RngStream(2)
-        hits = sum(sample_kernel_step(HP2, 1, rng) for _ in range(draws))
+        hits = sum(first_step(HP2, 1, rng) for _ in range(draws))
         assert abs(hits / draws - 0.5) < three_sigma(0.5, draws)
 
 
@@ -112,8 +120,11 @@ class TestEntranceDraws:
         assert cold == warm
 
     def test_pi_n_range(self):
+        # the entrance x is the start of the nonpositive side's chain
         rng = RngStream(4)
-        assert all(0 <= sample_pi_n(HP2, 5, rng) <= 5 for _ in range(200))
+        for _ in range(200):
+            _, neg_tails = sample_hua_tails(HP2, 5, rng)
+            assert 0 <= (neg_tails[0] if neg_tails else 0) <= 5
 
 
 class TestChain:
@@ -123,6 +134,36 @@ class TestChain:
             path = run_chain(HP2, 4, rng)
             assert all(a >= b for a, b in zip(path, path[1:]))
             assert path[0] == 4 and all(x > 0 for x in path)
+
+
+STREAM_PARAMS = [HuaParams(p, t) for p in (2, 3) for t in (F(1), F(1, 2), F(3, 2))]
+
+
+def params_id(hp):
+    return f"p{hp.p}-t{hp.t}"
+
+
+@pytest.mark.parametrize("hp", STREAM_PARAMS, ids=params_id)
+def test_chain_streams_match_step_by_step_reference(hp):
+    # every state's draw reads the stream as one randbits-based rejection
+    # draw from its own row would
+    for start in range(9):
+        for i in range(20):
+            ours, ref = RngStream(43, (start, i)), RngStream(43, (start, i))
+            assert run_chain(hp, start, ours) == reference_chain(hp, start, ref)
+            assert ours.bits_consumed == ref.bits_consumed
+
+
+@pytest.mark.parametrize("hp", STREAM_PARAMS, ids=params_id)
+def test_hua_tail_streams_match_step_by_step_reference(hp):
+    for n in (1, 3, 40):
+        for i in range(20):
+            ours, ref = RngStream(47, (n, i)), RngStream(47, (n, i))
+            tails = sample_hua_tails(hp, n, ours)
+            assert tails == reference_hua_tails(hp, n, ref)
+            assert ours.bits_consumed == ref.bits_consumed
+            singulars = sample_hua_singulars(hp, n, RngStream(47, (n, i)))
+            assert singulars == reference_hua_singulars(*tails)
 
 
 class TestNu:
