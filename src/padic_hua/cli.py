@@ -45,7 +45,7 @@ from .matrix import (
     singular_numbers,
     stack_singular_numbers,
 )
-from .padic import DIGITS, GUARD, PrecisionExhausted
+from .padic import DIGITS, GUARD, PrecisionExhausted, check_prime
 from .partitions import Partition
 from .qseries import Bracket, pochhammer, pochhammer_inf
 from .rng import RngStream
@@ -271,6 +271,10 @@ def cmd_sing(args) -> int:
             text = fh.read()
     except (OSError, UnicodeDecodeError) as exc:
         raise ConfigError(f"cannot read {args.file}: {exc}") from None
+    try:
+        check_prime(args.p)
+    except ValueError as exc:
+        raise ConfigError(f"bad --p: {exc}") from None
     _require(args.E >= 1, f"--E must be >= 1, got {args.E}")
     _require(0 <= args.guard < args.E,
              f"need 0 <= --guard < --E, got guard {args.guard} and E {args.E}")

@@ -72,6 +72,20 @@ DEFAULT_BLOCK = 2000
 # batch; the chunk's matrices are all that is held at once.
 DRAW_CHUNK = 64
 
+# Corner draws are labelled by their singular numbers when all lie in
+# [-CORNER_BOUND, CORNER_BOUND].
+CORNER_BOUND = 8
+# The box (most parts, largest part) on which ergodic-decomposition and
+# nu-limit compare positive parts against nu_truncated_law.
+NU_BOX = (3, 6)
+# (base gate, base draws) of each Monte Carlo TV gate; see scaled_gate.
+CORNER_GATE = (0.01, 100_000)
+ERGODIC_DECOMP_GATE = (0.03, 10_000)
+NU_LIMIT_GATE = (0.02, 100_000)
+# How far the ergodic-decomposition TV may rise from the smallest size to
+# the largest.
+TREND_ALLOWANCE = 0.01
+
 
 # -- histograms and total variation -----------------------------------------
 
@@ -437,9 +451,7 @@ def _nu_limit_draw(params, rng, count):
 
 
 def run_corners_consistency(hp: HuaParams, n: int, draws: int, seed: int, *,
-                            corner_to: int | None = None, digits: int = DIGITS,
-                            guard: int = GUARD, bound: int = 8,
-                            base_gate: float = 0.01, base_draws: int = 100_000,
+                            corner_to: int | None = None,
                             pool=None) -> ExperimentReport:
     """Sample the size-n matrix law, project to the top-left corner, and
     compare the singular-number histogram against the exact corner law.
@@ -452,21 +464,22 @@ def run_corners_consistency(hp: HuaParams, n: int, draws: int, seed: int, *,
     if not 1 <= corner_to <= n:
         raise ValueError(f"corner_to must be in [1, {n}]")
     namespace = NS_ROUNDTRIP if corner_to == n else NS_CORNERS
-    law = m_n_truncated_law(hp, corner_to, bound)
+    law = m_n_truncated_law(hp, corner_to, CORNER_BOUND)
     counts, (resamples, flagged) = monte_carlo(
-        _corner_draw, (hp, n, corner_to, digits, guard, bound), draws, seed,
+        _corner_draw, (hp, n, corner_to, DIGITS, GUARD, CORNER_BOUND),
+        draws, seed,
         (namespace, hp.p, hp.t.numerator, hp.t.denominator, n, corner_to),
         pool)
     hist = Histogram(counts, draws)
     tv = tv_on_support(hist, law)
     tv_penalized = tv_distance(hist, law)
-    threshold = scaled_gate(base_gate, base_draws, draws)
+    threshold = scaled_gate(*CORNER_GATE, draws)
     name = "matrix-roundtrip" if corner_to == n else "corners-consistency"
     return ExperimentReport(
         name=name,
         params={"p": hp.p, "t": f"{hp.t.numerator}/{hp.t.denominator}", "n": n,
-                "corner_to": corner_to, "draws": draws, "digits": digits,
-                "guard": guard, "bound": bound, "block": DEFAULT_BLOCK},
+                "corner_to": corner_to, "draws": draws, "digits": DIGITS,
+                "guard": GUARD, "bound": CORNER_BOUND, "block": DEFAULT_BLOCK},
         seed=seed,
         gates=[gate("tv-on-support", mass_float(tv), threshold,
                     mass_float(tv) < threshold),
@@ -485,8 +498,7 @@ def run_corners_consistency(hp: HuaParams, n: int, draws: int, seed: int, *,
 
 
 def run_ergodic_convergence(p: int, lam: Partition, n_list, draws: int,
-                            digits: int, seed: int, *, guard: int = GUARD,
-                            f_gate: float = 0.95,
+                            digits: int, seed: int, *, f_gate: float = 0.95,
                             pool=None) -> ExperimentReport:
     """Corners of the ergodic matrix with parameter lam: frequency f_N that
     the leading singular numbers reproduce lam exactly, one index past its
@@ -501,7 +513,7 @@ def run_ergodic_convergence(p: int, lam: Partition, n_list, draws: int,
         window = min(lam.num_parts + 1, n)
         expected = (lam.parts + (0,) * window)[:window]
         counts, (flagged,) = monte_carlo(
-            _ergodic_match_draw, (p, lam, n, digits, guard, expected), draws,
+            _ergodic_match_draw, (p, lam, n, digits, GUARD, expected), draws,
             seed, (NS_ERGODIC_CONV, p, n, lam.num_parts) + lam.parts, pool)
         flagged_total += flagged
         freqs.append(Fraction(counts.get(True, 0), draws))
@@ -516,7 +528,7 @@ def run_ergodic_convergence(p: int, lam: Partition, n_list, draws: int,
     return ExperimentReport(
         name="ergodic-convergence",
         params={"p": p, "k": list(lam.parts), "n_list": list(n_list),
-                "draws": draws, "digits": digits, "guard": guard},
+                "draws": draws, "digits": digits, "guard": GUARD},
         seed=seed,
         gates=gates,
         table=[{"n": n, "frequency": mass_json(f)}
@@ -530,12 +542,7 @@ def run_ergodic_convergence(p: int, lam: Partition, n_list, draws: int,
 
 
 def run_ergodic_decomposition(hp: HuaParams, n_list, draws: int, digits: int,
-                              seed: int, *, guard: int = GUARD,
-                              max_parts: int = 3,
-                              max_part: int = 6, base_gate: float = 0.03,
-                              base_draws: int = 10_000,
-                              trend_allowance: float = 0.01,
-                              pool=None) -> ExperimentReport:
+                              seed: int, *, pool=None) -> ExperimentReport:
     """Full pipeline: partition from the limiting law, ergodic matrix with
     that parameter, singular numbers of the corner; the empirical law of
     the positive parts is compared back to the limiting partition law.
@@ -543,12 +550,12 @@ def run_ergodic_decomposition(hp: HuaParams, n_list, draws: int, digits: int,
     The finite-size bias is bounded empirically by the TV trend along
     n_list (the largest size also carries the hard gate).
     """
-    law = nu_truncated_law(hp, max_parts, max_part)
+    law = nu_truncated_law(hp, *NU_BOX)
     tvs = []
     errors = flagged = 0
     for n in n_list:
         counts, (n_errors, n_flagged, top_below_2) = monte_carlo(
-            _ergodic_decomp_draw, (hp, n, digits, guard, max_parts, max_part),
+            _ergodic_decomp_draw, (hp, n, digits, GUARD, *NU_BOX),
             draws, seed,
             (NS_ERGODIC_DECOMP, hp.p, hp.t.numerator, hp.t.denominator, n),
             pool)
@@ -557,20 +564,20 @@ def run_ergodic_decomposition(hp: HuaParams, n_list, draws: int, digits: int,
         flagged += n_flagged
         tvs.append(tv_on_support(hist, law))
     # hist and top_below_2 are left from the largest size
-    threshold = scaled_gate(base_gate, base_draws, draws)
+    threshold = scaled_gate(*ERGODIC_DECOMP_GATE, draws)
     gates = [gate("tv-final", mass_float(tvs[-1]), threshold,
                   mass_float(tvs[-1]) < threshold),
              gate("precision-errors", errors, 0, errors == 0,
                   kind="zero-tolerance")]
     if len(tvs) > 1:
         first, last = float(tvs[0].midpoint), float(tvs[-1].midpoint)
-        gates.append(gate("tv-trend", last - first, trend_allowance,
-                          last <= first + trend_allowance))
+        gates.append(gate("tv-trend", last - first, TREND_ALLOWANCE,
+                          last <= first + TREND_ALLOWANCE))
     return ExperimentReport(
         name="ergodic-decomposition",
         params={"p": hp.p, "t": f"{hp.t.numerator}/{hp.t.denominator}",
                 "n_list": list(n_list), "draws": draws, "digits": digits,
-                "guard": guard, "max_parts": max_parts, "max_part": max_part},
+                "guard": GUARD, "max_parts": NU_BOX[0], "max_part": NU_BOX[1]},
         seed=seed,
         gates=gates,
         table=comparison_table(hist, law),
@@ -588,10 +595,7 @@ def run_ergodic_decomposition(hp: HuaParams, n_list, draws: int, digits: int,
 
 
 def run_nu_limit(hp: HuaParams, n_list, draws: int, seed: int, *,
-                 max_parts: int = 3, max_part: int = 6,
-                 tv_exact_gate: float = 1e-6, base_gate: float = 0.02,
-                 base_draws: int = 100_000,
-                 pool=None) -> ExperimentReport:
+                 tv_exact_gate: float = 1e-6, pool=None) -> ExperimentReport:
     """(a) certified TV between the reflected finite entrance law and its
     limit, decreasing along n_list and below tv_exact_gate at the largest
     size; (b) Monte Carlo at the largest size: positive-part partitions
@@ -609,13 +613,13 @@ def run_nu_limit(hp: HuaParams, n_list, draws: int, seed: int, *,
                       kind="certified"))
 
     n_max = n_list[-1]
-    law = nu_truncated_law(hp, max_parts, max_part)
+    law = nu_truncated_law(hp, *NU_BOX)
     counts, (top_below_2,) = monte_carlo(
-        _nu_limit_draw, (hp, n_max, max_parts, max_part), draws, seed,
+        _nu_limit_draw, (hp, n_max, *NU_BOX), draws, seed,
         (NS_NULIMIT, hp.p, hp.t.numerator, hp.t.denominator, n_max), pool)
     hist = Histogram(counts, draws)
     tv_mc = tv_on_support(hist, law)
-    threshold = scaled_gate(base_gate, base_draws, draws)
+    threshold = scaled_gate(*NU_LIMIT_GATE, draws)
     gates.append(gate("tv-mc-on-support", mass_float(tv_mc), threshold,
                       mass_float(tv_mc) < threshold))
 
@@ -634,7 +638,7 @@ def run_nu_limit(hp: HuaParams, n_list, draws: int, seed: int, *,
         name="nu-limit",
         params={"p": hp.p, "t": f"{hp.t.numerator}/{hp.t.denominator}",
                 "n_list": list(n_list), "draws": draws,
-                "max_parts": max_parts, "max_part": max_part},
+                "max_parts": NU_BOX[0], "max_part": NU_BOX[1]},
         seed=seed,
         gates=gates,
         table=comparison_table(hist, law),

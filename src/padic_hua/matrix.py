@@ -34,26 +34,13 @@ class SingularTuple:
     """Weakly decreasing singular numbers read off a matrix; None marks a
     value <= floor, the certification floor of the read.
 
-    Markers can only occupy a suffix.
+    stack_singular_numbers builds them from Smith valuations, which never
+    decrease: so the values never increase, markers occupy a suffix and
+    every value lies above the floor.
     """
 
     values: tuple
     floor: int
-
-    def __post_init__(self):
-        seen_marker = False
-        prev = None
-        for v in self.values:
-            if v is None:
-                seen_marker = True
-                continue
-            if seen_marker:
-                raise ValueError(f"marker before a certified value in {self.values}")
-            if prev is not None and v > prev:
-                raise ValueError(f"values not weakly decreasing: {self.values}")
-            if v <= self.floor:
-                raise ValueError(f"certified value {v} at or below floor {self.floor}")
-            prev = v
 
     @property
     def is_exact(self) -> bool:
@@ -64,12 +51,6 @@ class SingularTuple:
         if self.floor > 0:
             raise PrecisionExhausted(f"floor {self.floor} > 0, positive part uncertain")
         return tuple(v for v in self.values if v is not None and v > 0)
-
-
-def _check_window(p: int, digits: int) -> None:
-    check_prime(p)
-    if digits < 1:
-        raise ValueError(f"digits must be >= 1, got {digits}")
 
 
 @dataclass(frozen=True)
@@ -83,31 +64,14 @@ class PadicMatrix:
     units: tuple
 
     def __post_init__(self):
-        _check_window(self.p, self.digits)
+        check_prime(self.p)
+        if self.digits < 1:
+            raise ValueError(f"digits must be >= 1, got {self.digits}")
         if len(self.units) != self.n or any(len(r) != self.n for r in self.units):
             raise ValueError("units must be an n x n grid")
         modulus = self.p**self.digits
         if any(not 0 <= e < modulus for row in self.units for e in row):
             raise ValueError("unit residues out of window")
-
-    # -- constructors ------------------------------------------------------
-
-    @classmethod
-    def _reduced(cls, p: int, n: int, shift: int, digits: int,
-                 units: tuple) -> "PadicMatrix":
-        """For an n x n grid this package has just reduced mod p^digits
-        itself: the window is checked, the grid is not scanned again."""
-        _check_window(p, digits)
-        m = object.__new__(cls)
-        vars(m).update(p=p, n=n, shift=shift, digits=digits, units=units)
-        return m
-
-    @classmethod
-    def from_units(cls, units, p: int, shift: int = 0,
-                   digits: int = DIGITS) -> "PadicMatrix":
-        modulus = p**digits
-        grid = tuple(tuple(int(e) % modulus for e in row) for row in units)
-        return cls(p, len(grid), shift, digits, grid)
 
     @classmethod
     def from_rows(cls, rows, p: int, digits: int = DIGITS) -> "PadicMatrix":
@@ -144,7 +108,7 @@ def corner(m: PadicMatrix, size: int) -> PadicMatrix:
     if not 1 <= size <= m.n:
         raise ValueError(f"corner size must be in [1, {m.n}], got {size}")
     units = tuple([row[:size] for row in m.units[:size]])
-    return PadicMatrix._reduced(m.p, size, m.shift, m.digits, units)
+    return PadicMatrix(m.p, size, m.shift, m.digits, units)
 
 
 def smith_valuations(stack, p: int, digits: int) -> list:

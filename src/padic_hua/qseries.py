@@ -44,9 +44,6 @@ class Bracket:
     def midpoint(self) -> Fraction:
         return (self.lower + self.upper) / 2
 
-    def contains(self, value: Rational) -> bool:
-        return self.lower <= value <= self.upper
-
     def overlaps(self, other: "Bracket") -> bool:
         return self.lower <= other.upper and other.lower <= self.upper
 

@@ -1,10 +1,11 @@
 """Deterministic, splittable random bit streams.
 
 Streams are derived from a root integer seed through numpy's SeedSequence
-spawn-key mechanism: ``child(i, j, ...)`` appends indices to the spawn key,
-so any tree of streams is a pure function of (seed, key path).  Identical
-seeds give identical output sequences regardless of process or thread
-layout, which is what makes parallel Monte Carlo reductions reproducible.
+spawn-key mechanism: ``RngStream(seed, key + (i,))`` addresses an
+independent stream below ``key``, so any tree of streams is a pure function
+of (seed, key path).  Identical seeds give identical output sequences
+regardless of process or thread layout, which is what makes parallel Monte
+Carlo reductions reproducible.
 """
 
 from __future__ import annotations
@@ -27,10 +28,6 @@ class RngStream:
         self._buf = b""
         self._pos = 0
         self.bits_consumed = 0
-
-    def child(self, *indices: int) -> "RngStream":
-        """Independent stream addressed by appending indices to the key."""
-        return RngStream(self.seed, self.key + indices)
 
     def randbytes(self, k: int) -> bytes:
         """The next k bytes of the stream: the bits randbits(8 k) reads,

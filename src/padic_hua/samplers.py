@@ -6,8 +6,8 @@ infinite entrance law is sampled by refining certified brackets until the
 uniform draw is provably separated from every atom boundary.  No atom is
 ever misclassified.
 
-Streams are single-owner; parallel use takes one child stream per draw
-(see the rng module).
+Streams are single-owner; parallel use gives each block of draws its own
+stream, RngStream(seed, key + (i,)) (see the rng module).
 """
 
 from __future__ import annotations

@@ -208,6 +208,16 @@ class TestSing:
         # the literal is valid: the message blames the guard
         assert "--guard" in err and "literal" not in err
 
+    @pytest.mark.parametrize("p", ["4", "1"])
+    def test_p_not_prime(self, tmp_path, capsys, p):
+        path = tmp_path / "m.txt"
+        path.write_text("2 1\n0 4\n")
+        code, out, err = run_cli(capsys, "sing", str(path), "--p", p)
+        assert code == 2 and out == ""
+        assert len(err.splitlines()) == 1 and err.startswith("error: ")
+        # the literal is valid: the message blames --p
+        assert "--p" in err and "literal" not in err
+
     def test_missing_file(self, capsys):
         code, _, err = run_cli(capsys, "sing", "/nonexistent/m.txt", "--p", "2")
         assert code == 2

@@ -100,7 +100,7 @@ class TestHaarSampling:
         # counts are an exhaustive-count oracle.
         counts = Counter()
         for r in range(8):
-            text = format_single(PadicMatrix.from_units([[r]], 2, digits=3))
+            text = format_single(PadicMatrix(2, 1, 0, 3, ((r,),)))
             counts[text if text.startswith("O(") else int(text.split("^")[1])] += 1
         assert counts == {0: 4, 1: 2, 2: 1, "O(2^3)": 1}
 
@@ -128,14 +128,14 @@ class TestHaarSampling:
 
 def test_budget_validation():
     assert 0 <= GUARD < DIGITS
-    m = PadicMatrix.from_units([[1]], 2, digits=8)
+    m = PadicMatrix(2, 1, 0, 8, ((1,),))
     assert singular_numbers(m, 7).values == (0,)
     with pytest.raises(ValueError):
         singular_numbers(m, 8)
     with pytest.raises(ValueError):
         singular_numbers(m, -1)
     with pytest.raises(ValueError):
-        PadicMatrix.from_units([[1]], 2, digits=0)
+        PadicMatrix(2, 1, 0, 0, ((0,),))
 
 
 def test_prime_validation():

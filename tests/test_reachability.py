@@ -1,0 +1,59 @@
+"""Every top-level function and class of padic_hua, and every method or
+property that is not a dunder, is named somewhere in the package itself:
+library code that only tests call is deleted."""
+
+import ast
+import runpy
+from pathlib import Path
+
+ROOT = Path(__file__).resolve().parents[1]
+TREES = [ast.parse(path.read_text(encoding="utf-8"))
+         for path in sorted((ROOT / "src" / "padic_hua").glob("*.py"))]
+# perfbench/tracer.py wraps these names from outside the package.
+TRACED = {attr
+          for attrs in runpy.run_path(str(ROOT / "perfbench" / "tracer.py"))[
+              "TRACED"].values()
+          for attr in attrs}
+
+# Definitions reached from outside the package, with the reason each stays.
+ALLOWED = {
+    "LProfile.upper_tail": "reference for the tail counts in tests/test_laws.py",
+    "LProfile.lower_tail": "reference for the tail counts in tests/test_laws.py",
+    "LProfile.min_index": "reference for the tail counts in tests/test_laws.py",
+    "LProfile.max_index": "reference for the tail counts in tests/test_laws.py",
+}
+
+
+def _is_dunder(name):
+    return name.startswith("__") and name.endswith("__")
+
+
+def _definitions():
+    """(qualified name, bare name) of each top-level function or class and
+    of each non-dunder method or property of a top-level class."""
+    for tree in TREES:
+        for node in tree.body:
+            if isinstance(node, (ast.FunctionDef, ast.ClassDef)):
+                yield node.name, node.name
+            if isinstance(node, ast.ClassDef):
+                for item in node.body:
+                    if (isinstance(item, ast.FunctionDef)
+                            and not _is_dunder(item.name)):
+                        yield f"{node.name}.{item.name}", item.name
+
+
+def _unreached():
+    used = {node.id if isinstance(node, ast.Name) else node.attr
+            for tree in TREES for node in ast.walk(tree)
+            if isinstance(node, (ast.Name, ast.Attribute))}
+    return {qualname for qualname, name in _definitions()
+            if name not in used and qualname not in TRACED}
+
+
+def test_every_definition_is_reached_from_the_package():
+    assert sorted(_unreached() - set(ALLOWED)) == []
+
+
+def test_every_allowed_definition_is_still_unreached():
+    # An entry whose definition is gone, or is now reached, is stale.
+    assert set(ALLOWED) <= _unreached()
