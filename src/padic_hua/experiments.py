@@ -25,9 +25,8 @@ from .laws import (
     HuaParams,
     chain_product_rep1,
     chain_product_rep2,
-    cumulative_weights,
     haar_orbit_mass,
-    kernel_row,
+    kernel_weights,
     m_n_direct,
     m_n_profile,
     m_n_truncated_law,
@@ -36,10 +35,10 @@ from .laws import (
     nu_k1_below,
     nu_truncated_law,
     pi_n_boundary_tv,
-    pi_n_row,
+    pi_n_weights,
     rewrite_identity_check,
     rr_cdf,
-    tilde_pi_n_row,
+    tilde_pi_n_weights,
     vol_singular_law,
 )
 from .matrix import smith_valuations, stack_singular_numbers
@@ -656,13 +655,6 @@ def _random_descending_tuple(rng, n_max: int, lo: int, hi: int) -> tuple:
     return tuple(vals)
 
 
-def _sums_to_one(row) -> bool:
-    """sum(row) == 1 for a row of Fractions, decided on one common-denominator
-    integer sum instead of a gcd per Fraction addition."""
-    d, cum = cumulative_weights(row)
-    return cum[-1] == d
-
-
 def _vol_haar_holds(p: int, k) -> bool:
     """vol(k) == (q;q)_n p^(n sum(k)) haar(k) for a size-n tuple k, decided by
     one integer cross-multiplication instead of a chain of Fraction products."""
@@ -691,19 +683,18 @@ def run_identities(seed: int, *, primes=(2, 3, 5),
     random tuples, and all four forms of the singular-number law agree."""
     grid = [HuaParams(p, t) for p in primes for t in ts]
 
+    # A row sums to 1 exactly when its integer weights sum to its denominator.
     row_failures = 0
-    for hp in grid:
-        for x1 in range(row_max + 1):
-            if not _sums_to_one(kernel_row(hp, x1)):
-                row_failures += 1
-
     completeness_failures = 0
     for hp in grid:
+        p, u, v = hp.p, hp.t.numerator, hp.t.denominator
+        for x1 in range(row_max + 1):
+            d, w = kernel_weights(p, u, v, x1)
+            row_failures += sum(w) != d
         for n in range(1, completeness_max + 1):
-            if not _sums_to_one(pi_n_row(hp, n)):
-                completeness_failures += 1
-            if not _sums_to_one(tilde_pi_n_row(hp, n)):
-                completeness_failures += 1
+            for weights in (pi_n_weights, tilde_pi_n_weights):
+                d, w = weights(p, u, v, n)
+                completeness_failures += sum(w) != d
 
     rng = RngStream(seed, (NS_IDENTITIES, 0))
     rewrite_failures = 0

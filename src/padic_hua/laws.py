@@ -91,19 +91,6 @@ def _singular_values(k) -> tuple:
     return vals
 
 
-def cumulative_weights(row) -> tuple:
-    """(d, cumulative integer weights) of an exact row of Fractions, where d
-    is the lcm of the row's denominators: entry i of the weights is d times
-    the sum of the masses up to i.  The row sums to 1 exactly when the last
-    weight equals d, and no Fraction is built on the way."""
-    d = math.lcm(*(m.denominator for m in row))
-    cum, acc = [], 0
-    for m in row:
-        acc += m.numerator * (d // m.denominator)
-        cum.append(acc)
-    return d, tuple(cum)
-
-
 def _normalization(hp: HuaParams, n: int) -> Fraction:
     """(a; q)_n^2 / (a; q)_2n."""
     t = hp.t
@@ -165,11 +152,80 @@ def _tail_counts(mult: dict) -> tuple:
 # -- Markov kernel and its fixed laws ---------------------------------------
 
 
-# Kernel rows and finite entrance laws are built once per (p, t, x) and kept
-# in bounded caches keyed by ints.  The identities suite walks rows up to
-# x = 50, whose masses have denominators up to p^(x^2), so unbounded caches
-# would hold every one of them for the life of the process.
+# Each finite law's row is built as (D, w): integer weights over one common
+# denominator, the mass at i being w[i] / D.  A weight is a Gaussian binomial
+# in p times products of (v p^i - u) and (p^i - 1) and a power of p, at
+# t = u/v, so no gcd is taken on the way; the draw tables and the identity
+# gates use the weights, and the Fraction rows are a view of them.
+
+
+def _gaussian_binomials(p: int, n: int) -> list:
+    """[n choose k]_p for k = 0..n; at q = 1/p,
+    (q;q)_n / [(q;q)_k (q;q)_(n-k)] = [n choose k]_p p^(-k(n-k))."""
+    row = [1]
+    for k in range(n):
+        row.append(row[-1] * (p ** (n - k) - 1) // (p ** (k + 1) - 1))
+    return row
+
+
+def _suffix_products(factors) -> list:
+    """out[j] = prod(factors[j:]) for 0 <= j <= len(factors)."""
+    out = [1]
+    for f in reversed(factors):
+        out.append(out[-1] * f)
+    return out[::-1]
+
+
+def kernel_weights(p: int, u: int, v: int, x1: int) -> tuple:
+    """(D, w) with P(x1, x2) = w[x2] / D at t = u/v.  With m = x1 - x2,
+
+    w[x2] = u^x2 [x1 choose x2]_p p^(m(m-1)/2) prod_{x2 < i <= x1} (v p^i - u),
+    D = v^x1 p^(x1^2).
+    """
+    g = _gaussian_binomials(p, x1)
+    a = _suffix_products([v * p**i - u for i in range(1, x1 + 1)])
+    return v**x1 * p ** (x1 * x1), tuple(
+        u**x2 * g[x2] * a[x2] * p ** ((x1 - x2) * (x1 - x2 - 1) // 2)
+        for x2 in range(x1 + 1))
+
+
+def _entrance_factors(p: int, u: int, v: int, n: int) -> tuple:
+    """(D, g, a, c) of the entrance laws at t = u/v: D is
+    prod_{n < i <= 2n} (v p^i - u), g[k] = [n choose k]_p,
+    a[j] = prod_{j < i <= n} (v p^i - u) and c[j] = prod_{j < i <= n} (p^i - 1)."""
+    d = math.prod(v * p**i - u for i in range(n + 1, 2 * n + 1))
+    return (d, _gaussian_binomials(p, n),
+            _suffix_products([v * p**i - u for i in range(1, n + 1)]),
+            _suffix_products([p**i - 1 for i in range(1, n + 1)]))
+
+
+def pi_n_weights(p: int, u: int, v: int, n: int) -> tuple:
+    """(D, w) with pi_n(x) = w[x] / D at t = u/v.  With m = n - x and D, g,
+    a, c as in _entrance_factors, w[x] = u^m g[x] a[m] c[x] p^(x^2)."""
+    d, g, a, c = _entrance_factors(p, u, v, n)
+    return d, tuple(u ** (n - x) * g[x] * a[n - x] * c[x] * p ** (x * x)
+                    for x in range(n + 1))
+
+
+def tilde_pi_n_weights(p: int, u: int, v: int, n: int) -> tuple:
+    """(D, w) with tilde_pi_n(x) = w[x] / D at t = u/v.  With m = n - x and
+    D, g, a, c as in _entrance_factors, w[x] = v^x g[x] a[x] c[m] p^(x^2)."""
+    d, g, a, c = _entrance_factors(p, u, v, n)
+    return d, tuple(v**x * g[x] * a[x] * c[n - x] * p ** (x * x)
+                    for x in range(n + 1))
+
+
+# The Fraction rows are kept in a bounded cache keyed by ints: rows of size x
+# have denominators up to p^(x^2), so an unbounded cache would hold every row
+# a run ever built for the life of the process.
 LAW_ROW_CACHE_SIZE = 32
+
+
+@lru_cache(maxsize=LAW_ROW_CACHE_SIZE)
+def _fraction_row(weights, p: int, u: int, v: int, size: int) -> tuple:
+    """The masses w[i] / D of the row (D, w) = weights(p, u, v, size)."""
+    d, w = weights(p, u, v, size)
+    return tuple(Fraction(x, d) for x in w)
 
 
 def kernel_p(hp: HuaParams, x1: int, x2: int) -> Fraction:
@@ -183,31 +239,12 @@ def kernel_p(hp: HuaParams, x1: int, x2: int) -> Fraction:
 
 
 def kernel_row(hp: HuaParams, x1: int) -> tuple:
-    """The full row (P(x1, 0), ..., P(x1, x1)); sums to 1 exactly.
-
-    Built by the ratio recurrence of the closed form in kernel_p:
-    P(x1, 0) = (a;q)_x1 and
-    P(x1, x2+1) = P(x1, x2) t (1 - q^(x1-x2))
-                  / [p^(2 x2 + 1) (1 - q^(x2+1)) (1 - a q^x2)].
-    """
+    """The full row (P(x1, 0), ..., P(x1, x1)), from kernel_weights; sums to
+    1 exactly."""
     if x1 < 0:
         raise ValueError(f"need x1 >= 0, got {x1}")
     t = hp.t
-    return _kernel_row(hp.p, t.numerator, t.denominator, x1)
-
-
-@lru_cache(maxsize=LAW_ROW_CACHE_SIZE)
-def _kernel_row(p: int, u: int, v: int, x1: int) -> tuple:
-    # With t = u/v, q = 1/p and m = x1 - x2 the step ratio is the integer
-    # quotient u (p^m - 1) / [p^(m-1) (p^(x2+1) - 1) (v p^(x2+1) - u)].
-    mass = pochhammer(Fraction(u, v * p), Fraction(1, p), x1)
-    row = [mass]
-    for x2 in range(x1):
-        pm = p ** (x1 - x2)
-        px = p ** (x2 + 1)
-        mass *= Fraction(u * (pm - 1), pm // p * (px - 1) * (v * px - u))
-        row.append(mass)
-    return tuple(row)
+    return _fraction_row(kernel_weights, hp.p, t.numerator, t.denominator, x1)
 
 
 def pi_s_prefactor(hp: HuaParams, x: int) -> Fraction:
@@ -266,71 +303,20 @@ def tilde_pi_n(hp: HuaParams, n: int, x: int) -> Fraction:
 
 
 def pi_n_row(hp: HuaParams, n: int) -> tuple:
-    """(pi_n(0), ..., pi_n(n)), by the ratio recurrence of the closed form
-    in pi_n.  With C = (a;q)_n^2 (q;q)_n^2 p^(-n^2) / (a;q)_2n:
-
-    pi_n(0) = C t^n / [(q;q)_n (a;q)_n],
-    pi_n(x+1) = pi_n(x) p^(2(n-x)-1) (1 - q^(n-x)) (1 - a q^(n-x-1))
-                / [t (1 - q^(x+1))^2].
-    """
+    """(pi_n(0), ..., pi_n(n)), from pi_n_weights."""
     if n < 0:
         raise ValueError(f"need n >= 0, got {n}")
     t = hp.t
-    return _pi_n_row(hp.p, t.numerator, t.denominator, n)
+    return _fraction_row(pi_n_weights, hp.p, t.numerator, t.denominator, n)
 
 
 def tilde_pi_n_row(hp: HuaParams, n: int) -> tuple:
-    """(tilde_pi_n(0), ..., tilde_pi_n(n)), by the ratio recurrence of the
-    closed form in tilde_pi_n.  With C as in pi_n_row:
-
-    tilde_pi_n(0) = C / (q;q)_n^2,
-    tilde_pi_n(x+1) = tilde_pi_n(x) p^(2(n-x)-1) (1 - q^(n-x))^2
-                      / [(1 - q^(x+1)) (1 - a q^x)].
-    """
+    """(tilde_pi_n(0), ..., tilde_pi_n(n)), from tilde_pi_n_weights."""
     if n < 0:
         raise ValueError(f"need n >= 0, got {n}")
     t = hp.t
-    return _tilde_pi_n_row(hp.p, t.numerator, t.denominator, n)
-
-
-def _entrance_constant(p: int, u: int, v: int, n: int) -> tuple:
-    """(C, (q;q)_n, (a;q)_n) for the entrance rows at t = u/v."""
-    q, a = Fraction(1, p), Fraction(u, v * p)
-    qq, aq = pochhammer(q, q, n), pochhammer(a, q, n)
-    c = aq**2 * qq**2 / (pochhammer(a, q, 2 * n) * p ** (n * n))
-    return c, qq, aq
-
-
-@lru_cache(maxsize=LAW_ROW_CACHE_SIZE)
-def _pi_n_row(p: int, u: int, v: int, n: int) -> tuple:
-    # With t = u/v, q = 1/p and m = n - x the step ratio is the integer
-    # quotient (p^m - 1) (v p^m - u) p^(2x+1) / [u (p^(x+1) - 1)^2].
-    c, qq, aq = _entrance_constant(p, u, v, n)
-    mass = c * Fraction(u, v) ** n / (qq * aq)
-    row = [mass]
-    for x in range(n):
-        pm = p ** (n - x)
-        px = p ** (x + 1)
-        mass *= Fraction((pm - 1) * (v * pm - u) * px * px // p,
-                         u * (px - 1) ** 2)
-        row.append(mass)
-    return tuple(row)
-
-
-@lru_cache(maxsize=LAW_ROW_CACHE_SIZE)
-def _tilde_pi_n_row(p: int, u: int, v: int, n: int) -> tuple:
-    # With t = u/v, q = 1/p and m = n - x the step ratio is the integer
-    # quotient (p^m - 1)^2 v p^(2x+1) / [(p^(x+1) - 1) (v p^(x+1) - u)].
-    c, qq, _ = _entrance_constant(p, u, v, n)
-    mass = c / qq**2
-    row = [mass]
-    for x in range(n):
-        pm = p ** (n - x)
-        px = p ** (x + 1)
-        mass *= Fraction((pm - 1) ** 2 * v * px * px // p,
-                         (px - 1) * (v * px - u))
-        row.append(mass)
-    return tuple(row)
+    return _fraction_row(tilde_pi_n_weights, hp.p, t.numerator, t.denominator,
+                         n)
 
 
 # -- the singular-number law in its four equivalent forms --------------------

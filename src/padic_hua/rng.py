@@ -14,9 +14,18 @@ import numpy as np
 
 
 class RngStream:
-    """Single-owner stream of uniform bits with exact integer draws."""
+    """Single-owner stream of uniform bits with exact integer draws.
 
-    __slots__ = ("seed", "key", "_gen", "_buf", "_pos", "bits_consumed")
+    The stream is numpy's ``Generator(PCG64(...)).bytes`` output, refilled
+    in slabs of max(_REFILL, k) bytes, but read from the bit generator's raw
+    64-bit words: ``Generator.bytes(m)`` is the first m bytes of its next
+    ceil(m / 4) uint32 outputs, little-endian, and each raw word gives two
+    of them, low half first.  The high half of a word that a refill leaves
+    unread is the next refill's first output.
+    """
+
+    __slots__ = ("seed", "key", "_bitgen", "_half", "_buf", "_pos",
+                 "bits_consumed")
 
     _REFILL = 512  # bytes pulled from the generator per refill
 
@@ -24,10 +33,21 @@ class RngStream:
         self.seed = int(seed)
         self.key = tuple(int(k) for k in key)
         ss = np.random.SeedSequence(self.seed, spawn_key=self.key)
-        self._gen = np.random.Generator(np.random.PCG64(ss))
+        self._bitgen = np.random.PCG64(ss)
+        self._half = b""  # the pending high half of the last raw word
         self._buf = b""
         self._pos = 0
         self.bits_consumed = 0
+
+    def _generator_bytes(self, m: int) -> bytes:
+        """Generator.bytes(m): the first m bytes of the next ceil(m / 4)
+        uint32 outputs; the rest of the last output is dropped."""
+        used = 4 * (-(-m // 4))
+        words = -(-(used - len(self._half)) // 8)
+        raw = self._half + self._bitgen.random_raw(words).astype(
+            "<u8", copy=False).tobytes()
+        self._half = raw[used:]
+        return raw[:m]
 
     def randbytes(self, k: int) -> bytes:
         """The next k bytes of the stream: the bits randbits(8 k) reads,
@@ -36,7 +56,7 @@ class RngStream:
         if end > len(self._buf):
             # Buffered refill; the byte sequence consumed is identical to an
             # unbuffered generator, just fetched in larger slabs.
-            self._buf = self._buf[self._pos:] + self._gen.bytes(
+            self._buf = self._buf[self._pos:] + self._generator_bytes(
                 max(self._REFILL, k))
             self._pos = 0
             end = k

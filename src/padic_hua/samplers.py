@@ -15,16 +15,12 @@ from __future__ import annotations
 from bisect import bisect_right
 from fractions import Fraction
 from functools import lru_cache
+from itertools import accumulate
+from math import gcd
 
 import numpy as np
 
-from .laws import (
-    HuaParams,
-    cumulative_weights,
-    kernel_row,
-    pi_n_row,
-    pi_s_bracket,
-)
+from .laws import HuaParams, kernel_weights, pi_n_weights, pi_s_bracket
 from .matrix import (
     assemble_orbit,
     power_residues,
@@ -42,9 +38,13 @@ from .qseries import Bracket
 CHAIN_STEP_CAP = 10_000
 
 
-def _draw_table(row) -> tuple:
-    """cumulative_weights of a law's row, which must sum to 1 exactly."""
-    d, cum = cumulative_weights(row)
+def _draw_table(d: int, weights) -> tuple:
+    """(d / g, cumulative sums of w / g) for the row of masses w / d, with
+    g = gcd(d, *weights): d / g is the lcm of the masses' reduced
+    denominators.  The row must sum to 1 exactly."""
+    g = gcd(d, *weights)
+    d //= g
+    cum = tuple(accumulate(w // g for w in weights))
     if cum[-1] != d:
         raise AssertionError("row masses do not sum to 1 exactly")
     return d, cum
@@ -56,12 +56,12 @@ def _draw_table(row) -> tuple:
 
 @lru_cache(maxsize=None)
 def _kernel_cumulative(p: int, num: int, den: int, x1: int):
-    return _draw_table(kernel_row(HuaParams(p, Fraction(num, den)), x1))
+    return _draw_table(*kernel_weights(p, num, den, x1))
 
 
 @lru_cache(maxsize=None)
 def _pi_n_cumulative(p: int, num: int, den: int, n: int):
-    return _draw_table(pi_n_row(HuaParams(p, Fraction(num, den)), n))
+    return _draw_table(*pi_n_weights(p, num, den, n))
 
 
 @lru_cache(maxsize=None)

@@ -1,8 +1,11 @@
 """Shared fixtures and the acceptance summary printed at the end of a run."""
 
+import math
 from bisect import bisect_right
 
-from padic_hua.laws import cumulative_weights, kernel_row, pi_n_row
+import numpy as np
+
+from padic_hua.laws import kernel_row, pi_n_row
 from padic_hua.matrix import PadicMatrix, residues, sample_haar_gl
 from padic_hua.padic import PrecisionExhausted
 from padic_hua.partitions import Partition
@@ -50,6 +53,46 @@ def laplace_det(rows):
     return sum((-1) ** j * rows[0][j]
                * laplace_det([row[:j] + row[j + 1:] for row in rows[1:]])
                for j in range(n))
+
+
+class ReferenceStream:
+    """The byte stream RngStream reproduces, read from numpy's Generator:
+    a 512-byte buffer, each refill one Generator.bytes(max(512, k)) call on
+    the stream's PCG64 bit generator."""
+
+    def __init__(self, seed, key=()):
+        ss = np.random.SeedSequence(seed, spawn_key=key)
+        self.gen = np.random.Generator(np.random.PCG64(ss))
+        self.buf = b""
+        self.pos = 0
+        self.bits_consumed = 0
+
+    def randbytes(self, k):
+        if self.pos + k > len(self.buf):
+            self.buf = self.buf[self.pos:] + self.gen.bytes(max(512, k))
+            self.pos = 0
+        out = self.buf[self.pos:self.pos + k]
+        self.pos += k
+        self.bits_consumed += 8 * k
+        return out
+
+    def randbits(self, k):
+        nbytes = (k + 7) // 8
+        self.bits_consumed -= 8 * nbytes - k
+        return int.from_bytes(self.randbytes(nbytes), "big") >> (8 * nbytes - k)
+
+
+def cumulative_weights(row) -> tuple:
+    """(d, cumulative integer weights) of an exact row of Fractions, where d
+    is the lcm of the row's denominators: entry i of the weights is d times
+    the sum of the masses up to i.  The row sums to 1 exactly when the last
+    weight equals d."""
+    d = math.lcm(*(m.denominator for m in row))
+    cum, acc = [], 0
+    for m in row:
+        acc += m.numerator * (d // m.denominator)
+        cum.append(acc)
+    return d, tuple(cum)
 
 
 # Stream references for the draw loops: every rejection attempt one

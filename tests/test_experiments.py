@@ -302,11 +302,11 @@ def test_identity_suite_reduced():
     assert report.passed
 
 
-def off_by_one(row, i):
-    """The row with the numerator of entry i raised by one."""
-    row = list(row)
-    row[i] = F(row[i].numerator + 1, row[i].denominator)
-    return tuple(row)
+def off_by_one(d, weights, i):
+    """The row (d, weights) with weight i raised by one."""
+    weights = list(weights)
+    weights[i] += 1
+    return d, tuple(weights)
 
 
 def small_identities():
@@ -320,18 +320,20 @@ def gate_values(report):
 
 
 @pytest.mark.parametrize("row_fn, gate_name, bad_size", [
-    ("kernel_row", "kernel-row-sums", 5),
-    ("pi_n_row", "entrance-law-completeness", 4),
-    ("tilde_pi_n_row", "entrance-law-completeness", 6),
+    ("kernel_weights", "kernel-row-sums", 5),
+    ("pi_n_weights", "entrance-law-completeness", 4),
+    ("tilde_pi_n_weights", "entrance-law-completeness", 6),
 ])
 def test_identity_row_gates_catch_one_bad_numerator(monkeypatch, row_fn,
                                                     gate_name, bad_size):
     real = getattr(experiments, row_fn)
-    bad_hp = HuaParams(2, F(1, 2))
+    bad = (2, 1, 2, bad_size)  # p = 2, t = 1/2
 
-    def perturbed(hp, size):
-        row = real(hp, size)
-        return off_by_one(row, size // 2) if (hp, size) == (bad_hp, bad_size) else row
+    def perturbed(p, u, v, size):
+        d, weights = real(p, u, v, size)
+        if (p, u, v, size) == bad:
+            return off_by_one(d, weights, size // 2)
+        return d, weights
 
     monkeypatch.setattr(experiments, row_fn, perturbed)
     report = small_identities()

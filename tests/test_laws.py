@@ -2,17 +2,17 @@ from fractions import Fraction as F
 
 import mpmath
 import pytest
-from hypothesis import given, settings, strategies as st
+from hypothesis import example, given, settings, strategies as st
 
 from padic_hua.laws import (
     HuaParams,
     chain_product_rep1,
     chain_product_rep2,
-    cumulative_weights,
     descending_tuples,
     haar_orbit_mass,
     kernel_p,
     kernel_row,
+    kernel_weights,
     m_n_direct,
     m_n_profile,
     m_n_truncated_law,
@@ -23,6 +23,7 @@ from padic_hua.laws import (
     pi_n,
     pi_n_boundary_tv,
     pi_n_row,
+    pi_n_weights,
     pi_s_bracket,
     pi_s_tail_bound,
     rewrite_identity_check,
@@ -30,10 +31,14 @@ from padic_hua.laws import (
     rr_cdf,
     tilde_pi_n,
     tilde_pi_n_row,
+    tilde_pi_n_weights,
     vol_singular_law,
 )
 from padic_hua.partitions import LProfile, Partition, partitions_in_box
 from padic_hua.qseries import Bracket, pochhammer
+from padic_hua.samplers import _kernel_cumulative, _pi_n_cumulative
+
+from conftest import cumulative_weights
 
 HP2 = HuaParams(2, F(1))
 HP2S1 = HuaParams(2, F(1, 2))
@@ -184,6 +189,37 @@ class TestRowsMatchClosedForms:
             assert tilde_pi_n(hp, n, x) == tilde_pi_n_row(hp, n)[x]
         for x in (-1, n + 1):
             assert pi_n(hp, n, x) == tilde_pi_n(hp, n, x) == 0
+
+
+class TestWeightRows:
+    """The integer weights (D, w) against the closed forms: every mass is
+    w[i] / D, and the samplers' draw tables are the ones the Fraction rows
+    give."""
+
+    @given(hp=grid_params, size=st.integers(0, 40))
+    @example(hp=HuaParams(3, F(1, 2)), size=0)
+    @example(hp=HuaParams(5, F(3, 2)), size=40)
+    @settings(max_examples=60, deadline=None)
+    def test_weights_match_closed_forms(self, hp, size):
+        p, u, v = hp.p, hp.t.numerator, hp.t.denominator
+        for weights, closed in ((kernel_weights, closed_kernel),
+                                (pi_n_weights, closed_pi_n),
+                                (tilde_pi_n_weights, closed_tilde_pi_n)):
+            d, w = weights(p, u, v, size)
+            assert [F(x, d) for x in w] == [closed(hp, size, i)
+                                            for i in range(size + 1)]
+            assert sum(w) == d
+
+    @given(hp=grid_params, size=st.integers(0, 40))
+    @example(hp=HuaParams(7, F(1, 7)), size=0)
+    @example(hp=HuaParams(2, F(3, 2)), size=40)
+    @settings(max_examples=60, deadline=None)
+    def test_draw_tables_match_closed_rows(self, hp, size):
+        p, u, v = hp.p, hp.t.numerator, hp.t.denominator
+        assert _kernel_cumulative(p, u, v, size) == cumulative_weights(
+            [closed_kernel(hp, size, x2) for x2 in range(size + 1)])
+        assert _pi_n_cumulative(p, u, v, size) == cumulative_weights(
+            [closed_pi_n(hp, size, x) for x in range(size + 1)])
 
 
 # The four forms of the singular-number law and the two reference measures,

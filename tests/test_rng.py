@@ -1,6 +1,10 @@
+import random
+
+import pytest
+
 from padic_hua.rng import RngStream
 
-from conftest import reference_randbelow
+from conftest import ReferenceStream, reference_randbelow
 
 
 def test_randbytes_matches_randbits_across_refills():
@@ -26,3 +30,28 @@ def test_randbelow_matches_randbits_rejection_loop():
             assert ours.randbelow(n) == reference_randbelow(ref, n)
             assert ours.bits_consumed == ref.bits_consumed
             assert ours.randbytes(7) == ref.randbytes(7)
+
+
+@pytest.mark.parametrize("seed", range(6))
+def test_stream_matches_generator_bytes(seed):
+    # Generator.bytes(m) is the first m bytes of ceil(m / 4) uint32 outputs,
+    # two to a raw PCG64 word, low half first.  Refills of an odd count
+    # (513-515, 601, 1027, 5003, 9001 bytes) leave a high half that the next
+    # refill starts with; oversized reads with k % 4 in {1, 2, 3} drop the
+    # rest of their last output.
+    sizes = (1, 2, 3, 4, 7, 201, 511, 513, 514, 515, 517, 601, 765, 1027,
+             5003, 9001)
+    plan = random.Random(seed)
+    ours, ref = RngStream(seed, (7, seed)), ReferenceStream(seed, (7, seed))
+    for _ in range(150):
+        kind = plan.randrange(3)
+        if kind == 0:
+            k = plan.choice(sizes + (plan.randrange(1, 9002),))
+            assert ours.randbytes(k) == ref.randbytes(k)
+        elif kind == 1:
+            width = plan.randrange(1, 100)
+            assert ours.randbits(width) == ref.randbits(width)
+        else:
+            n = plan.randrange(1, 2 ** plan.randrange(1, 1700))
+            assert ours.randbelow(n) == reference_randbelow(ref, n)
+        assert ours.bits_consumed == ref.bits_consumed

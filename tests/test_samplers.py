@@ -6,8 +6,7 @@ import pytest
 
 from padic_hua.laws import (
     HuaParams,
-    _kernel_row,
-    _pi_n_row,
+    _fraction_row,
     _s_zero,
     m_n_direct,
     nu_bracket,
@@ -103,8 +102,7 @@ class TestEntranceDraws:
         assert cold == warm
 
     def test_singulars_cache_does_not_change_draws(self):
-        tables = (_kernel_row, _pi_n_row, _kernel_cumulative, _pi_n_cumulative,
-                  _s_zero)
+        tables = (_fraction_row, _kernel_cumulative, _pi_n_cumulative, _s_zero)
 
         def draw(i):
             hp = (HP2, HuaParams(2, F(1, 2)), HuaParams(3, F(1)))[i % 3]
