@@ -15,6 +15,7 @@ resolution.  Wall time a few minutes at the default 2000 draws.
 import argparse
 
 from padic_hua.experiments import run_ergodic_convergence
+from padic_hua.padic import DIGITS
 from padic_hua.partitions import Partition
 
 
@@ -22,18 +23,17 @@ def main() -> int:
     parser = argparse.ArgumentParser(description=__doc__)
     parser.add_argument("--p", type=int, default=2)
     parser.add_argument("--draws", type=int, default=2000)
-    parser.add_argument("--digits", type=int, default=24)
     parser.add_argument("--seed", type=int, default=7)
     args = parser.parse_args()
 
     grid = [(), (1,), (2, 1), (3, 1, 1)]
     sizes = (4, 6, 8, 12, 16)
-    print(f"p={args.p} draws={args.draws} digits={args.digits} seed={args.seed}")
+    print(f"p={args.p} draws={args.draws} digits={DIGITS} seed={args.seed}")
     print(f"{'k':>12} " + " ".join(f"f_{n:<4}" for n in sizes))
     for parts in grid:
         report = run_ergodic_convergence(
-            args.p, Partition(parts), sizes, args.draws, args.digits,
-            args.seed, f_gate=0.0)
+            args.p, Partition(parts), sizes, args.draws, args.seed,
+            f_gate=0.0)
         freqs = " ".join(f"{row['frequency']['float']:.4f}"
                          for row in report.table)
         print(f"{str(parts):>12} {freqs}")

@@ -39,12 +39,7 @@ from .laws import (
     tilde_pi_n,
     vol_singular_law,
 )
-from .matrix import (
-    format_entry,
-    parse_matrix_text,
-    singular_numbers,
-    stack_singular_numbers,
-)
+from .matrix import format_entry, parse_matrix_text, singular_numbers
 from .padic import DIGITS, GUARD, PrecisionExhausted, check_prime
 from .partitions import Partition
 from .qseries import Bracket, pochhammer, pochhammer_inf
@@ -218,6 +213,7 @@ def cmd_sample(args) -> int:
     digits, guard = args.E, args.guard
     _require(args.seed >= 0, f"--seed must be >= 0, got {args.seed}")
     _require(args.N >= 1, f"--N must be >= 1, got {args.N}")
+    _require(digits >= 1, f"--E must be >= 1, got {digits}")
     _require(0 <= guard < digits,
              f"need 0 <= --guard < --E, got guard {guard} and E {digits}")
     _require(args.count >= 0, f"--count must be >= 0, got {args.count}")
@@ -257,9 +253,11 @@ def cmd_sample(args) -> int:
             for record, m, shift in zip(drawn, units, shifts):
                 record.update(matrix_record(m, shift, hp.p, digits))
             if args.kind == "hua":
-                sts = stack_singular_numbers(units, shifts, hp.p, digits, guard)
-                for record, st in zip(drawn, sts):
-                    record["k"] = list(st.values)
+                values, floors = singular_numbers(units, shifts, hp.p, digits,
+                                                  guard)
+                for record, vals, floor in zip(drawn, values.tolist(),
+                                               floors.tolist()):
+                    record["k"] = [v if v > floor else None for v in vals]
         for record in records:
             out.write(json.dumps(record, sort_keys=True) + "\n")
     return 0
@@ -279,13 +277,16 @@ def cmd_sing(args) -> int:
     _require(0 <= args.guard < args.E,
              f"need 0 <= --guard < --E, got guard {args.guard} and E {args.E}")
     try:
-        m = parse_matrix_text(text, args.p, args.E)
-    except (ValueError, ZeroDivisionError) as exc:
+        units, shift = parse_matrix_text(text, args.p, args.E)
+        # A shift beyond int64 overflows here.
+        values, floors = singular_numbers(units[None], [shift], args.p,
+                                          args.E, args.guard)
+    except (ValueError, OverflowError) as exc:
         raise ConfigError(f"bad matrix literal: {exc}") from None
-    st = singular_numbers(m, args.guard)
-    doc = {"schema": "padic-hua/sing/1", "p": args.p, "n": m.n,
-           "digits": m.digits, "shift": m.shift, "floor": st.floor,
-           "k": [v if v is not None else f"<={st.floor}" for v in st.values]}
+    [vals], [floor] = values.tolist(), floors.tolist()
+    doc = {"schema": "padic-hua/sing/1", "p": args.p, "n": len(units),
+           "digits": args.E, "shift": shift, "floor": floor,
+           "k": [v if v > floor else f"<={floor}" for v in vals]}
     print(json.dumps(doc, sort_keys=True))
     return 0
 

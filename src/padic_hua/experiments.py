@@ -41,7 +41,7 @@ from .laws import (
     tilde_pi_n_weights,
     vol_singular_law,
 )
-from .matrix import smith_valuations, stack_singular_numbers
+from .matrix import singular_numbers
 from .padic import DIGITS, GUARD, PrecisionExhausted, check_prime
 from .partitions import LProfile, Partition, partitions_in_box
 from .qseries import Bracket, pochhammer
@@ -246,8 +246,9 @@ def comparison_table(hist: Histogram, law: ExactLaw) -> list:
 def enumerate_oracle(p: int, n: int, digits: int) -> Histogram:
     """Singular-class histogram over ALL matrices mod p^digits.
 
-    Classes whose Smith valuations reach the window are binned with None
-    markers (k <= -digits).  Hard size guard p^(digits*n^2) <= 2^24.
+    The matrices are read at shift 0 and guard 0; classes with markers are
+    binned with None in their place (k <= -digits).  Hard size guard
+    p^(digits*n^2) <= 2^24.
     """
     check_prime(p)
     total = p ** (digits * n * n)
@@ -255,13 +256,15 @@ def enumerate_oracle(p: int, n: int, digits: int) -> Histogram:
         raise ValueError(f"enumeration size {total} exceeds cap {ORACLE_SIZE_CAP}")
     pe = p**digits
     # Residue k of every code in a chunk, least significant first, row-major.
-    place = np.array([pe**k for k in range(n * n)]).reshape(n, n, 1)
+    place = pe ** np.arange(n * n)
     tally: Counter = Counter()
     for start in range(0, total, DRAW_CHUNK):
         codes = np.arange(start, min(start + DRAW_CHUNK, total))
-        vals = smith_valuations(codes // place % pe, p, digits)
-        tally.update(map(tuple, vals))
-    counts = {tuple(-a if a < digits else None for a in vals): c
+        units = (codes[:, None] // place % pe).reshape(-1, n, n)
+        values, floors = singular_numbers(units, [0] * len(codes), p, digits)
+        tally.update(map(tuple, values.tolist()))
+    floor = floors[0]  # the same for every matrix: shift 0, guard 0
+    counts = {tuple([v if v > floor else None for v in vals]): c
               for vals, c in tally.items()}
     return Histogram(counts, total)
 
@@ -364,15 +367,12 @@ def _corner_draw(params, rng, count):
                 tries += 1
         resamples.append(tries)
     units, shifts = hua_matrices(draws, hp.p, n, digits, corner_to)
-    out = []
-    for st, tries in zip(
-            stack_singular_numbers(units, shifts, hp.p, digits, guard),
-            resamples):
-        if st.is_exact and all(abs(v) <= bound for v in st.values):
-            out.append((st.values, (tries, 0)))
-        else:
-            out.append((OTHER, (tries, int(not st.is_exact))))
-    return out
+    values, floors = singular_numbers(units, shifts, hp.p, digits, guard)
+    exact = values[:, -1] > floors  # markers end their row
+    labelled = exact & (np.abs(values) <= bound).all(axis=1)
+    return [(tuple(vals), (tries, 0)) if ok else (OTHER, (tries, int(not ex)))
+            for vals, ok, ex, tries in zip(values.tolist(), labelled.tolist(),
+                                           exact.tolist(), resamples)]
 
 
 def _ergodic_match_draw(params, rng, count):
@@ -381,26 +381,32 @@ def _ergodic_match_draw(params, rng, count):
     p, lam, n, digits, guard, expected = params
     draws = [sample_ergodic_matrix(p, lam, n, digits, rng) for _ in range(count)]
     units, shifts = ergodic_matrices(draws, p, n, digits)
-    return [(st.values[:len(expected)] == expected, (int(not st.is_exact),))
-            for st in stack_singular_numbers(units, shifts, p, digits, guard)]
+    values, floors = singular_numbers(units, shifts, p, digits, guard)
+    certified = values > floors[:, None]
+    window = slice(len(expected))
+    match = ((values[:, window] == expected) & certified[:, window]).all(axis=1)
+    return [(m, (int(not ex),))
+            for m, ex in zip(match.tolist(), certified[:, -1].tolist())]
 
 
-def _positive_box_label(st, max_parts: int, max_part: int) -> tuple:
-    """(label, flagged, largest part < 2) of a singular tuple: the label is
-    its positive-part partition, clipped to the box of partitions with at
-    most max_parts parts each <= max_part.
+def _positive_box_label(values, floor: int, max_parts: int,
+                        max_part: int) -> tuple:
+    """(label, flagged, largest part < 2) of one matrix's singular numbers,
+    a row of singular_numbers and its floor: the label is the positive-part
+    partition, clipped to the box of partitions with at most max_parts
+    parts each <= max_part.
 
-    When the certification floor is positive, markers could hide positive
-    values; the certified prefix then already exceeds the box (its top
-    value is above the floor, hence above max_part for any desk-scale
-    window), so the draw is binned OTHER and flagged.
+    When the floor is positive, markers could hide positive values; the
+    certified prefix then already exceeds the box (its top value is above
+    the floor, hence above max_part for any desk-scale window), so the draw
+    is binned OTHER and flagged.
     """
-    try:
-        pos = Partition(st.positive_part())
-    except PrecisionExhausted:
+    if floor > 0:
         return OTHER, 1, 0
+    pos = Partition(tuple([v for v in values if v > 0]))
     in_box = pos.num_parts <= max_parts and pos.largest <= max_part
-    return (pos if in_box else OTHER), int(not st.is_exact), int(pos.largest < 2)
+    return ((pos if in_box else OTHER), int(values[-1] <= floor),
+            int(pos.largest < 2))
 
 
 def _ergodic_decomp_draw(params, rng, count):
@@ -418,14 +424,15 @@ def _ergodic_decomp_draw(params, rng, count):
         except PrecisionExhausted:
             overflowed.append(True)
     units, shifts = ergodic_matrices(draws, hp.p, n, digits)
-    sts = iter(stack_singular_numbers(units, shifts, hp.p, digits, guard))
+    values, floors = singular_numbers(units, shifts, hp.p, digits, guard)
+    rows = zip(values.tolist(), floors.tolist())
     out = []
     for error in overflowed:
         if error:
             out.append((None, (1, 0, 0)))
             continue
         label, flagged, top_below_2 = _positive_box_label(
-            next(sts), max_parts, max_part)
+            *next(rows), max_parts, max_part)
         out.append((label, (0, flagged, top_below_2)))
     return out
 
@@ -497,7 +504,7 @@ def run_corners_consistency(hp: HuaParams, n: int, draws: int, seed: int, *,
 
 
 def run_ergodic_convergence(p: int, lam: Partition, n_list, draws: int,
-                            digits: int, seed: int, *, f_gate: float = 0.95,
+                            seed: int, *, f_gate: float = 0.95,
                             pool=None) -> ExperimentReport:
     """Corners of the ergodic matrix with parameter lam: frequency f_N that
     the leading singular numbers reproduce lam exactly, one index past its
@@ -512,7 +519,7 @@ def run_ergodic_convergence(p: int, lam: Partition, n_list, draws: int,
         window = min(lam.num_parts + 1, n)
         expected = (lam.parts + (0,) * window)[:window]
         counts, (flagged,) = monte_carlo(
-            _ergodic_match_draw, (p, lam, n, digits, GUARD, expected), draws,
+            _ergodic_match_draw, (p, lam, n, DIGITS, GUARD, expected), draws,
             seed, (NS_ERGODIC_CONV, p, n, lam.num_parts) + lam.parts, pool)
         flagged_total += flagged
         freqs.append(Fraction(counts.get(True, 0), draws))
@@ -527,7 +534,7 @@ def run_ergodic_convergence(p: int, lam: Partition, n_list, draws: int,
     return ExperimentReport(
         name="ergodic-convergence",
         params={"p": p, "k": list(lam.parts), "n_list": list(n_list),
-                "draws": draws, "digits": digits, "guard": GUARD},
+                "draws": draws, "digits": DIGITS, "guard": GUARD},
         seed=seed,
         gates=gates,
         table=[{"n": n, "frequency": mass_json(f)}
@@ -540,8 +547,8 @@ def run_ergodic_convergence(p: int, lam: Partition, n_list, draws: int,
 # -- ergodic decomposition end to end ------------------------------------------
 
 
-def run_ergodic_decomposition(hp: HuaParams, n_list, draws: int, digits: int,
-                              seed: int, *, pool=None) -> ExperimentReport:
+def run_ergodic_decomposition(hp: HuaParams, n_list, draws: int, seed: int,
+                              *, pool=None) -> ExperimentReport:
     """Full pipeline: partition from the limiting law, ergodic matrix with
     that parameter, singular numbers of the corner; the empirical law of
     the positive parts is compared back to the limiting partition law.
@@ -554,7 +561,7 @@ def run_ergodic_decomposition(hp: HuaParams, n_list, draws: int, digits: int,
     errors = flagged = 0
     for n in n_list:
         counts, (n_errors, n_flagged, top_below_2) = monte_carlo(
-            _ergodic_decomp_draw, (hp, n, digits, GUARD, *NU_BOX),
+            _ergodic_decomp_draw, (hp, n, DIGITS, GUARD, *NU_BOX),
             draws, seed,
             (NS_ERGODIC_DECOMP, hp.p, hp.t.numerator, hp.t.denominator, n),
             pool)
@@ -575,7 +582,7 @@ def run_ergodic_decomposition(hp: HuaParams, n_list, draws: int, digits: int,
     return ExperimentReport(
         name="ergodic-decomposition",
         params={"p": hp.p, "t": f"{hp.t.numerator}/{hp.t.denominator}",
-                "n_list": list(n_list), "draws": draws, "digits": digits,
+                "n_list": list(n_list), "draws": draws, "digits": DIGITS,
                 "guard": GUARD, "max_parts": NU_BOX[0], "max_part": NU_BOX[1]},
         seed=seed,
         gates=gates,
@@ -840,11 +847,11 @@ def suite_runs(name: str, seed: int, scale: float = 1.0) -> list:
     if "ergodic" in chosen:
         draws = _scaled(1000, scale)
         runs.append((run_ergodic_convergence,
-                     (2, Partition((2, 1)), (8, 16), draws, DIGITS, seed), mc))
+                     (2, Partition((2, 1)), (8, 16), draws, seed), mc))
         runs.append((run_ergodic_convergence,
-                     (2, Partition(()), (4, 8), draws, DIGITS, seed), mc))
+                     (2, Partition(()), (4, 8), draws, seed), mc))
         runs.append((run_ergodic_decomposition,
-                     (hp1, (8, 16), _scaled(10_000, scale), DIGITS, seed), mc))
+                     (hp1, (8, 16), _scaled(10_000, scale), seed), mc))
     if "nulimit" in chosen:
         draws = _scaled(100_000, scale)
         for hp in (hp1, hp2):

@@ -7,21 +7,20 @@ of M = B diag(p^-k_1, ..., p^-k_N) C with B, C in GL(N, Z_p) are recovered
 as k_i = shift - a_i where a_1 <= ... <= a_N are the valuations of the
 Smith divisors of the residue matrix.
 
-A PadicMatrix holds one matrix, such as a literal.  Monte Carlo draws are
-held as stacks instead: a (batch, n, n) numpy array of residues, one shift
-per matrix, read from the stream (read_residues, residues), assembled
-(assemble_orbit) and handed to smith_valuations as they are.
+Matrices are held as stacks: a (batch, n, n) numpy array of residues and
+one shift per matrix, read from the stream (read_residues, residues),
+assembled (assemble_orbit) or parsed from a literal (parse_matrix_text),
+and handed to smith_valuations as they are.
 
 Certification floor: the guard is an argument of the read alone.
-singular_numbers(m, guard) trusts a pivot valuation only strictly below
-digits - guard; singular numbers at or below shift - digits + guard are
-reported as markers, never as numbers.
+singular_numbers(units, shifts, p, digits, guard) trusts a pivot valuation
+only strictly below digits - guard.  It returns the singular numbers as an
+integer array with each matrix's floor shift - digits + guard; a value at
+or below its floor is a marker, never a number.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass
-from fractions import Fraction
 from functools import lru_cache
 
 import numpy as np
@@ -29,93 +28,20 @@ import numpy as np
 from .padic import DIGITS, PrecisionExhausted, check_prime, int_valuation
 
 
-@dataclass(frozen=True)
-class SingularTuple:
-    """Weakly decreasing singular numbers read off a matrix; None marks a
-    value <= floor, the certification floor of the read.
-
-    stack_singular_numbers builds them from Smith valuations, which never
-    decrease: so the values never increase, markers occupy a suffix and
-    every value lies above the floor.
-    """
-
-    values: tuple
-    floor: int
-
-    @property
-    def is_exact(self) -> bool:
-        return all(v is not None for v in self.values)
-
-    def positive_part(self) -> tuple:
-        """The positive singular numbers; always certified when floor <= 0."""
-        if self.floor > 0:
-            raise PrecisionExhausted(f"floor {self.floor} > 0, positive part uncertain")
-        return tuple(v for v in self.values if v is not None and v > 0)
+def corner(units, size: int):
+    """Top-left size x size corners of a (batch, n, n) residue stack; each
+    matrix keeps its shift and the window."""
+    n = units.shape[-1]
+    if not 1 <= size <= n:
+        raise ValueError(f"corner size must be in [1, {n}], got {size}")
+    return units[:, :size, :size]
 
 
-@dataclass(frozen=True)
-class PadicMatrix:
-    """N x N matrix equal to p^-shift * units, units known mod p^digits."""
-
-    p: int
-    n: int
-    shift: int
-    digits: int
-    units: tuple
-
-    def __post_init__(self):
-        check_prime(self.p)
-        if self.digits < 1:
-            raise ValueError(f"digits must be >= 1, got {self.digits}")
-        if len(self.units) != self.n or any(len(r) != self.n for r in self.units):
-            raise ValueError("units must be an n x n grid")
-        modulus = self.p**self.digits
-        if any(not 0 <= e < modulus for row in self.units for e in row):
-            raise ValueError("unit residues out of window")
-
-    @classmethod
-    def from_rows(cls, rows, p: int, digits: int = DIGITS) -> "PadicMatrix":
-        """Exact rational entries -> matrix; shift is the max entry shift."""
-        check_prime(p)
-        entries = [[Fraction(e) for e in row] for row in rows]
-        n = len(entries)
-        if any(len(row) != n for row in entries):
-            raise ValueError("matrix must be square")
-        shift = 0
-        for row in entries:
-            for e in row:
-                if e != 0:
-                    v = int_valuation(e.numerator, p) - int_valuation(e.denominator, p)
-                    shift = max(shift, -v)
-        modulus = p**digits
-        units = []
-        for row in entries:
-            scaled_row = []
-            for e in row:
-                scaled = e * Fraction(p) ** shift
-                num, den = scaled.numerator, scaled.denominator
-                scaled_row.append(num * pow(den, -1, modulus) % modulus)
-            units.append(tuple(scaled_row))
-        return cls(p, n, shift, digits, tuple(units))
-
-    def __repr__(self):
-        return (f"PadicMatrix(p={self.p}, n={self.n}, shift={self.shift}, "
-                f"digits={self.digits})")
-
-
-def corner(m: PadicMatrix, size: int) -> PadicMatrix:
-    """Top-left size x size submatrix; shift and window preserved."""
-    if not 1 <= size <= m.n:
-        raise ValueError(f"corner size must be in [1, {m.n}], got {size}")
-    units = tuple([row[:size] for row in m.units[:size]])
-    return PadicMatrix(m.p, size, m.shift, m.digits, units)
-
-
-def smith_valuations(stack, p: int, digits: int) -> list:
+def smith_valuations(stack, p: int, digits: int) -> np.ndarray:
     """Valuations a_1 <= ... <= a_n of the Smith divisors of every matrix in
-    a stack of n x n integer matrices known modulo p^digits, one list per
-    matrix; a reported value of ``digits`` means the divisor's valuation is
-    >= digits (uncertified).
+    a stack of n x n integer matrices known modulo p^digits, one row of a
+    (batch, n) array per matrix; a reported value of ``digits`` means the
+    divisor's valuation is >= digits (uncertified).
 
     ``stack[i][j][b]`` is entry (i, j) of matrix b: the batch axis is last,
     so ``len(stack)`` is the matrix size n.  Entries must be integers (below
@@ -175,7 +101,7 @@ def smith_valuations(stack, p: int, digits: int) -> list:
         a *= unit
         a -= (pivot_col // pv)[:, None] * pivot_row[:, 1:].T
         a %= pe
-    return out.T.tolist()
+    return out.T
 
 
 def residue_dtype(p: int, digits: int, terms: int = 1):
@@ -185,29 +111,23 @@ def residue_dtype(p: int, digits: int, terms: int = 1):
     return np.int64 if terms * p ** (2 * digits) < 2**63 else object
 
 
-def singular_numbers(m: PadicMatrix, guard: int = 0) -> SingularTuple:
-    """Singular numbers of m, certified strictly above the precision floor
-    shift - digits + guard; values at or below it come back as markers."""
-    units = np.array([m.units], dtype=residue_dtype(m.p, m.digits))
-    return stack_singular_numbers(units, [m.shift], m.p, m.digits, guard)[0]
+def singular_numbers(units, shifts, p: int, digits: int, guard: int = 0):
+    """Singular numbers of each matrix p^-shift U of a stack, from one
+    smith_valuations call: ``units`` is a (batch, n, n) array of residues
+    mod p^digits and ``shifts`` holds one int per matrix.
 
-
-def stack_singular_numbers(units, shifts, p: int, digits: int,
-                           guard: int = 0) -> list:
-    """singular_numbers of each matrix p^-shift U of a stack, at one guard,
-    from one smith_valuations call: ``units`` is a (batch, n, n) array of
-    residues mod p^digits and ``shifts`` holds one int per matrix."""
+    Returns (values, floors): the (batch, n) integer array of the
+    shift - a_i, weakly decreasing along each row, and the array of each
+    matrix's certification floor shift - digits + guard.  A value at or
+    below its floor is a marker: its pivot valuation reached
+    digits - guard, where it is not certified.  Markers end their row.
+    """
     if not 0 <= guard < digits:
         raise ValueError(f"need 0 <= guard < digits, got {guard}, {digits}")
-    if not len(units):
-        return []
-    cutoff = digits - guard
-    out = []
-    for shift, vals in zip(shifts, smith_valuations(
-            units.transpose(1, 2, 0), p, digits)):
-        values = tuple([shift - a if a < cutoff else None for a in vals])
-        out.append(SingularTuple(values, shift - cutoff))
-    return out
+    shifts = np.array(shifts, dtype=np.int64)
+    values = shifts[:, None] - smith_valuations(
+        units.transpose(1, 2, 0), p, digits)
+    return values, shifts - (digits - guard)
 
 
 def decode_residues(code: int, modulus: int, count: int) -> list:
@@ -377,24 +297,32 @@ def assemble_orbit(ks, b, c, p: int, digits: int, size: int | None = None):
 # -- text format for matrix literals ---------------------------------------
 
 
-def parse_entry(token: str, p: int) -> Fraction:
-    """Parse one matrix entry: 'a', 'a*p^v' or 'p^v' with integer a, v."""
+def parse_entry(token: str, p: int) -> tuple:
+    """Parse one matrix entry, 'a', 'a*p^v' or 'p^v' with integers a and
+    v, as (a, v): the entry is a p^v."""
     token = token.strip()
-    if "^" in token:
-        mant, _, exp = token.partition("^")
-        if "*" in mant:
-            a_str, _, base_str = mant.partition("*")
-        else:
-            a_str, base_str = "1", mant
-        base = int(base_str)
-        if base != p:
-            raise ValueError(f"entry base {base} does not match p = {p}")
-        return Fraction(int(a_str)) * Fraction(p) ** int(exp)
-    return Fraction(int(token))
+    if "^" not in token:
+        return int(token), 0
+    mant, _, exp = token.partition("^")
+    if "*" in mant:
+        a_str, _, base_str = mant.partition("*")
+    else:
+        a_str, base_str = "1", mant
+    base = int(base_str)
+    if base != p:
+        raise ValueError(f"entry base {base} does not match p = {p}")
+    return int(a_str), int(exp)
 
 
-def parse_matrix_text(text: str, p: int, digits: int = DIGITS) -> PadicMatrix:
-    """Matrix literal: one row per line, whitespace-separated entries."""
+def parse_matrix_text(text: str, p: int, digits: int = DIGITS) -> tuple:
+    """Matrix literal, one row per line and whitespace-separated entries,
+    as (units, shift): the matrix is p^-shift units, units an n x n array of
+    residues mod p^digits and shift the largest entry shift (at least 0).
+
+    Each entry u p^v, u a unit, becomes the residue u p^(v + shift) mod
+    p^digits, so no power of p is expanded beyond the window.
+    """
+    check_prime(p)
     rows = []
     for line in text.splitlines():
         line = line.strip()
@@ -403,7 +331,22 @@ def parse_matrix_text(text: str, p: int, digits: int = DIGITS) -> PadicMatrix:
         rows.append([parse_entry(tok, p) for tok in line.split()])
     if not rows:
         raise ValueError("empty matrix literal")
-    return PadicMatrix.from_rows(rows, p, digits)
+    n = len(rows)
+    if any(len(row) != n for row in rows):
+        raise ValueError("matrix must be square")
+    entries = []  # (u, v): u a unit, or (0, 0) for a zero entry
+    for row in rows:
+        for a, v in row:
+            if a:
+                w = int_valuation(a, p)
+                entries.append((a // p**w, v + w))
+            else:
+                entries.append((0, 0))
+    shift = max(0, *(-v for _, v in entries))
+    modulus = p**digits
+    units = [u * pow(p, v + shift, modulus) % modulus for u, v in entries]
+    return (np.array(units, dtype=residue_dtype(p, digits)).reshape(n, n),
+            shift)
 
 
 def format_entry(u: int, p: int, shift: int, digits: int) -> str:

@@ -1,10 +1,11 @@
 """Primes, p-adic valuations and the default precision window.
 
-Every p-adic quantity in the package is a residue matrix (see the matrix
-module): p^-shift times integers known modulo p^digits.  This module holds
-what that model shares: prime validation, valuations of integers, the
-exception raised when a computation runs out of certified digits, and the
-default window.
+Every p-adic quantity in the package is a stack of residue matrices (see
+the matrix module): p^-shift times integers known modulo p^digits, with
+singular numbers read off as integer arrays with per-matrix floors.
+This module holds what that model shares: prime validation, valuations
+of integers, the exception raised when a computation runs out of
+certified digits, and the default window.
 """
 
 from __future__ import annotations
@@ -48,13 +49,22 @@ def check_prime(p: int) -> int:
 
 
 def int_valuation(n: int, p: int) -> int:
-    """Largest v with p^v dividing n; requires n != 0."""
+    """Largest v with p^v dividing n; requires n != 0.
+
+    Divides by p^(2^j) for j from the largest that divides n down to 0, so
+    a valuation v costs O(log v) big-integer divisions, not v of them.
+    """
     if n == 0:
         raise ValueError("valuation of 0 is infinite")
+    powers = [p]
+    while n % powers[-1] == 0:
+        powers.append(powers[-1] ** 2)
     v = 0
-    while n % p == 0:
-        n //= p
-        v += 1
+    for j in range(len(powers) - 2, -1, -1):
+        q, r = divmod(n, powers[j])
+        if not r:
+            n = q
+            v += 1 << j
     return v
 
 

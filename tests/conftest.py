@@ -1,13 +1,24 @@
-"""Shared fixtures and the acceptance summary printed at the end of a run."""
+"""Shared fixtures and the acceptance summary printed at the end of a run.
+
+A matrix in the tests is a plain (units, shift) pair: the matrix
+p^-shift units, units a tuple of row tuples of residues mod p^digits.
+"""
 
 import math
 from bisect import bisect_right
+from fractions import Fraction
 
 import numpy as np
 
 from padic_hua.laws import kernel_row, pi_n_row
-from padic_hua.matrix import PadicMatrix, residues, sample_haar_gl
-from padic_hua.padic import PrecisionExhausted
+from padic_hua.matrix import (
+    residue_dtype,
+    residues,
+    sample_haar_gl,
+    singular_numbers,
+    smith_valuations,
+)
+from padic_hua.padic import DIGITS, PrecisionExhausted, int_valuation
 from padic_hua.partitions import Partition
 from padic_hua.samplers import (
     ergodic_matrices,
@@ -32,18 +43,54 @@ def pytest_terminal_summary(terminalreporter):
         terminalreporter.write_line(_CRITERION_LINES[number])
 
 
-def matmul(a, b):
-    """Product of two residue matrices at the smaller window; the shifts
-    add.  The library never multiplies matrices, so only tests need it."""
-    if a.p != b.p or a.n != b.n:
-        raise ValueError("incompatible matrices")
-    digits = min(a.digits, b.digits)
-    modulus = a.p**digits
+def from_rows(rows, p, digits=DIGITS):
+    """The (units, shift) pair of a matrix of exact rationals, shift the
+    largest entry shift.  Entries may have denominators prime to p, which
+    a matrix literal cannot write."""
+    entries = [[Fraction(e) for e in row] for row in rows]
+    shift = max([0] + [int_valuation(e.denominator, p)
+                       - int_valuation(e.numerator, p)
+                       for row in entries for e in row if e])
+    modulus = p**digits
+    units = []
+    for row in entries:
+        scaled = [e * Fraction(p) ** shift for e in row]
+        units.append(tuple(e.numerator * pow(e.denominator, -1, modulus)
+                           % modulus for e in scaled))
+    return tuple(units), shift
+
+
+def read_one(m, p, digits, guard=0):
+    """(values, floor) of one (units, shift) pair from singular_numbers on
+    a stack of one, each marker as None."""
+    units, shift = m
+    values, floors = singular_numbers(
+        np.array([units], dtype=residue_dtype(p, digits)), [shift], p, digits,
+        guard)
+    [vals], [floor] = values.tolist(), floors.tolist()
+    return tuple([v if v > floor else None for v in vals]), floor
+
+
+def marker_list(m, p, digits, guard):
+    """The singular numbers of one (units, shift) pair from its own Smith
+    call, without singular_numbers: shift - a for each valuation a below
+    digits - guard, None for the others."""
+    units, shift = m
+    [vals] = smith_valuations([[[e] for e in row] for row in units], p,
+                              digits).tolist()
+    return tuple(shift - a if a < digits - guard else None for a in vals)
+
+
+def matmul(a, b, p, digits):
+    """Product of two (units, shift) pairs mod p^digits; the shifts add.
+    The library never multiplies matrices, so only tests need it."""
+    (ua, sa), (ub, sb) = a, b
+    modulus = p**digits
     units = tuple(
-        tuple(sum(arow[k] * b.units[k][j] for k in range(a.n)) % modulus
-              for j in range(a.n))
-        for arow in a.units)
-    return PadicMatrix(a.p, a.n, a.shift + b.shift, digits, units)
+        tuple(sum(x * y for x, y in zip(row, col)) % modulus
+              for col in zip(*ub))
+        for row in ua)
+    return units, sa + sb
 
 
 def laplace_det(rows):
@@ -177,7 +224,7 @@ def reference_orbit(k, b, c, p, digits):
         tuple(sum(x * s * y for x, s, y in zip(brow, scales, col)) % modulus
               for col in zip(*c))
         for brow in b)
-    return PadicMatrix(p, len(k), shift, digits, units)
+    return units, shift
 
 
 def reference_ergodic(p, parts, flat, n, digits):
@@ -196,7 +243,7 @@ def reference_ergodic(p, parts, flat, n, digits):
                       * flat[(2 * m + 1) * n + j])
             row.append(e % modulus)
         units.append(tuple(row))
-    return PadicMatrix(p, n, shift, digits, tuple(units))
+    return tuple(units), shift
 
 
 def reference_ergodic_matrix(p, k, n, digits, rng):
@@ -210,26 +257,25 @@ def reference_ergodic_matrix(p, k, n, digits, rng):
     return reference_ergodic(p, parts, flat, n, digits)
 
 
-def stack_matrices(units, shifts, p, digits):
-    """The matrices of a residue stack, one PadicMatrix each."""
-    return [PadicMatrix(p, len(u), shift, digits, tuple(map(tuple, u.tolist())))
-            for u, shift in zip(units, shifts)]
+def stack_matrices(units, shifts):
+    """The matrices of a residue stack as (units, shift) pairs."""
+    return [(tuple(map(tuple, u)), shift)
+            for u, shift in zip(units.tolist(), shifts)]
 
 
 def haar_matrix(n, p, digits, rng):
-    """One sample_haar_gl draw as a PadicMatrix."""
+    """One sample_haar_gl draw as a (units, 0) pair."""
     flat = residues([sample_haar_gl(n, p, digits, rng)], p, digits).tolist()
-    return PadicMatrix(p, n, 0, digits,
-                       tuple(tuple(flat[i:i + n]) for i in range(0, n * n, n)))
+    return tuple(tuple(flat[i:i + n]) for i in range(0, n * n, n)), 0
 
 
 def hua_matrix(hp, n, digits, rng):
-    """One sample_hua_matrix draw, assembled, as a PadicMatrix."""
+    """One sample_hua_matrix draw, assembled, as a (units, shift) pair."""
     draw = sample_hua_matrix(hp, n, digits, rng)
-    return stack_matrices(*hua_matrices([draw], hp.p, n, digits), hp.p, digits)[0]
+    return stack_matrices(*hua_matrices([draw], hp.p, n, digits))[0]
 
 
 def ergodic_matrix(p, k, n, digits, rng):
-    """One sample_ergodic_matrix draw, assembled, as a PadicMatrix."""
+    """One sample_ergodic_matrix draw, assembled, as a (units, shift) pair."""
     draw = sample_ergodic_matrix(p, k, n, digits, rng)
-    return stack_matrices(*ergodic_matrices([draw], p, n, digits), p, digits)[0]
+    return stack_matrices(*ergodic_matrices([draw], p, n, digits))[0]

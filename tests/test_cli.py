@@ -152,10 +152,15 @@ BAD_INPUT = [
     ("verify", "oracle", "--seed", "1", "--out-dir", "{file}"),
 ]
 
+# What the error line must say, where a later check could blame another
+# option instead.
+BLAMED = {("sample", "hua", "--E", "0", "--seed", "1"): "--E must be >= 1"}
+
 
 @pytest.mark.parametrize("argv", BAD_INPUT, ids=" ".join)
 def test_bad_input_exits_2_with_one_error_line(tmp_path, capsys, monkeypatch,
                                               argv):
+    blamed = BLAMED.get(argv, "error: ")
     # Leading NAME=value words set environment variables, as in a shell.
     while "=" in argv[0]:
         name, _, value = argv[0].partition("=")
@@ -172,6 +177,7 @@ def test_bad_input_exits_2_with_one_error_line(tmp_path, capsys, monkeypatch,
     assert code == 2
     assert out == ""
     assert len(err.splitlines()) == 1 and err.startswith("error: ")
+    assert blamed in err
     assert not (tmp_path / "reports").exists()
 
 
@@ -189,6 +195,19 @@ class TestSing:
         doc = json.loads(out)
         assert code == 0
         assert doc["k"] == [0, -3]
+
+    @pytest.mark.parametrize("text, k, shift", [
+        ("2^3000000 1\n1 1\n", [0, 0], 0),
+        ("2^-3000000 1\n1 1\n", [3000000, "<=2999976"], 3000000),
+        ("1 1\n1 1\n", [0, "<=-24"], 0)])
+    def test_large_exponents_and_markers(self, tmp_path, capsys, text, k,
+                                         shift):
+        path = tmp_path / "m.txt"
+        path.write_text(text)
+        code, out, _ = run_cli(capsys, "sing", str(path), "--p", "2")
+        doc = json.loads(out)
+        assert code == 0
+        assert doc["k"] == k and doc["shift"] == shift
 
     def test_marked_values_serialized(self, tmp_path, capsys):
         path = tmp_path / "z.txt"

@@ -11,7 +11,6 @@ from padic_hua.experiments import (
     _ergodic_decomp_draw,
     _ergodic_match_draw,
     _nu_limit_draw,
-    _positive_box_label,
     _run_block,
     enumerate_oracle,
     gate,
@@ -31,13 +30,13 @@ from padic_hua.experiments import (
     worker_pool,
 )
 from padic_hua.laws import ExactLaw, HuaParams
-from padic_hua.matrix import corner, singular_numbers
 from padic_hua.padic import PrecisionExhausted
 from padic_hua.partitions import Partition
 from padic_hua.rng import RngStream
 from padic_hua.samplers import sample_hua_singulars, sample_nu
 
 from conftest import (
+    marker_list,
     reference_ergodic_matrix,
     reference_haar,
     reference_orbit,
@@ -134,12 +133,12 @@ class TestMonteCarloExperiments:
         assert report.passed
 
     def test_ergodic_convergence_small(self):
-        report = run_ergodic_convergence(2, Partition((1,)), (4, 8), 300, 24, 5)
+        report = run_ergodic_convergence(2, Partition((1,)), (4, 8), 300, 5)
         assert report.passed
         assert [row["n"] for row in report.table] == [4, 8]
 
     def test_ergodic_decomposition_small(self):
-        report = run_ergodic_decomposition(HP2, (6, 10), 1500, 24, 9)
+        report = run_ergodic_decomposition(HP2, (6, 10), 1500, 9)
         assert any(g["name"] == "tv-final" for g in report.gates)
         assert report.errors == 0
 
@@ -173,8 +172,8 @@ def test_nu_limit_draw_matches_singular_tuple_reference(n, t, box):
 
 
 # One-draw-at-a-time references for the batched draw functions: each
-# samples one draw with the scalar references and computes its singular
-# numbers on its own.
+# samples one draw with the scalar references and labels it from its own
+# marker list (None for a marker), not from singular_numbers.
 
 
 def reference_hua_matrix(hp, n, digits, rng):
@@ -195,16 +194,19 @@ def reference_corner_draw(params, rng):
             break
         except PrecisionExhausted:
             resamples += 1
-    st = singular_numbers(corner(m, corner_to), guard)
-    if st.is_exact and all(abs(v) <= bound for v in st.values):
-        return st.values, (resamples, 0)
-    return OTHER, (resamples, int(not st.is_exact))
+    units, shift = m
+    block = tuple(row[:corner_to] for row in units[:corner_to])
+    values = marker_list((block, shift), hp.p, digits, guard)
+    if None not in values and all(abs(v) <= bound for v in values):
+        return values, (resamples, 0)
+    return OTHER, (resamples, int(None in values))
 
 
 def reference_ergodic_match_draw(params, rng):
     p, lam, n, digits, guard, expected = params
-    st = singular_numbers(reference_ergodic_matrix(p, lam, n, digits, rng), guard)
-    return st.values[:len(expected)] == expected, (int(not st.is_exact),)
+    values = marker_list(reference_ergodic_matrix(p, lam, n, digits, rng), p,
+                         digits, guard)
+    return values[:len(expected)] == expected, (int(None in values),)
 
 
 def reference_ergodic_decomp_draw(params, rng):
@@ -214,9 +216,14 @@ def reference_ergodic_decomp_draw(params, rng):
         m = reference_ergodic_matrix(hp.p, lam, n, digits, rng)
     except PrecisionExhausted:
         return None, (1, 0, 0)
-    label, flagged, top_below_2 = _positive_box_label(
-        singular_numbers(m, guard), max_parts, max_part)
-    return label, (0, flagged, top_below_2)
+    if m[1] - digits + guard > 0:
+        # markers could hide positive values
+        return OTHER, (0, 1, 0)
+    values = marker_list(m, hp.p, digits, guard)
+    pos = Partition(tuple(v for v in values if v is not None and v > 0))
+    in_box = pos.num_parts <= max_parts and pos.largest <= max_part
+    return ((pos if in_box else OTHER),
+            (0, int(None in values), int(pos.largest < 2)))
 
 
 def reference_block(draw_one, params, seed, key, count):
@@ -255,6 +262,8 @@ DRAW_CASES = {
                        (HuaParams(2, F(1, 2)), 4, 3, 1, 3, 6), (0, 1, 2)),
     "ergodic-decomp-E24": (_ergodic_decomp_draw, reference_ergodic_decomp_draw,
                            (HuaParams(2, F(1, 2)), 4, 24, 22, 3, 6), (1, 2)),
+    "ergodic-decomp-floor": (_ergodic_decomp_draw, reference_ergodic_decomp_draw,
+                             (HuaParams(2, F(3, 2)), 4, 8, 6, 3, 6), (0, 1, 2)),
     "nu-limit": (_nu_limit_draw, reference_nu_limit_draw,
                  (HuaParams(2, F(1, 2)), 6, 3, 6), (0,)),
 }
@@ -276,6 +285,21 @@ def test_run_block_matches_one_draw_at_a_time(monkeypatch, kind):
                                                for _ in range(size)]
         assert batched.bits_consumed == single.bits_consumed
     assert draw(params, RngStream(8), 0) == []
+
+
+@pytest.mark.parametrize("parts, guard", [((3, 1), 6), ((5,), 4), ((6, 6), 3)])
+def test_positive_floor_bins_other_and_flags(monkeypatch, parts, guard):
+    # shift k_1 in an 8-digit window: the floor k_1 - 8 + guard is 1, so
+    # markers could hide positive values and no draw gets a partition
+    monkeypatch.setattr(experiments, "sample_nu",
+                        lambda hp, rng: Partition(parts))
+    params = (HuaParams(2, F(1, 2)), 4, 8, guard, 3, 6)
+    assert _ergodic_decomp_draw(params, RngStream(3), 20) == [
+        (OTHER, (0, 1, 0))] * 20
+    # a floor of 0 keeps the positive part
+    params = (HuaParams(2, F(1, 2)), 4, 8, guard - 1, 3, 6)
+    labels = [label for label, _ in _ergodic_decomp_draw(params, RngStream(3), 20)]
+    assert Partition(parts) in labels
 
 
 class FirstDraw(Exception):

@@ -9,9 +9,7 @@ from hypothesis import example, given, settings, strategies as st
 
 from padic_hua.laws import HuaParams, _normalization, gamma_exponent, hua_density
 from padic_hua.matrix import (
-    PadicMatrix,
     PrecisionExhausted,
-    SingularTuple,
     assemble_orbit,
     corner,
     decode_residues,
@@ -23,18 +21,27 @@ from padic_hua.matrix import (
     sample_haar_gl,
     singular_numbers,
     smith_valuations,
-    stack_singular_numbers,
 )
 from padic_hua.padic import int_valuation
 from padic_hua.rng import RngStream
 
 from conftest import (
+    from_rows,
     haar_matrix,
     laplace_det as _det,
+    marker_list,
     matmul,
+    read_one,
     reference_haar,
     stack_matrices,
 )
+
+
+def literal(rows, p, digits=24):
+    """The (units, shift) pair parse_matrix_text gives for integer rows."""
+    text = "\n".join(" ".join(map(str, row)) for row in rows)
+    units, shift = parse_matrix_text(text, p, digits)
+    return tuple(map(tuple, units.tolist())), shift
 
 
 def minor_gcd_singular_numbers(rows, p):
@@ -65,72 +72,82 @@ def minor_gcd_singular_numbers(rows, p):
 
 class TestSingularNumbers:
     def test_diagonal(self):
-        m = PadicMatrix.from_rows([[F(1, 2), 0], [0, 1]], 2)
-        assert singular_numbers(m).values == (1, 0)
+        m = from_rows([[F(1, 2), 0], [0, 1]], 2)
+        assert read_one(m, 2, 24)[0] == (1, 0)
 
     def test_worked_example(self):
-        m = PadicMatrix.from_rows([[2, 1], [0, 4]], 2)
-        st_ = singular_numbers(m)
-        assert st_.values == (0, -3)
+        m = from_rows([[2, 1], [0, 4]], 2)
+        values, _ = read_one(m, 2, 24)
+        assert values == (0, -3)
         assert minor_gcd_singular_numbers([[2, 1], [0, 4]], 2) == (0, -3)
 
     def test_zero_matrix_all_marked(self):
         for p in (2, 3):
-            m = PadicMatrix.from_rows([[0, 0], [0, 0]], p, digits=5)
-            st_ = singular_numbers(m)
-            assert st_.values == (None, None)
-            assert st_.floor == -5
-            assert not st_.is_exact
+            m = from_rows([[0, 0], [0, 0]], p, digits=5)
+            values, floor = read_one(m, p, 5)
+            assert values == (None, None)
+            assert floor == -5
+            assert None in values
 
     def test_guard_shrinks_certification(self):
-        m = PadicMatrix.from_rows([[16, 0], [0, 1]], 2, digits=6)
-        assert singular_numbers(m, guard=0).values == (0, -4)
-        assert singular_numbers(m, guard=3).values == (0, None)
+        m = from_rows([[16, 0], [0, 1]], 2, digits=6)
+        assert read_one(m, 2, 6, guard=0)[0] == (0, -4)
+        assert read_one(m, 2, 6, guard=3)[0] == (0, None)
 
     @given(st.lists(st.lists(st.integers(-200, 200), min_size=3, max_size=3),
                     min_size=3, max_size=3), st.sampled_from([2, 3, 5]))
     @settings(max_examples=150)
     def test_matches_minor_gcd_oracle(self, rows, p):
         oracle = minor_gcd_singular_numbers(rows, p)
-        m = PadicMatrix.from_rows(rows, p, digits=24)
-        values = singular_numbers(m).values
+        values, _ = read_one(literal(rows, p), p, 24)
         if oracle is not None:
             assert values == oracle
         else:
             assert None in values  # singular matrices hit the floor
 
 
+def stack(*matrices):
+    """(units, shifts) of a stack of (units, shift) pairs."""
+    return (np.array([units for units, _ in matrices]),
+            [shift for _, shift in matrices])
+
+
 class TestCorner:
     def test_identity_case(self):
-        m = PadicMatrix.from_rows([[1, 2], [3, 4]], 2)
-        assert corner(m, 2) == m
+        units, _ = stack(literal([[1, 2], [3, 4]], 2))
+        assert (corner(units, 2) == units).all()
 
     def test_diagonal_corner(self):
-        m = PadicMatrix.from_rows([[5, 0], [0, 7]], 2)
-        c = corner(m, 1)
-        assert c.n == 1 and c.units == ((5,),) and c.shift == 0
+        units, shifts = stack(literal([[5, 0], [0, 7]], 2))
+        c = corner(units, 1)
+        assert c.shape == (1, 1, 1) and c.tolist() == [[[5]]] and shifts == [0]
 
     def test_projective_consistency(self):
-        m = PadicMatrix.from_rows([[i * 3 + j + 1 for j in range(3)]
-                                   for i in range(3)], 2)
-        assert corner(corner(m, 2), 1) == corner(m, 1)
+        units, _ = stack(literal([[i * 3 + j + 1 for j in range(3)]
+                                  for i in range(3)], 2))
+        assert (corner(corner(units, 2), 1) == corner(units, 1)).all()
 
     def test_window_preserved(self):
-        m = PadicMatrix.from_rows([[F(1, 4), 1], [1, 1]], 2, digits=10)
-        c = corner(m, 1)
-        assert (c.shift, c.digits) == (m.shift, m.digits)
+        # the corner's entries keep the matrix's shift and window
+        m = from_rows([[F(1, 4), 1], [1, 1]], 2, digits=10)
+        units, shifts = stack(m)
+        c = corner(units, 1)
+        assert read_one((c[0].tolist(), shifts[0]), 2, 10) == ((2,), -8)
+        assert format_entry(int(c[0, 0, 0]), 2, shifts[0], 10) == "1*2^-2"
 
     def test_bad_size(self):
-        m = PadicMatrix.from_rows([[1]], 2)
+        units, _ = stack(literal([[1]], 2))
         with pytest.raises(ValueError):
-            corner(m, 2)
+            corner(units, 2)
+        with pytest.raises(ValueError):
+            corner(units, 0)
 
 
 class TestHaarGl:
     def test_invertible_and_singular_zero(self):
         for i in range(50):
             m = haar_matrix(3, 2, 12, RngStream(3, (i,)))
-            assert singular_numbers(m).values == (0, 0, 0)
+            assert read_one(m, 2, 12)[0] == (0, 0, 0)
 
     def test_gl2_f2_count_is_six(self):
         # |GL(2, F_2)| = 6 of 16, the acceptance probability 3/8 numerator.
@@ -145,8 +162,8 @@ class TestHaarGl:
         draws = 20000
         counts = {}
         for i in range(draws):
-            m = haar_matrix(2, 2, 8, RngStream(17, (i,)))
-            key = tuple(e % 2 for row in m.units for e in row)
+            units, _ = haar_matrix(2, 2, 8, RngStream(17, (i,)))
+            key = tuple(e % 2 for row in units for e in row)
             counts[key] = counts.get(key, 0) + 1
         assert len(counts) == 6
         expected = draws / 6
@@ -168,14 +185,15 @@ class TestOrbit:
 
     def test_round_trip_and_determinant(self):
         for i, k in enumerate([(0, 0, 0), (2, 1, -1), (3, 0, -2), (-1, -1, -4)]):
-            b = haar_matrix(3, 2, 24, RngStream(99, (2 * i,)))
-            c = haar_matrix(3, 2, 24, RngStream(99, (2 * i + 1,)))
+            b, _ = haar_matrix(3, 2, 24, RngStream(99, (2 * i,)))
+            c, _ = haar_matrix(3, 2, 24, RngStream(99, (2 * i + 1,)))
             [m] = stack_matrices(*assemble_orbit(
-                [k], np.array([b.units]), np.array([c.units]), 2, 24), 2, 24)
-            assert singular_numbers(m).values == k
+                [k], np.array([b]), np.array([c]), 2, 24))
+            assert read_one(m, 2, 24)[0] == k
             # det(m) = p^(-n*shift) det(units), det(units) known mod p^digits
-            det = _det([list(row) for row in m.units]) % 2**m.digits
-            assert int_valuation(det, 2) - 3 * m.shift == -sum(k)
+            units, shift = m
+            det = _det([list(row) for row in units]) % 2**24
+            assert int_valuation(det, 2) - 3 * shift == -sum(k)
 
     def test_window_overflow(self):
         eye = eye_stack(1, 2)
@@ -193,12 +211,13 @@ class TestOrbit:
 
 
 def test_bi_invariance_of_singular_numbers():
-    m = PadicMatrix.from_rows([[6, F(1, 2), 3], [0, 12, 5], [8, 1, 2]], 2)
-    reference = singular_numbers(m).values
+    m = from_rows([[6, F(1, 2), 3], [0, 12, 5], [8, 1, 2]], 2)
+    reference = read_one(m, 2, 24)[0]
     for i in range(10):
         b = haar_matrix(3, 2, 24, RngStream(5, (2 * i,)))
         c = haar_matrix(3, 2, 24, RngStream(5, (2 * i + 1,)))
-        assert singular_numbers(matmul(matmul(b, m), c)).values == reference
+        bmc = matmul(matmul(b, m, 2, 24), c, 2, 24)
+        assert read_one(bmc, 2, 24)[0] == reference
 
 
 class TestGammaAndDensity:
@@ -208,8 +227,12 @@ class TestGammaAndDensity:
         assert gamma_exponent((1,)) == 1
 
     def test_gamma_with_markers_below_zero(self):
-        st_ = SingularTuple((2, 1, None), floor=-4)
-        assert gamma_exponent(st_.positive_part()) == 3
+        # markers sit at or below a floor <= 0, so the positive part
+        # leaves them out
+        values, floors = singular_numbers(
+            np.array([[[1, 0, 0], [0, 2, 0], [0, 0, 0]]]), [2], 2, 6, 0)
+        assert values.tolist() == [[2, 1, -4]] and floors.tolist() == [-4]
+        assert gamma_exponent(tuple(v for v in values[0].tolist() if v > 0)) == 3
 
     def test_normalization(self):
         assert _normalization(HuaParams(2, F(1)), 1) == F(1, 4) / F(3, 8)
@@ -232,41 +255,56 @@ class TestGammaAndDensity:
 
 class TestMatrixText:
     def test_parse_and_singulars(self):
-        m = parse_matrix_text("2 1\n0 4\n", 2)
-        assert singular_numbers(m).values == (0, -3)
+        units, shift = parse_matrix_text("2 1\n0 4\n", 2)
+        assert read_one((units.tolist(), shift), 2, 24)[0] == (0, -3)
 
     def test_parse_scaled_entries(self):
-        m = parse_matrix_text("3*2^-1 1\n0 1*2^2\n", 2)
-        assert m.shift == 1
-        assert m.units[0][0] == 3 and m.units[1][1] == 8
+        units, shift = parse_matrix_text("3*2^-1 1\n0 1*2^2\n", 2)
+        assert shift == 1
+        assert units[0][0] == 3 and units[1][1] == 8
 
     def test_base_mismatch(self):
         with pytest.raises(ValueError):
             parse_matrix_text("3*5^1\n", 2)
 
     def test_format_round_trip(self):
-        m = PadicMatrix.from_rows([[F(3, 2), 0], [7, 1]], 2)
+        units, shift = from_rows([[F(3, 2), 0], [7, 1]], 2)
         def entry(i, j):
-            return format_entry(m.units[i][j], m.p, m.shift, m.digits)
+            return format_entry(units[i][j], 2, shift, 24)
 
         assert entry(0, 0) == "3*2^-1"
         assert entry(1, 0) == "7*2^0"
         assert entry(0, 1) == "O(2^23)"
 
     def test_comments_and_blank_lines(self):
-        m = parse_matrix_text("# header\n\n1 0\n0 1\n", 2)
-        assert m.n == 2
+        units, _ = parse_matrix_text("# header\n\n1 0\n0 1\n", 2)
+        assert len(units) == 2
+
+    @given(st.lists(st.tuples(st.integers(-50, 50), st.integers(-6, 6)),
+                    min_size=4, max_size=4),
+           st.sampled_from([2, 3]), st.integers(1, 12))
+    def test_literal_matches_exact_rationals(self, entries, p, digits):
+        # 'a*p^v' entries read as residues match the exact rationals a p^v
+        text = f"{entries[0][0]}*{p}^{entries[0][1]} {entries[1][0]}*{p}^{entries[1][1]}\n"
+        text += f"{entries[2][0]}*{p}^{entries[2][1]} {entries[3][0]}*{p}^{entries[3][1]}"
+        units, shift = parse_matrix_text(text, p, digits)
+        rows = [[F(a) * F(p) ** v for a, v in entries[i:i + 2]] for i in (0, 2)]
+        assert (tuple(map(tuple, units.tolist())), shift) == from_rows(rows, p, digits)
+
+    def test_huge_exponents_stay_in_the_window(self):
+        units, shift = parse_matrix_text("2^10000000000 1\n1 1", 2)
+        assert units.tolist() == [[0, 1], [1, 1]] and shift == 0
+        units, shift = parse_matrix_text("2^-3000000 1\n1 0*2^-9", 2)
+        assert units.tolist() == [[1, 0], [0, 0]] and shift == 3_000_000
 
 
 def test_corner_singular_numbers_defined_at_every_size():
     rng = RngStream(21)
-    for i in range(15):
-        units = tuple(tuple(rng.randbelow(2**10) for _ in range(4))
-                      for _ in range(4))
-        m = PadicMatrix(2, 4, 1, 10, units)
-        for size in range(1, 5):
-            st_ = singular_numbers(corner(m, size))
-            assert len(st_.values) == size
+    units = np.array([[[rng.randbelow(2**10) for _ in range(4)]
+                       for _ in range(4)] for _ in range(15)])
+    for size in range(1, 5):
+        values, floors = singular_numbers(corner(units, size), [1] * 15, 2, 10)
+        assert values.shape == (15, size) and floors.tolist() == [-9] * 15
 
 
 def stack_of(matrices, n):
@@ -276,7 +314,7 @@ def stack_of(matrices, n):
 
 
 def smith_one(rows, p, digits):
-    return smith_valuations(stack_of([rows], len(rows)), p, digits)[0]
+    return smith_valuations(stack_of([rows], len(rows)), p, digits)[0].tolist()
 
 
 def test_smith_chain_divisibility():
@@ -372,7 +410,7 @@ def test_stacked_smith_matches_determinantal_divisors(case):
     # every matrix of a stack gets its own valuations, whatever it shares
     # the stack with
     matrices, n, p, digits = case
-    got = smith_valuations(stack_of(matrices, n), p, digits)
+    got = smith_valuations(stack_of(matrices, n), p, digits).tolist()
     assert len(got) == len(matrices)
     for rows, vals in zip(matrices, got):
         assert vals == determinantal_valuations(rows, p, digits)
@@ -408,7 +446,7 @@ def test_wide_windows_match_determinantal_divisors(p, digits):
         matrices.append(rows)
     matrices.append([[0] * 3 for _ in range(3)])
     matrices.append([[p**digits - 1] * 3 for _ in range(3)])
-    got = smith_valuations(stack_of(matrices, 3), p, digits)
+    got = smith_valuations(stack_of(matrices, 3), p, digits).tolist()
     for rows, vals in zip(matrices, got):
         assert vals == determinantal_valuations(rows, p, digits)
         assert vals == smith_one(rows, p, digits)
@@ -427,7 +465,7 @@ def test_smith_levels_jump_several_powers_in_one_stack(p, digits, dtype):
                  (1, digits, digits), (digits + 2,) * 3, (2, 5, 5), (0, 0, 2)]
     matrices = [orbit_rows(rng, p, digits, ks)
                 for _ in range(3) for ks in exponents]
-    got = smith_valuations(stack_of(matrices, 3), p, digits)
+    got = smith_valuations(stack_of(matrices, 3), p, digits).tolist()
     for rows, vals in zip(matrices, got):
         assert vals == determinantal_valuations(rows, p, digits)
     for vals in ([0, 0, 0], [3, 3, digits - 1], [1, digits, digits],
@@ -437,17 +475,21 @@ def test_smith_levels_jump_several_powers_in_one_stack(p, digits, dtype):
 
 def test_stack_singular_numbers_match_one_at_a_time():
     rng = RngStream(31)
-    ms = [PadicMatrix(2, 3, i % 4, 10, tuple(map(tuple, orbit_rows(
-              rng, 2, 10, sorted(rng.randbelow(7) for _ in range(3))))))
+    ms = [(tuple(map(tuple, orbit_rows(
+              rng, 2, 10, sorted(rng.randbelow(7) for _ in range(3))))), i % 4)
           for i in range(25)]
-    units = np.array([m.units for m in ms])
-    shifts = [m.shift for m in ms]
+    units, shifts = stack(*ms)
     for guard in range(3):
-        assert (stack_singular_numbers(units, shifts, 2, 10, guard)
-                == [singular_numbers(m, guard) for m in ms])
-    assert stack_singular_numbers(units[:0], [], 2, 10) == []
+        values, floors = singular_numbers(units, shifts, 2, 10, guard)
+        assert floors.tolist() == [shift - 10 + guard for shift in shifts]
+        marked = [tuple(v if v > floor else None for v in vals)
+                  for vals, floor in zip(values.tolist(), floors.tolist())]
+        assert marked == [marker_list(m, 2, 10, guard) for m in ms]
+        assert marked == [read_one(m, 2, 10, guard)[0] for m in ms]
+    values, floors = singular_numbers(units[:0], [], 2, 10)
+    assert values.shape == (0, 3) and floors.shape == (0,)
     with pytest.raises(ValueError):
-        stack_singular_numbers(units, shifts, 2, 10, guard=10)
+        singular_numbers(units, shifts, 2, 10, guard=10)
 
 
 @given(p=st.sampled_from([2, 3, 5, 7, 101]), digits=st.integers(1, 30),
@@ -551,8 +593,8 @@ def test_haar_streams_match_reference_rejection_loop():
         p = (2, 3)[i // 4 % 2]
         digits = (3, 24)[i // 8 % 2]
         ours, ref = RngStream(11, (i,)), RngStream(11, (i,))
-        m = haar_matrix(n, p, digits, ours)
-        assert m.units == reference_haar(n, p, digits, ref)
+        units, _ = haar_matrix(n, p, digits, ours)
+        assert units == reference_haar(n, p, digits, ref)
         assert ours.bits_consumed == ref.bits_consumed
 
 
@@ -571,13 +613,15 @@ def test_residues_of_a_chunk_match_one_read_at_a_time():
     assert residues([], 2, 24).tolist() == []
 
 
-def test_corners_pass_the_validating_constructor():
+def test_corners_are_the_leading_blocks():
     rng = RngStream(12)
-    b = haar_matrix(3, 2, 10, rng)
-    c = haar_matrix(3, 2, 10, rng)
-    [m] = stack_matrices(*assemble_orbit(
-        [(2, 0, -1)], np.array([b.units]), np.array([c.units]), 2, 10), 2, 10)
+    b, _ = haar_matrix(3, 2, 10, rng)
+    c, _ = haar_matrix(3, 2, 10, rng)
+    units, shifts = assemble_orbit([(2, 0, -1)], np.array([b]), np.array([c]),
+                                   2, 10)
+    [(rows, shift)] = stack_matrices(units, shifts)
     for size in (1, 2, 3):
-        block = tuple(row[:size] for row in m.units[:size])
-        assert corner(m, size) == PadicMatrix(m.p, size, m.shift, m.digits,
-                                              block)
+        block = tuple(row[:size] for row in rows[:size])
+        assert stack_matrices(corner(units, size), shifts) == [(block, shift)]
+        assert (assemble_orbit([(2, 0, -1)], np.array([b]), np.array([c]), 2,
+                               10, size)[0] == corner(units, size)).all()
