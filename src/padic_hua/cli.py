@@ -58,6 +58,10 @@ SAMPLE_SCHEMA = "padic-hua/sample/1"
 # Stream namespaces for the sample subcommand, per record kind.
 _SAMPLE_NS = {"nu": 10, "hua": 11, "ergodic": 12}
 
+# Most residues one read of a sample draw may ask for: a chunk holds
+# DRAW_CHUNK draws' reads at once.
+MAX_DRAW_RESIDUES = 2**16
+
 
 class ConfigError(Exception):
     """Bad parameter values (exit code 2)."""
@@ -194,10 +198,12 @@ def cmd_law(args) -> int:
             return 0
         else:
             raise ConfigError(f"unknown law {name!r}")
+        # Formatting raises ValueError when a numerator or denominator has
+        # more digits than the interpreter converts to a string.
+        doc = {"schema": LAW_SCHEMA, "law": name, "params": params}
+        doc.update(law_value_json(value))
     except (ValueError, ZeroDivisionError) as exc:
         raise ConfigError(str(exc)) from None
-    doc = {"schema": LAW_SCHEMA, "law": name, "params": params}
-    doc.update(law_value_json(value))
     print(json.dumps(doc, sort_keys=True))
     return 0
 
@@ -219,11 +225,23 @@ def cmd_sample(args) -> int:
     _require(args.count >= 0, f"--count must be >= 0, got {args.count}")
     namespace = _SAMPLE_NS[args.kind]
     lam = None
+    reads = args.N**2  # the residues of one Haar read
     if args.kind == "ergodic":
         try:
             lam = Partition(parse_int_list(args.k))
         except ValueError as exc:
             raise ConfigError(f"bad --k: {exc}") from None
+        reads = (2 * lam.num_parts + args.N) * args.N
+    if args.kind != "nu":
+        # A residue below p^E has up to E log10(p) + 1 digits, and the
+        # interpreter prints no int longer than its limit (0: no limit).
+        limit = getattr(sys, "get_int_max_str_digits", lambda: 0)()
+        _require(not limit or digits * math.log10(hp.p) < limit,
+                 f"--E {digits} at p = {hp.p} gives entries longer than "
+                 f"the interpreter's {limit}-digit limit on printed ints")
+        _require(reads <= MAX_DRAW_RESIDUES,
+                 f"one {args.kind} draw at --N {args.N} reads {reads} "
+                 f"residues at once, above the budget of {MAX_DRAW_RESIDUES}")
     out = sys.stdout
     # Records are written a chunk at a time: the chunk's matrices are
     # assembled as one stack, and their singular numbers come from one

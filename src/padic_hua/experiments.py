@@ -11,6 +11,7 @@ out of the canonical report payload for the same reason.
 from __future__ import annotations
 
 import json
+import os
 import time
 from collections import Counter
 from dataclasses import dataclass, field
@@ -43,7 +44,7 @@ from .laws import (
 )
 from .matrix import singular_numbers
 from .padic import DIGITS, GUARD, PrecisionExhausted, check_prime
-from .partitions import LProfile, Partition, partitions_in_box
+from .partitions import LProfile, Partition, _conjugate, partitions_in_box
 from .qseries import Bracket, pochhammer
 from .rng import RngStream
 from .samplers import (
@@ -101,12 +102,15 @@ class Histogram:
         return Fraction(self.counts.get(label, 0), self.total)
 
 
-def merge_counts(dicts) -> dict:
-    out: dict = {}
-    for d in dicts:
-        for k, v in d.items():
-            out[k] = out.get(k, 0) + v
-    return out
+def merge_counts(tallies) -> tuple:
+    """Fold (label counts, summed event counts) pairs into one such pair:
+    the counts are added label by label and the event tuples entry by
+    entry."""
+    counts, sums = Counter(), None
+    for part_counts, events in tallies:
+        counts.update(part_counts)
+        sums = events if sums is None else tuple(map(add, sums, events))
+    return counts, sums
 
 
 def tv_distance(hist: Histogram, law: ExactLaw):
@@ -171,16 +175,12 @@ def gate(name: str, value, threshold, passed: bool, kind: str = "stat") -> dict:
 def label_key(label):
     if label == OTHER:
         return (1,)
-    if isinstance(label, Partition):
-        return (0, label.parts)
     return (0, tuple(v if v is not None else -(10**9) for v in label))
 
 
 def label_str(label) -> str:
     if label == OTHER:
         return OTHER
-    if isinstance(label, Partition):
-        return "(" + ",".join(str(v) for v in label.parts) + ")"
     return "(" + ",".join(str(v) if v is not None else "marked" for v in label) + ")"
 
 
@@ -304,50 +304,45 @@ def run_oracle_equality(p: int, n: int, digits: int) -> ExperimentReport:
 # A run is split into blocks of DEFAULT_BLOCK draws; block i draws from the
 # stream (seed, key + (i,)), so its output does not depend on which process
 # runs it.  A block asks for its draws DRAW_CHUNK at a time.  A draw
-# function takes (params, rng, count) and returns ``count`` pairs
-# (label, events), consuming the stream exactly as ``count`` single draws
-# would: each label is tallied (None tallies nothing) and each tuple of
-# event counts is summed.  Draw functions are top level so that worker
-# processes can import them.
+# function takes (params, rng, count) and returns the tally of the chunk:
+# a Counter of labels and a tuple of summed event counts, consuming the
+# stream exactly as ``count`` single draws would.  A label is a tuple of
+# ints or OTHER, the keys of the exact laws.  merge_counts folds chunk
+# tallies into a block's and block tallies into the run's.  Draw functions
+# are top level so that worker processes can import them.
 
 
 def _run_block(args):
     draw, params, seed, key, count = args
     rng = RngStream(seed, key)
-    counts: dict = {}
-    sums = None
-    for start in range(0, count, DRAW_CHUNK):
-        for label, events in draw(params, rng, min(DRAW_CHUNK, count - start)):
-            if label is not None:
-                counts[label] = counts.get(label, 0) + 1
-            sums = events if sums is None else tuple(map(add, sums, events))
-    return counts, sums
+    return merge_counts([draw(params, rng, min(DRAW_CHUNK, count - start))
+                         for start in range(0, count, DRAW_CHUNK)])
 
 
 def worker_pool(workers: int):
-    """A pool of ``workers`` processes started by ``spawn``.  Each pool
-    starts fresh interpreters, so run_suite shares one across its runners."""
+    """A pool of ``workers`` processes started by ``spawn``, at most one per
+    CPU: reports do not depend on the worker count.  Each pool starts
+    fresh interpreters, so run_suite shares one across its runners."""
     from multiprocessing import get_context
 
-    return get_context("spawn").Pool(workers)
+    return get_context("spawn").Pool(min(workers, os.cpu_count() or 1))
 
 
 def monte_carlo(draw, params, draws: int, seed: int, key: tuple,
                 pool=None) -> tuple:
     """(label counts, summed event counts) over ``draws`` draws.  The blocks
     are generated lazily and run in this process, or mapped in order over
-    ``pool`` when one is given; their counts are merged as they arrive, so
+    ``pool`` when one is given; their tallies are merged as they arrive, so
     memory holds the blocks in flight, not one entry per block."""
     blocks = ((draw, params, seed, key + (idx,),
                min(DEFAULT_BLOCK, draws - idx * DEFAULT_BLOCK))
               for idx in range(-(-draws // DEFAULT_BLOCK)))
     results = (map(_run_block, blocks) if pool is None
                else pool.imap(_run_block, blocks))
-    counts, sums = {}, None
-    for block_counts, block_sums in results:
-        counts = merge_counts((counts, block_counts))
-        sums = block_sums if sums is None else tuple(map(add, sums, block_sums))
-    return counts, sums
+    total = (Counter(), None)
+    for block in results:
+        total = merge_counts((total, block))
+    return total
 
 
 def _corner_draw(params, rng, count):
@@ -356,23 +351,19 @@ def _corner_draw(params, rng, count):
     branch of the overflow policy); resamples are counted, never hidden.
     Events: (resamples, flagged)."""
     hp, n, corner_to, digits, guard, bound = params
-    draws, resamples = [], []
-    for _ in range(count):
-        tries = 0
-        while True:
-            try:
-                draws.append(sample_hua_matrix(hp, n, digits, rng))
-                break
-            except PrecisionExhausted:
-                tries += 1
-        resamples.append(tries)
+    draws, resamples = [], 0
+    while len(draws) < count:
+        try:
+            draws.append(sample_hua_matrix(hp, n, digits, rng))
+        except PrecisionExhausted:
+            resamples += 1
     units, shifts = hua_matrices(draws, hp.p, n, digits, corner_to)
     values, floors = singular_numbers(units, shifts, hp.p, digits, guard)
     exact = values[:, -1] > floors  # markers end their row
     labelled = exact & (np.abs(values) <= bound).all(axis=1)
-    return [(tuple(vals), (tries, 0)) if ok else (OTHER, (tries, int(not ex)))
-            for vals, ok, ex, tries in zip(values.tolist(), labelled.tolist(),
-                                           exact.tolist(), resamples)]
+    counts = Counter(map(tuple, values[labelled].tolist()))
+    counts[OTHER] = count - int(labelled.sum())
+    return counts, (resamples, count - int(exact.sum()))
 
 
 def _ergodic_match_draw(params, rng, count):
@@ -385,72 +376,55 @@ def _ergodic_match_draw(params, rng, count):
     certified = values > floors[:, None]
     window = slice(len(expected))
     match = ((values[:, window] == expected) & certified[:, window]).all(axis=1)
-    return [(m, (int(not ex),))
-            for m, ex in zip(match.tolist(), certified[:, -1].tolist())]
-
-
-def _positive_box_label(values, floor: int, max_parts: int,
-                        max_part: int) -> tuple:
-    """(label, flagged, largest part < 2) of one matrix's singular numbers,
-    a row of singular_numbers and its floor: the label is the positive-part
-    partition, clipped to the box of partitions with at most max_parts
-    parts each <= max_part.
-
-    When the floor is positive, markers could hide positive values; the
-    certified prefix then already exceeds the box (its top value is above
-    the floor, hence above max_part for any desk-scale window), so the draw
-    is binned OTHER and flagged.
-    """
-    if floor > 0:
-        return OTHER, 1, 0
-    pos = Partition(tuple([v for v in values if v > 0]))
-    in_box = pos.num_parts <= max_parts and pos.largest <= max_part
-    return ((pos if in_box else OTHER), int(values[-1] <= floor),
-            int(pos.largest < 2))
+    return Counter(match.tolist()), (count - int(certified[:, -1].sum()),)
 
 
 def _ergodic_decomp_draw(params, rng, count):
     """Partitions from the limiting law, then the singular numbers of an
-    ergodic matrix with each as parameter.  Events: (errors, flagged,
-    largest part < 2); a parameter that overflows the window is an error
-    and tallies no label."""
+    ergodic matrix with each as parameter, labelled by their positive
+    parts when those fit the box of at most max_parts parts each <=
+    max_part.  Events: (errors, flagged, largest part < 2); a parameter
+    that overflows the window is an error and tallies no label.
+
+    When a floor is positive, markers could hide positive values; the
+    certified prefix then already exceeds the box (its top value is above
+    the floor, hence above max_part for any desk-scale window), so the
+    draw is binned OTHER and flagged.
+    """
     hp, n, digits, guard, max_parts, max_part = params
-    draws, overflowed = [], []
+    draws, errors = [], 0
     for _ in range(count):
         lam = sample_nu(hp, rng)
         try:
             draws.append(sample_ergodic_matrix(hp.p, lam, n, digits, rng))
-            overflowed.append(False)
         except PrecisionExhausted:
-            overflowed.append(True)
+            errors += 1
     units, shifts = ergodic_matrices(draws, hp.p, n, digits)
     values, floors = singular_numbers(units, shifts, hp.p, digits, guard)
-    rows = zip(values.tolist(), floors.tolist())
-    out = []
-    for error in overflowed:
-        if error:
-            out.append((None, (1, 0, 0)))
-            continue
-        label, flagged, top_below_2 = _positive_box_label(
-            *next(rows), max_parts, max_part)
-        out.append((label, (0, flagged, top_below_2)))
-    return out
+    sure = floors <= 0
+    in_box = (sure & (values[:, 0] <= max_part)
+              & (values[:, max_parts:] <= 0).all(axis=1))
+    counts = Counter(tuple(v for v in row if v > 0)
+                     for row in values[in_box, :max_parts].tolist())
+    counts[OTHER] = len(draws) - int(in_box.sum())
+    flagged = int((~sure | (values[:, -1] <= floors)).sum())
+    return counts, (errors, flagged, int((sure & (values[:, 0] < 2)).sum()))
 
 
 def _nu_limit_draw(params, rng, count):
     """Positive parts of exact singular-number draws, clipped to the box as
-    in _positive_box_label.  Each is labelled from the tail counts: X_1 is
-    the number of parts and the number of tail counts is the largest part.
-    Events: (largest part < 2,)."""
+    in _ergodic_decomp_draw.  Each is labelled from the tail counts: X_1 is
+    the number of parts, the number of tail counts is the largest part, and
+    the parts are their conjugate.  Events: (largest part < 2,)."""
     hp, n, max_parts, max_part = params
-    out = []
+    labels, top_below_2 = [], 0
     for _ in range(count):
         tails, _ = sample_hua_tails(hp, n, rng)
         largest = len(tails)
         in_box = largest <= max_part and (not tails or tails[0] <= max_parts)
-        label = Partition.from_tail_counts(tails) if in_box else OTHER
-        out.append((label, (int(largest < 2),)))
-    return out
+        labels.append(_conjugate(tails) if in_box else OTHER)
+        top_below_2 += largest < 2
+    return Counter(labels), (top_below_2,)
 
 
 # -- corners consistency and matrix round trip --------------------------------

@@ -636,8 +636,9 @@ def m_n_truncated_law(hp: HuaParams, n: int, bound: int) -> ExactLaw:
 def nu_truncated_law(hp: HuaParams, max_parts: int, max_part: int,
                      eps_atom=Fraction(1, 10**12)) -> ExactLaw:
     """The limiting partition law restricted to X_1 <= max_parts and
-    k_1 <= max_part; the tail is a certified bracket."""
-    masses = {lam: nu_bracket(hp, lam, eps_atom)
+    k_1 <= max_part, keyed by each partition's parts; the tail is a
+    certified bracket."""
+    masses = {lam.parts: nu_bracket(hp, lam, eps_atom)
               for lam in partitions_in_box(max_parts, max_part)}
     total = Bracket.exact(0)
     for mass in masses.values():

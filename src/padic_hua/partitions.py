@@ -119,21 +119,5 @@ class LProfile:
         """N = sum of all multiplicities."""
         return sum(l for _, l in self.mult)
 
-    @property
-    def min_index(self) -> int:
-        return self.mult[0][0] if self.mult else 0
-
-    @property
-    def max_index(self) -> int:
-        return self.mult[-1][0] if self.mult else 0
-
-    def upper_tail(self, i: int) -> int:
-        """Sum of l_j over j >= i."""
-        return sum(l for idx, l in self.mult if idx >= i)
-
-    def lower_tail(self, i: int) -> int:
-        """Sum of l_j over j <= i."""
-        return sum(l for idx, l in self.mult if idx <= i)
-
     def __repr__(self):
         return f"LProfile({dict(self.mult)})"

@@ -102,6 +102,27 @@ def laplace_det(rows):
                for j in range(n))
 
 
+# Tail sums of an LProfile, references for the tail counts in the laws.
+
+
+def min_index(profile) -> int:
+    return profile.mult[0][0] if profile.mult else 0
+
+
+def max_index(profile) -> int:
+    return profile.mult[-1][0] if profile.mult else 0
+
+
+def upper_tail(profile, i: int) -> int:
+    """Sum of l_j over j >= i."""
+    return sum(l for idx, l in profile.mult if idx >= i)
+
+
+def lower_tail(profile, i: int) -> int:
+    """Sum of l_j over j <= i."""
+    return sum(l for idx, l in profile.mult if idx <= i)
+
+
 class ReferenceStream:
     """The byte stream RngStream reproduces, read from numpy's Generator:
     a 512-byte buffer, each refill one Generator.bytes(max(512, k)) call on

@@ -15,6 +15,13 @@ def run_cli(capsys, *argv):
     return code, captured.out, captured.err
 
 
+def assert_one_error_line(code, out, err, blamed):
+    assert code == 2
+    assert out == ""
+    assert len(err.splitlines()) == 1 and err.startswith("error: ")
+    assert blamed in err
+
+
 class TestLaw:
     def test_m_n_worked_value(self, capsys):
         code, out, _ = run_cli(capsys, "law", "mN", "--p", "2", "--t", "1/1",
@@ -173,11 +180,7 @@ def test_bad_input_exits_2_with_one_error_line(tmp_path, capsys, monkeypatch,
         argv = tuple(str(path) if a == "{file}" else a for a in argv)
     elif argv[0] == "verify":
         argv += ("--out-dir", str(tmp_path / "reports"))
-    code, out, err = run_cli(capsys, *argv)
-    assert code == 2
-    assert out == ""
-    assert len(err.splitlines()) == 1 and err.startswith("error: ")
-    assert blamed in err
+    assert_one_error_line(*run_cli(capsys, *argv), blamed)
     assert not (tmp_path / "reports").exists()
 
 
@@ -185,6 +188,51 @@ def test_bad_worker_variable_leaves_other_subcommands_alone(capsys, monkeypatch)
     monkeypatch.setenv("PADIC_HUA_WORKERS", "abc")
     code, out, err = run_cli(capsys, "sample", "nu", "--seed", "1")
     assert code == 0 and json.loads(out)["kind"] == "nu" and err == ""
+
+
+@pytest.fixture
+def int_str_limit():
+    """The interpreter's limit on the digits of a printed int, set to its
+    least value, 640, for one test."""
+    if not hasattr(sys, "set_int_max_str_digits"):
+        pytest.skip("this interpreter prints ints of any length")
+    old = sys.get_int_max_str_digits()
+    sys.set_int_max_str_digits(640)
+    yield
+    sys.set_int_max_str_digits(old)
+
+
+@pytest.mark.parametrize("kind", ["hua", "ergodic"])
+def test_sample_refuses_entries_longer_than_the_int_limit(capsys, int_str_limit,
+                                                          kind):
+    # a residue below 2^2126 has at most 640 digits; below 2^2127, 641
+    argv = ("sample", kind, "--k", "1", "--N", "2", "--count", "2",
+            "--seed", "1", "--E")
+    code, out, _ = run_cli(capsys, *argv, "2126")
+    assert code == 0 and len(out.splitlines()) == 2
+    assert_one_error_line(*run_cli(capsys, *argv, "2127"), "--E 2127")
+
+
+def test_law_too_long_to_print_exits_2(capsys, int_str_limit):
+    # (1/3; 1/3)_n has denominator 3^(n(n+1)/2): 633 digits at n = 51 and
+    # 658 at n = 52
+    argv = ("law", "pochhammer", "--a", "1/3", "--q", "1/3", "--n")
+    code, out, _ = run_cli(capsys, *argv, "51")
+    assert code == 0 and len(json.loads(out)["exact"].split("/")[1]) == 633
+    assert_one_error_line(*run_cli(capsys, *argv, "52"), "limit")
+
+
+@pytest.mark.parametrize("kind, k, n_ok", [("hua", "", 4), ("ergodic", "3", 3)])
+def test_sample_refuses_draws_above_the_residue_budget(capsys, monkeypatch, kind,
+                                                       k, n_ok):
+    # one read: N^2 residues for a Haar factor, (2 r + N) N for an ergodic
+    # matrix whose parameter has r parts; 16 and 15 fit, 25 and 24 do not
+    monkeypatch.setattr(cli, "MAX_DRAW_RESIDUES", 16)
+    argv = ("sample", kind, "--k", k, "--count", "1", "--seed", "1", "--N")
+    code, out, _ = run_cli(capsys, *argv, str(n_ok))
+    assert code == 0 and len(out.splitlines()) == 1
+    assert_one_error_line(*run_cli(capsys, *argv, str(n_ok + 1)),
+                          "above the budget of 16")
 
 
 class TestSing:

@@ -1,3 +1,6 @@
+import multiprocessing
+import os
+from collections import Counter
 from fractions import Fraction as F
 
 import pytest
@@ -157,7 +160,20 @@ def reference_nu_limit_draw(params, rng):
     hp, n, max_parts, max_part = params
     pos = Partition(tuple(v for v in sample_hua_singulars(hp, n, rng) if v > 0))
     in_box = pos.num_parts <= max_parts and pos.largest <= max_part
-    return (pos if in_box else OTHER), (int(pos.largest < 2),)
+    return (pos.parts if in_box else OTHER), (int(pos.largest < 2),)
+
+
+def reference_tally(draw_one, params, rng, count):
+    """The tally of ``count`` draws of a one-draw reference: each label
+    counted (an overflow error, labelled None, counts none) and the events
+    summed."""
+    counts, sums = Counter(), None
+    for _ in range(count):
+        label, events = draw_one(params, rng)
+        if label is not None:
+            counts[label] += 1
+        sums = events if sums is None else tuple(map(sum, zip(sums, events)))
+    return counts, sums
 
 
 @pytest.mark.parametrize("n", [1, 5, 40])
@@ -167,7 +183,8 @@ def test_nu_limit_draw_matches_singular_tuple_reference(n, t, box):
     params = (HuaParams(2, t), n) + box
     for i in range(200):
         fast, ref = RngStream(21, (n, i)), RngStream(21, (n, i))
-        assert _nu_limit_draw(params, fast, 1) == [reference_nu_limit_draw(params, ref)]
+        assert (_nu_limit_draw(params, fast, 1)
+                == reference_tally(reference_nu_limit_draw, params, ref, 1))
         assert fast.bits_consumed == ref.bits_consumed
 
 
@@ -222,20 +239,8 @@ def reference_ergodic_decomp_draw(params, rng):
     values = marker_list(m, hp.p, digits, guard)
     pos = Partition(tuple(v for v in values if v is not None and v > 0))
     in_box = pos.num_parts <= max_parts and pos.largest <= max_part
-    return ((pos if in_box else OTHER),
+    return ((pos.parts if in_box else OTHER),
             (0, int(None in values), int(pos.largest < 2)))
-
-
-def reference_block(draw_one, params, seed, key, count):
-    """_run_block with one draw at a time."""
-    rng = RngStream(seed, key)
-    counts, sums = {}, None
-    for _ in range(count):
-        label, events = draw_one(params, rng)
-        if label is not None:
-            counts[label] = counts.get(label, 0) + 1
-        sums = events if sums is None else tuple(map(sum, zip(sums, events)))
-    return counts, sums
 
 
 # Draw cases: (draw, reference, params, the events that must occur).  Small
@@ -273,18 +278,20 @@ DRAW_CASES = {
 def test_run_block_matches_one_draw_at_a_time(monkeypatch, kind):
     draw, draw_one, params, events = DRAW_CASES[kind]
     count = 150
-    expected = reference_block(draw_one, params, 4, (1,), count)
+    expected = reference_tally(draw_one, params, RngStream(4, (1,)), count)
     assert all(expected[1][i] for i in events)  # these events occur
     for chunk in (1, 7, experiments.DRAW_CHUNK):
         monkeypatch.setattr(experiments, "DRAW_CHUNK", chunk)
         assert _run_block((draw, params, 4, (1,), count)) == expected
-    # a chunk consumes the stream exactly as its draws one at a time do
+    # a chunk tallies and consumes the stream exactly as its draws one at
+    # a time do
     for size in (1, 7, 64):
         batched, single = RngStream(8, (size,)), RngStream(8, (size,))
-        assert draw(params, batched, size) == [draw_one(params, single)
-                                               for _ in range(size)]
+        assert draw(params, batched, size) == reference_tally(
+            draw_one, params, single, size)
         assert batched.bits_consumed == single.bits_consumed
-    assert draw(params, RngStream(8), 0) == []
+    assert draw(params, RngStream(8), 0) == (Counter(),
+                                             (0,) * len(expected[1]))
 
 
 @pytest.mark.parametrize("parts, guard", [((3, 1), 6), ((5,), 4), ((6, 6), 3)])
@@ -294,12 +301,12 @@ def test_positive_floor_bins_other_and_flags(monkeypatch, parts, guard):
     monkeypatch.setattr(experiments, "sample_nu",
                         lambda hp, rng: Partition(parts))
     params = (HuaParams(2, F(1, 2)), 4, 8, guard, 3, 6)
-    assert _ergodic_decomp_draw(params, RngStream(3), 20) == [
-        (OTHER, (0, 1, 0))] * 20
+    assert _ergodic_decomp_draw(params, RngStream(3), 20) == (
+        Counter({OTHER: 20}), (0, 20, 0))
     # a floor of 0 keeps the positive part
     params = (HuaParams(2, F(1, 2)), 4, 8, guard - 1, 3, 6)
-    labels = [label for label, _ in _ergodic_decomp_draw(params, RngStream(3), 20)]
-    assert Partition(parts) in labels
+    counts, _ = _ergodic_decomp_draw(params, RngStream(3), 20)
+    assert parts in counts
 
 
 class FirstDraw(Exception):
@@ -317,6 +324,24 @@ def test_monte_carlo_runs_blocks_before_listing_them():
         monte_carlo(_raising_draw, None, 10**300, 1, (0,))
     with worker_pool(1) as pool, pytest.raises(FirstDraw):
         monte_carlo(_raising_draw, None, 10**300, 1, (0,), pool)
+
+
+def test_worker_pool_starts_at_most_one_process_per_cpu(monkeypatch):
+    asked = []
+
+    class Context:
+        def __init__(self, method):
+            self.method = method
+
+        def Pool(self, size):
+            asked.append((self.method, size))
+
+    monkeypatch.setattr(multiprocessing, "get_context", Context)
+    for cpus in (3, None):
+        monkeypatch.setattr(os, "cpu_count", lambda: cpus)
+        for workers in (1, 2, 100_000):
+            worker_pool(workers)
+    assert asked == [("spawn", size) for size in (1, 2, 3, 1, 1, 1)]
 
 
 def test_identity_suite_reduced():

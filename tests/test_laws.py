@@ -38,7 +38,13 @@ from padic_hua.partitions import LProfile, Partition, partitions_in_box
 from padic_hua.qseries import Bracket, pochhammer
 from padic_hua.samplers import _kernel_cumulative, _pi_n_cumulative
 
-from conftest import cumulative_weights
+from conftest import (
+    cumulative_weights,
+    lower_tail,
+    max_index,
+    min_index,
+    upper_tail,
+)
 
 HP2 = HuaParams(2, F(1))
 HP2S1 = HuaParams(2, F(1, 2))
@@ -246,10 +252,10 @@ def closed_m_n_direct(hp, vals):
 def closed_m_n_profile(hp, vals):
     profile = LProfile.from_singular_values(vals)
     weight = sum(i * l for i, l in profile.mult if i >= 1)
-    tail_sq = (sum(profile.upper_tail(i) ** 2
-                   for i in range(1, max(profile.max_index, 0) + 1))
-               + sum(profile.lower_tail(-i) ** 2
-                     for i in range(1, -min(profile.min_index, 0) + 1)))
+    tail_sq = (sum(upper_tail(profile, i) ** 2
+                   for i in range(1, max(max_index(profile), 0) + 1))
+               + sum(lower_tail(profile, -i) ** 2
+                     for i in range(1, -min(min_index(profile), 0) + 1)))
     return (closed_norm(hp, len(vals)) * hp.t**weight * F(hp.p) ** -tail_sq
             / closed_qq_prod(hp, vals))
 
@@ -463,13 +469,13 @@ class TestRewritingIdentities:
     @given(k=law_tuples)
     @settings(max_examples=300)
     def test_sides_match_profile_tails(self, k):
-        # Reference: every tail sum from the LProfile tail methods.
+        # Reference: every tail sum from the LProfile tail helpers.
         n = len(k)
         profile = LProfile.from_singular_values(k)
-        upper = [profile.upper_tail(i)
-                 for i in range(1, max(profile.max_index, 0) + 1)]
-        lower = [profile.lower_tail(-i)
-                 for i in range(1, -min(profile.min_index, 0) + 1)]
+        upper = [upper_tail(profile, i)
+                 for i in range(1, max(max_index(profile), 0) + 1)]
+        lower = [lower_tail(profile, -i)
+                 for i in range(1, -min(min_index(profile), 0) + 1)]
         assert rewrite_identity_sides(k) == (
             (sum(kj * (2 * j - 1) for j, kj in enumerate(k, 1) if kj > 0),
              sum(x * x for x in upper)),

@@ -16,12 +16,7 @@ TRACED = {attr
           for attr in attrs}
 
 # Definitions reached from outside the package, with the reason each stays.
-ALLOWED = {
-    "LProfile.upper_tail": "reference for the tail counts in tests/test_laws.py",
-    "LProfile.lower_tail": "reference for the tail counts in tests/test_laws.py",
-    "LProfile.min_index": "reference for the tail counts in tests/test_laws.py",
-    "LProfile.max_index": "reference for the tail counts in tests/test_laws.py",
-}
+ALLOWED: dict = {}
 
 
 def _is_dunder(name):
