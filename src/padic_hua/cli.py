@@ -39,7 +39,8 @@ from .laws import (
     tilde_pi_n,
     vol_singular_law,
 )
-from .matrix import format_entry, parse_matrix_text, singular_numbers
+from .matrix import (format_entry, parse_matrix_text, residue_dtype,
+                     singular_numbers)
 from .padic import DIGITS, GUARD, PrecisionExhausted, check_prime
 from .partitions import Partition
 from .qseries import Bracket, pochhammer, pochhammer_inf
@@ -58,9 +59,12 @@ SAMPLE_SCHEMA = "padic-hua/sample/1"
 # Stream namespaces for the sample subcommand, per record kind.
 _SAMPLE_NS = {"nu": 10, "hua": 11, "ergodic": 12}
 
-# Most residues one read of a sample draw may ask for: a chunk holds
-# DRAW_CHUNK draws' reads at once.
-MAX_DRAW_RESIDUES = 2**16
+# Most bytes of residues one chunk of sample draws may hold: a chunk keeps
+# the reads of up to DRAW_CHUNK draws at once.  The peak resident memory
+# of a chunk, with its stacks and printed entries, measured 5 to 11 times
+# this count (ergodic and hua chunks of 64 draws, p = 2, E from 24 to 200),
+# so the budget keeps a chunk below about 3 GiB.
+MAX_CHUNK_BYTES = 2**28
 
 
 class ConfigError(Exception):
@@ -198,12 +202,17 @@ def cmd_law(args) -> int:
             return 0
         else:
             raise ConfigError(f"unknown law {name!r}")
-        # Formatting raises ValueError when a numerator or denominator has
-        # more digits than the interpreter converts to a string.
-        doc = {"schema": LAW_SCHEMA, "law": name, "params": params}
-        doc.update(law_value_json(value))
     except (ValueError, ZeroDivisionError) as exc:
         raise ConfigError(str(exc)) from None
+    doc = {"schema": LAW_SCHEMA, "law": name, "params": params}
+    try:
+        doc.update(law_value_json(value))
+    except ValueError:
+        # A numerator or denominator has more digits than the interpreter
+        # converts to a string.
+        raise ConfigError(
+            f"law value has more than {sys.get_int_max_str_digits()} digits, "
+            f"too long to print") from None
     print(json.dumps(doc, sort_keys=True))
     return 0
 
@@ -225,7 +234,7 @@ def cmd_sample(args) -> int:
     _require(args.count >= 0, f"--count must be >= 0, got {args.count}")
     namespace = _SAMPLE_NS[args.kind]
     lam = None
-    reads = args.N**2  # the residues of one Haar read
+    reads = 2 * args.N**2  # the residues of two Haar reads
     if args.kind == "ergodic":
         try:
             lam = Partition(parse_int_list(args.k))
@@ -239,9 +248,15 @@ def cmd_sample(args) -> int:
         _require(not limit or digits * math.log10(hp.p) < limit,
                  f"--E {digits} at p = {hp.p} gives entries longer than "
                  f"the interpreter's {limit}-digit limit on printed ints")
-        _require(reads <= MAX_DRAW_RESIDUES,
-                 f"one {args.kind} draw at --N {args.N} reads {reads} "
-                 f"residues at once, above the budget of {MAX_DRAW_RESIDUES}")
+        # A residue is an int64 word, or a pointer and a Python int of
+        # about 32 + E log2(p) / 8 bytes.
+        width = (8 if residue_dtype(hp.p, digits) is not object
+                 else 40 + math.ceil(digits * math.log2(hp.p) / 8))
+        size = min(args.count, DRAW_CHUNK) * reads * width
+        _require(size <= MAX_CHUNK_BYTES,
+                 f"a chunk of {args.kind} draws at --N {args.N} and --E "
+                 f"{digits} holds {size} bytes of residues, above the "
+                 f"budget of {MAX_CHUNK_BYTES}")
     out = sys.stdout
     # Records are written a chunk at a time: the chunk's matrices are
     # assembled as one stack, and their singular numbers come from one

@@ -219,20 +219,30 @@ def test_law_too_long_to_print_exits_2(capsys, int_str_limit):
     argv = ("law", "pochhammer", "--a", "1/3", "--q", "1/3", "--n")
     code, out, _ = run_cli(capsys, *argv, "51")
     assert code == 0 and len(json.loads(out)["exact"].split("/")[1]) == 633
-    assert_one_error_line(*run_cli(capsys, *argv, "52"), "limit")
+    assert_one_error_line(*run_cli(capsys, *argv, "52"),
+                          "law value has more than 640 digits, too long to print")
 
 
-@pytest.mark.parametrize("kind, k, n_ok", [("hua", "", 4), ("ergodic", "3", 3)])
-def test_sample_refuses_draws_above_the_residue_budget(capsys, monkeypatch, kind,
-                                                       k, n_ok):
-    # one read: N^2 residues for a Haar factor, (2 r + N) N for an ergodic
-    # matrix whose parameter has r parts; 16 and 15 fit, 25 and 24 do not
-    monkeypatch.setattr(cli, "MAX_DRAW_RESIDUES", 16)
-    argv = ("sample", kind, "--k", k, "--count", "1", "--seed", "1", "--N")
-    code, out, _ = run_cli(capsys, *argv, str(n_ok))
-    assert code == 0 and len(out.splitlines()) == 1
-    assert_one_error_line(*run_cli(capsys, *argv, str(n_ok + 1)),
-                          "above the budget of 16")
+@pytest.mark.parametrize("kind, k, flag, ok, over, budget", [
+    ("hua", "", "--N", 2, 3, 256),
+    ("ergodic", "3", "--N", 3, 4, 256),
+    ("hua", "", "--E", 64, 65, 768),
+    ("ergodic", "", "--E", 64, 65, 384),
+])
+def test_sample_refuses_chunks_above_the_size_budget(capsys, monkeypatch, kind,
+                                                     k, flag, ok, over, budget):
+    # Two draws per chunk.  A draw reads 2 N^2 residues for two Haar
+    # factors, (2 r + N) N for an ergodic matrix whose parameter has r
+    # parts.  At the default E = 24 a residue takes 8 bytes: 128 and 240
+    # bytes fit, 288 and 384 do not.  At N = 2 (16 and 8 residues) a
+    # residue of 64 bits is counted as 40 + 8 bytes and one of 65 bits as
+    # 40 + 9, so those chunks are over the budget only because of E.
+    monkeypatch.setattr(cli, "MAX_CHUNK_BYTES", budget)
+    argv = ("sample", kind, "--k", k, "--count", "2", "--seed", "1", flag)
+    code, out, _ = run_cli(capsys, *argv, str(ok))
+    assert code == 0 and len(out.splitlines()) == 2
+    assert_one_error_line(*run_cli(capsys, *argv, str(over)),
+                          f"above the budget of {budget}")
 
 
 class TestSing:
