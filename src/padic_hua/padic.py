@@ -51,11 +51,14 @@ def check_prime(p: int) -> int:
 def int_valuation(n: int, p: int) -> int:
     """Largest v with p^v dividing n; requires n != 0.
 
-    Divides by p^(2^j) for j from the largest that divides n down to 0, so
-    a valuation v costs O(log v) big-integer divisions, not v of them.
+    At p = 2 it counts trailing zero bits.  Otherwise it divides by
+    p^(2^j) for j from the largest that divides n down to 0, so a valuation
+    v costs O(log v) big-integer divisions, not v of them.
     """
     if n == 0:
         raise ValueError("valuation of 0 is infinite")
+    if p == 2:  # the trailing zero bits
+        return (n & -n).bit_length() - 1
     powers = [p]
     while n % powers[-1] == 0:
         powers.append(powers[-1] ** 2)

@@ -10,7 +10,68 @@ Carlo reductions reproducible.
 
 from __future__ import annotations
 
+from bisect import bisect_right
+from itertools import accumulate
+from math import gcd
+from typing import NamedTuple
+
 import numpy as np
+
+# First-byte entries of a DrawTable that settle no state.
+REJECT = -1  # every attempt with this first byte is >= d
+UNDECIDED = -2  # the attempt's later bytes decide
+
+
+class DrawTable(NamedTuple):
+    """Inverse-CDF draw over the cumulative weights ``cum`` of a row with
+    denominator d, decided from an attempt's first byte where it can be.
+
+    An attempt is what randbelow(d) reads: nbytes bytes, shifted down by
+    drop bits.  ``first[b]`` is the state every attempt starting with byte
+    b lands in, REJECT when every such attempt is >= d, else UNDECIDED.
+    """
+
+    d: int
+    cum: tuple
+    nbytes: int
+    drop: int
+    first: tuple
+
+
+def draw_table(d: int, weights) -> DrawTable:
+    """The DrawTable of the row of masses w / d, reduced by g = gcd(d,
+    *weights): d / g is the lcm of the masses' reduced denominators, the
+    bound randbelow draws below.  The row must sum to 1 exactly."""
+    # g divides g0 = gcd(d, smallest weight), and is g0 when g0 divides
+    # every weight, as in the entrance rows; one divmod per weight then both
+    # checks that and reduces the row.
+    g = gcd(d, min(w for w in weights if w))
+    split = [divmod(w, g) for w in weights]
+    rest = gcd(*[r for _, r in split])
+    if rest:
+        g = gcd(g, rest)
+        split = [divmod(w, g) for w in weights]
+    d //= g
+    cum = tuple(accumulate(q for q, _ in split))
+    if cum[-1] != d:
+        raise AssertionError("row masses do not sum to 1 exactly")
+    if d == 1:  # randbelow(1) reads nothing
+        return DrawTable(d, cum, 0, 0, (bisect_right(cum, 0),))
+    k = (d - 1).bit_length()
+    nbytes = (k + 7) // 8
+    drop = 8 * nbytes - k
+    later = 8 * (nbytes - 1)  # bits after the first byte
+    first = []
+    for b in range(256):
+        lo = (b << later) >> drop
+        hi = (((b + 1) << later) - 1) >> drop
+        if lo >= d:
+            first.append(REJECT)
+        elif hi < d and bisect_right(cum, lo) == bisect_right(cum, hi):
+            first.append(bisect_right(cum, lo))
+        else:
+            first.append(UNDECIDED)
+    return DrawTable(d, cum, nbytes, drop, tuple(first))
 
 
 class RngStream:
@@ -94,6 +155,31 @@ class RngStream:
             self.bits_consumed -= drop
             if r < n:
                 return r
+
+    def choose(self, table: DrawTable) -> int:
+        """bisect_right(table.cum, randbelow(table.d)), reading the same
+        bytes at the same refill points and counting the same bits, but
+        parsing an attempt only when its first byte leaves it undecided."""
+        d, cum, nbytes, drop, first = table
+        if not nbytes:
+            return first[0]
+        while True:
+            pos = self._pos
+            end = pos + nbytes
+            if end > len(self._buf):
+                # randbytes' refill, at the same points
+                self._buf = self._buf[pos:] + self._generator_bytes(
+                    max(self._REFILL, nbytes))
+                pos, end = 0, nbytes
+            self._pos = end
+            self.bits_consumed += 8 * nbytes - drop
+            x = first[self._buf[pos]]
+            if x >= 0:
+                return x
+            if x == UNDECIDED:
+                r = int.from_bytes(self._buf[pos:end], "big") >> drop
+                if r < d:
+                    return bisect_right(cum, r)
 
     def __repr__(self):
         return f"RngStream(seed={self.seed}, key={self.key})"

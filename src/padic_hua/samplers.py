@@ -6,6 +6,12 @@ infinite entrance law is sampled by refining certified brackets until the
 uniform draw is provably separated from every atom boundary.  No atom is
 ever misclassified.
 
+Both are decided from their leading bits where those suffice (Knuth and
+Yao 1976; Devroye 1986, ch. III), reading exactly the stream bytes of the
+full comparison.  A finite row's table maps an attempt's first byte to its
+state (rng.draw_table); the entrance law's first 64-bit word is compared
+with integer thresholds of its round-one brackets.
+
 Streams are single-owner; parallel use gives each block of draws its own
 stream, RngStream(seed, key + (i,)) (see the rng module).
 """
@@ -15,8 +21,6 @@ from __future__ import annotations
 from bisect import bisect_right
 from fractions import Fraction
 from functools import lru_cache
-from itertools import accumulate
-from math import gcd
 
 import numpy as np
 
@@ -32,36 +36,42 @@ from .matrix import (
 from .padic import PrecisionExhausted, check_prime
 from .partitions import Partition, _conjugate
 from .qseries import Bracket
+from .rng import draw_table
 
 # Absorption at 0 is almost sure and fast (masses decay like p^-x^2);
 # the cap is a safety assertion, not a tuning knob.
 CHAIN_STEP_CAP = 10_000
 
 
-def _draw_table(d: int, weights) -> tuple:
-    """(d / g, cumulative sums of w / g) for the row of masses w / d, with
-    g = gcd(d, *weights): d / g is the lcm of the masses' reduced
-    denominators.  The row must sum to 1 exactly."""
-    g = gcd(d, *weights)
-    d //= g
-    cum = tuple(accumulate(w // g for w in weights))
-    if cum[-1] != d:
-        raise AssertionError("row masses do not sum to 1 exactly")
-    return d, cum
+class _RowTables(dict):
+    """Draw tables (rng.draw_table) of one family of rows at one (p, t),
+    keyed by the row's size and built on first use."""
+
+    __slots__ = ("weights", "params")
+
+    def __init__(self, weights, *params):
+        super().__init__()
+        self.weights, self.params = weights, params
+
+    def __missing__(self, size):
+        table = self[size] = draw_table(*self.weights(*self.params, size))
+        return table
 
 
-# The row tables below are keyed by (p, t.numerator, t.denominator, ...):
-# hashing two ints per chain step is much cheaper than hashing a Fraction.
+# The tables below are keyed by (p, t.numerator, t.denominator): hashing two
+# ints is much cheaper than hashing a Fraction.
 
 
 @lru_cache(maxsize=None)
-def _kernel_cumulative(p: int, num: int, den: int, x1: int):
-    return _draw_table(*kernel_weights(p, num, den, x1))
+def _kernel_cumulative(p: int, num: int, den: int) -> _RowTables:
+    """Kernel rows by the state x1 they step from."""
+    return _RowTables(kernel_weights, p, num, den)
 
 
 @lru_cache(maxsize=None)
-def _pi_n_cumulative(p: int, num: int, den: int, n: int):
-    return _draw_table(*pi_n_weights(p, num, den, n))
+def _pi_n_cumulative(p: int, num: int, den: int) -> _RowTables:
+    """Finite entrance laws pi_n by the size n."""
+    return _RowTables(pi_n_weights, p, num, den)
 
 
 @lru_cache(maxsize=None)
@@ -78,57 +88,92 @@ def _pi_s_cumulative(p: int, t: Fraction, eps: Fraction,
     return tuple(cum)
 
 
+# Round one of sample_pi_s: the first 64-bit word against atom brackets of
+# this width on the support 0..8.
+_PI_S_WORD = 64
+_PI_S_EPS = Fraction(1, 2**48)
+_PI_S_SUPPORT = 8
+
+
+@lru_cache(maxsize=None)
+def _pi_s_first_word(p: int, num: int, den: int) -> tuple:
+    """Round one of sample_pi_s on integers.  The first word w decides atom
+    x exactly when ceil(2^64 upper_(x-1)) <= w < floor(2^64 lower_x), over
+    the round-one CDF brackets (upper_(-1) = 0): that is the condition
+    upper_(x-1) <= w / 2^64 and (w + 1) / 2^64 <= lower_x.  Returned as
+    those bounds for x = 0..support in turn, each empty band's end raised
+    to its start so the tuple is non-decreasing: the word decides atom x
+    when bisect_right over it gives 2 x + 1."""
+    bounds = []
+    prev_upper = Fraction(0)
+    for c in _pi_s_cumulative(p, Fraction(num, den), _PI_S_EPS,
+                              _PI_S_SUPPORT):
+        start = -(-(prev_upper.numerator << _PI_S_WORD)
+                  // prev_upper.denominator)
+        end = (c.lower.numerator << _PI_S_WORD) // c.lower.denominator
+        bounds += [start, max(start, end)]
+        prev_upper = c.upper
+    return tuple(bounds)
+
+
 def sample_pi_s(hp: HuaParams, rng) -> int:
     """Exact draw from the limiting entrance law on Z_+.
 
     Inverse CDF with bracket refinement: the uniform draw is extended 64
     bits at a time and the atom brackets tightened until the draw interval
-    sits strictly inside one atom's cumulative slot.
+    sits strictly inside one atom's cumulative slot.  The first word is
+    decided by integer thresholds made from the round-one brackets (see
+    _pi_s_first_word); a word in a band between them falls through to the
+    same rounds over Fractions.
     """
-    bits = 0
-    u_num = 0
-    eps = Fraction(1, 2**48)
-    support = 8
-    for _ in range(256):
-        u_num = (u_num << 64) | rng.randbits(64)
-        bits += 64
+    u_num = rng.randbits(_PI_S_WORD)
+    i = bisect_right(
+        _pi_s_first_word(hp.p, hp.t.numerator, hp.t.denominator), u_num)
+    if i % 2:
+        return i // 2
+    bits = _PI_S_WORD
+    eps = _PI_S_EPS
+    support = _PI_S_SUPPORT
+    while True:
         scale = 1 << bits
         u_lo = Fraction(u_num, scale)
         u_hi = Fraction(u_num + 1, scale)
         cum = _pi_s_cumulative(hp.p, hp.t, eps, support)
         prev_upper = Fraction(0)
-        chosen = None
         for x in range(support + 1):
             if u_lo >= prev_upper and u_hi <= cum[x].lower:
-                chosen = x
-                break
+                return x
             prev_upper = cum[x].upper
-        if chosen is not None:
-            return chosen
+        if bits == 256 * _PI_S_WORD:
+            raise RuntimeError(
+                "entrance-law draw failed to separate after 256 refinements")
         if u_lo >= cum[support].upper:
             support *= 2
         else:
             eps /= 2**16
-    raise RuntimeError("entrance-law draw failed to separate after 256 refinements")
+        u_num = (u_num << _PI_S_WORD) | rng.randbits(_PI_S_WORD)
+        bits += _PI_S_WORD
 
 
 def run_chain(hp: HuaParams, start: int, rng) -> tuple:
     """States of the chain from ``start`` down to absorption at 0,
     including the start, excluding the absorbing 0.
 
-    A step from x draws u = randbelow(d) and moves to the first state whose
-    cumulative weight in the kernel row of x exceeds u.
+    A step from x is the inverse-CDF draw bisect_right(cum, randbelow(d))
+    over the kernel row of x, made by rng.choose from the row's draw table:
+    the first byte of an attempt settles the state, or rejects the attempt,
+    for all but the bytes whose attempts straddle a cumulative weight.  The
+    rows of (p, t) are looked up once per chain.
     """
-    p, num, den = hp.p, hp.t.numerator, hp.t.denominator
-    randbelow = rng.randbelow
+    rows = _kernel_cumulative(hp.p, hp.t.numerator, hp.t.denominator)
+    choose = rng.choose
     path = []
     x = start
     while x > 0:
         path.append(x)
         if len(path) > CHAIN_STEP_CAP:
             raise AssertionError("chain failed to absorb within the step cap")
-        d, cum = _kernel_cumulative(p, num, den, x)
-        x = bisect_right(cum, randbelow(d))
+        x = choose(rows[x])
     return tuple(path)
 
 
@@ -143,7 +188,7 @@ def sample_nu(hp: HuaParams, rng) -> Partition:
 def sample_hua_tails(hp: HuaParams, n: int, rng) -> tuple:
     """(positive tails, nonpositive tails) of a size-n singular-number draw.
 
-    Entrance: x ~ pi_n, drawn by inverse CDF like a chain step, gives the
+    Entrance: x ~ pi_n, drawn from its table like a chain step, gives the
     count of nonpositive parts.  The deformed chain from n - x yields the
     tail counts X_1 >= X_2 >= ... of the positive parts; the undeformed
     chain from x yields the tail counts of the nonpositive side
@@ -152,25 +197,33 @@ def sample_hua_tails(hp: HuaParams, n: int, rng) -> tuple:
     """
     if n < 1:
         raise ValueError(f"need n >= 1, got {n}")
-    d, cum = _pi_n_cumulative(hp.p, hp.t.numerator, hp.t.denominator, n)
-    x = bisect_right(cum, rng.randbelow(d))
+    x = rng.choose(_pi_n_cumulative(hp.p, hp.t.numerator, hp.t.denominator)[n])
     pos_tails = run_chain(hp, n - x, rng)
     return pos_tails, run_chain(hp.with_s_zero(), x, rng)
 
 
-def sample_hua_singulars(hp: HuaParams, n: int, rng) -> tuple:
-    """Exact draw of the singular-number tuple of a size-n matrix sample,
-    weakly decreasing ints assembled from the tail counts of
-    sample_hua_tails.
+# Few tail pairs occur at the small sizes the Monte Carlo suites draw.
+SINGULARS_CACHE_SIZE = 4096
+
+
+@lru_cache(maxsize=SINGULARS_CACHE_SIZE)
+def _singulars(pos_tails: tuple, neg_tails: tuple) -> tuple:
+    """The singular-number tuple with the given tail counts on each side.
 
     Chain paths decrease weakly by construction, so each side is the
     conjugate of its tails: the positive parts directly, and the
     nonpositive ones as 1 - c over the conjugate's entries c, smallest
     first (the value -i occurs X_i - X_(i+1) times).
     """
-    pos_tails, neg_tails = sample_hua_tails(hp, n, rng)
     return _conjugate(pos_tails) + tuple(
         [1 - c for c in reversed(_conjugate(neg_tails))])
+
+
+def sample_hua_singulars(hp: HuaParams, n: int, rng) -> tuple:
+    """Exact draw of the singular-number tuple of a size-n matrix sample,
+    weakly decreasing ints assembled from the tail counts of
+    sample_hua_tails (see _singulars)."""
+    return _singulars(*sample_hua_tails(hp, n, rng))
 
 
 def sample_hua_matrix(hp: HuaParams, n: int, digits: int, rng) -> tuple:

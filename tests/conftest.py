@@ -21,6 +21,7 @@ from padic_hua.matrix import (
 from padic_hua.padic import DIGITS, PrecisionExhausted, int_valuation
 from padic_hua.partitions import Partition
 from padic_hua.samplers import (
+    _pi_s_cumulative,
     ergodic_matrices,
     hua_matrices,
     sample_ergodic_matrix,
@@ -184,6 +185,51 @@ def reference_draw(row, rng):
     weights of its common denominator."""
     d, cum = cumulative_weights(row)
     return bisect_right(cum, reference_randbelow(rng, d))
+
+
+def reference_pi_s(hp, rng):
+    """The limiting entrance law drawn by Fraction comparisons in every
+    round, the first included: each round extends the uniform draw by 64
+    bits and tightens the atom brackets until the draw interval sits inside
+    one atom's cumulative slot."""
+    bits = 0
+    u_num = 0
+    eps = Fraction(1, 2**48)
+    support = 8
+    for _ in range(256):
+        u_num = (u_num << 64) | rng.randbits(64)
+        bits += 64
+        scale = 1 << bits
+        u_lo = Fraction(u_num, scale)
+        u_hi = Fraction(u_num + 1, scale)
+        cum = _pi_s_cumulative(hp.p, hp.t, eps, support)
+        prev_upper = Fraction(0)
+        for x in range(support + 1):
+            if u_lo >= prev_upper and u_hi <= cum[x].lower:
+                return x
+            prev_upper = cum[x].upper
+        if u_lo >= cum[support].upper:
+            support *= 2
+        else:
+            eps /= 2**16
+    raise RuntimeError("entrance-law draw failed to separate after 256 refinements")
+
+
+def reference_unit_det(p, n, pattern):
+    """Whether the n x n row-major residues mod p in ``pattern`` have a
+    nonzero determinant mod p, by Gaussian elimination over F_p."""
+    a = [list(pattern[i:i + n]) for i in range(0, n * n, n)]
+    for col in range(n):
+        pivot = next((i for i in range(col, n) if a[i][col]), None)
+        if pivot is None:
+            return False
+        a[pivot], a[col] = a[col], a[pivot]
+        inv = pow(a[col][col], -1, p)
+        for i in range(col + 1, n):
+            f = a[i][col] * inv % p
+            if f:
+                a[i] = [(x - f * y) % p for x, y in zip(a[i], a[col])]
+    return True
 
 
 def reference_chain(hp, start, rng):

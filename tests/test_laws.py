@@ -222,9 +222,11 @@ class TestWeightRows:
     @settings(max_examples=60, deadline=None)
     def test_draw_tables_match_closed_rows(self, hp, size):
         p, u, v = hp.p, hp.t.numerator, hp.t.denominator
-        assert _kernel_cumulative(p, u, v, size) == cumulative_weights(
+        kernel = _kernel_cumulative(p, u, v)[size]
+        assert (kernel.d, kernel.cum) == cumulative_weights(
             [closed_kernel(hp, size, x2) for x2 in range(size + 1)])
-        assert _pi_n_cumulative(p, u, v, size) == cumulative_weights(
+        pi_n = _pi_n_cumulative(p, u, v)[size]
+        assert (pi_n.d, pi_n.cum) == cumulative_weights(
             [closed_pi_n(hp, size, x) for x in range(size + 1)])
 
 

@@ -10,6 +10,7 @@ from hypothesis import example, given, settings, strategies as st
 from padic_hua.laws import HuaParams, _normalization, gamma_exponent, hua_density
 from padic_hua.matrix import (
     PrecisionExhausted,
+    _unit_det_pattern,
     assemble_orbit,
     corner,
     decode_residues,
@@ -33,6 +34,7 @@ from conftest import (
     matmul,
     read_one,
     reference_haar,
+    reference_unit_det,
     stack_matrices,
 )
 
@@ -585,6 +587,25 @@ def test_parity_byte_acceptance_matches_laplace(digits):
         assert accepts(rows, 2, digits, encode) == expected
         accepted += expected
     assert accepted == 168  # |GL(3, F_2)|
+
+
+def test_xor_elimination_matches_generic_elimination():
+    # p = 2 rows packed as ints and eliminated by XOR, against elimination
+    # over F_p: every pattern up to n = 3, seeded ones for n = 4..8, each as
+    # a tuple and as the byte path's bytes
+    plan = random.Random(37)
+    cases = [(n, tuple(code >> i & 1 for i in range(n * n)))
+             for n in (1, 2, 3) for code in range(2 ** (n * n))]
+    cases += [(n, tuple(plan.randrange(2) for _ in range(n * n)))
+              for n in range(4, 9) for _ in range(300)]
+    accepted = {}
+    for n, pattern in cases:
+        expected = reference_unit_det(2, n, pattern)
+        assert _unit_det_pattern.__wrapped__(2, n, pattern) == expected
+        assert _unit_det_pattern.__wrapped__(2, n, bytes(pattern)) == expected
+        accepted[n] = accepted.get(n, 0) + expected
+    assert [accepted[n] for n in (1, 2, 3)] == [1, 6, 168]  # |GL(n, F_2)|
+    assert all(0 < accepted[n] < 300 for n in range(4, 9))
 
 
 def test_haar_streams_match_reference_rejection_loop():

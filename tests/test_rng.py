@@ -1,8 +1,10 @@
 import random
+from bisect import bisect_right
 
 import pytest
 
-from padic_hua.rng import RngStream
+from padic_hua.laws import kernel_weights, pi_n_weights
+from padic_hua.rng import REJECT, UNDECIDED, RngStream, draw_table
 
 from conftest import ReferenceStream, reference_randbelow
 
@@ -55,3 +57,64 @@ def test_stream_matches_generator_bytes(seed):
             n = plan.randrange(1, 2 ** plan.randrange(1, 1700))
             assert ours.randbelow(n) == reference_randbelow(ref, n)
         assert ours.bits_consumed == ref.bits_consumed
+
+
+class ServedStream(RngStream):
+    """An RngStream whose refills serve ``data`` in order, then zero bytes,
+    logging each refill's size and the bits consumed when it comes."""
+
+    def __init__(self, data):
+        super().__init__(0)
+        self.data, self.served, self.refills = data, 0, []
+
+    def _generator_bytes(self, m):
+        self.refills.append((m, self.bits_consumed))
+        out = self.data[self.served:self.served + m]
+        self.served += m
+        return out + bytes(m - len(out))
+
+
+# A 1-byte row (the kernel row from 2 at p = 3, t = 1), a 2-byte row (pi_3
+# at p = 2, t = 1) and the 201-byte pi_40 row at p = 2, t = 1, with the
+# first-byte entries each must have: (nbytes, any reject, any undecided).
+DRAW_ROWS = {
+    "1-byte": (kernel_weights(3, 1, 1, 2), (1, True, False)),
+    "2-byte": (pi_n_weights(2, 1, 1, 3), (2, True, True)),
+    "pi_40": (pi_n_weights(2, 1, 1, 40), (201, True, True)),
+}
+
+
+def every_first_byte(table):
+    """Attempts for a row: all 2^16 of them on a 2-byte row, else each
+    first byte once, followed by seeded bytes."""
+    if table.nbytes == 2:
+        return [i.to_bytes(2, "big") for i in range(1 << 16)]
+    plan = random.Random(table.nbytes)
+    return [bytes([b]) + plan.randbytes(table.nbytes - 1) for b in range(256)]
+
+
+@pytest.mark.parametrize("row", DRAW_ROWS)
+def test_choose_matches_bisect_over_randbelow(row):
+    weights, entries = DRAW_ROWS[row]
+    table = draw_table(*weights)
+    assert (table.nbytes, REJECT in table.first,
+            UNDECIDED in table.first) == entries
+    attempts = every_first_byte(table)
+    data = b"".join(attempts)
+    ours, ref = ServedStream(data), ServedStream(data)
+    # every draw reads at least one attempt, so these draws read them all
+    for _ in attempts:
+        assert ours.choose(table) == bisect_right(table.cum,
+                                                  ref.randbelow(table.d))
+        assert ours.bits_consumed == ref.bits_consumed
+    assert ours.served >= len(data)
+    assert ours.refills == ref.refills
+    assert ours.randbytes(1000) == ref.randbytes(1000)
+
+
+def test_choose_reads_nothing_from_a_one_state_row():
+    table = draw_table(5, (0, 5, 0))
+    rng = RngStream(1)
+    assert (table.d, table.cum, table.nbytes) == (1, (0, 1, 1), 0)
+    assert rng.choose(table) == 1
+    assert rng.bits_consumed == 0

@@ -1,3 +1,4 @@
+from bisect import bisect_right
 from collections import Counter
 from fractions import Fraction as F
 from math import sqrt
@@ -20,6 +21,8 @@ from padic_hua.samplers import (
     _kernel_cumulative,
     _pi_n_cumulative,
     _pi_s_cumulative,
+    _pi_s_first_word,
+    _singulars,
     ergodic_matrices,
     hua_matrices,
     run_chain,
@@ -43,6 +46,7 @@ from conftest import (
     reference_hua_singulars,
     reference_hua_tails,
     reference_orbit,
+    reference_pi_s,
     stack_matrices,
 )
 
@@ -98,7 +102,8 @@ class TestEntranceDraws:
         assert cold == warm
 
     def test_singulars_cache_does_not_change_draws(self):
-        tables = (_fraction_row, _kernel_cumulative, _pi_n_cumulative, _s_zero)
+        tables = (_fraction_row, _kernel_cumulative, _pi_n_cumulative, _s_zero,
+                  _singulars)
 
         def draw(i):
             hp = (HP2, HuaParams(2, F(1, 2)), HuaParams(3, F(1)))[i % 3]
@@ -158,6 +163,40 @@ def test_hua_tail_streams_match_step_by_step_reference(hp):
             assert ours.bits_consumed == ref.bits_consumed
             singulars = sample_hua_singulars(hp, n, RngStream(47, (n, i)))
             assert singulars == reference_hua_singulars(*tails)
+
+
+class WordStream:
+    """randbits(64) serves ``first``, then the words of a seeded stream."""
+
+    def __init__(self, first, seed):
+        self.first, self.rest = first, RngStream(seed)
+        self.bits_consumed = 0
+
+    def randbits(self, k):
+        self.bits_consumed += k
+        word, self.first = self.first, None
+        return self.rest.randbits(k) if word is None else word
+
+
+PI_S_PARAMS = [HuaParams(p, t) for p in (2, 3) for t in (F(1), F(1, 2))]
+
+
+@pytest.mark.parametrize("hp", PI_S_PARAMS, ids=params_id)
+def test_pi_s_first_word_matches_fraction_rounds(hp):
+    # first words at, one below and one above each threshold, then 2,500
+    # seeded draws: the same atom and the same bits as Fraction rounds
+    bounds = _pi_s_first_word(hp.p, hp.t.numerator, hp.t.denominator)
+    words = sorted({w + e for w in bounds for e in (-1, 0, 1)
+                    if 0 <= w + e < 2**64})
+    assert any(bisect_right(bounds, w) % 2 == 0 for w in words)  # a band
+    for i, w in enumerate(words):
+        ours, ref = WordStream(w, i), WordStream(w, i)
+        assert sample_pi_s(hp, ours) == reference_pi_s(hp, ref)
+        assert ours.bits_consumed == ref.bits_consumed
+    for i in range(2500):
+        ours, ref = RngStream(8, (hp.p, i)), RngStream(8, (hp.p, i))
+        assert sample_pi_s(hp, ours) == reference_pi_s(hp, ref)
+        assert ours.bits_consumed == ref.bits_consumed
 
 
 class TestNu:
