@@ -124,7 +124,7 @@ def _require(ok: bool, message: str) -> None:
 
 def _hp(args) -> HuaParams:
     try:
-        return HuaParams(args.p, parse_fraction(args.t))
+        return HuaParams.of(args.p, parse_fraction(args.t))
     except ValueError as exc:
         raise ConfigError(str(exc)) from None
 

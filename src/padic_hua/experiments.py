@@ -447,9 +447,7 @@ def run_corners_consistency(hp: HuaParams, n: int, draws: int, seed: int, *,
     law = m_n_truncated_law(hp, corner_to, CORNER_BOUND)
     counts, (resamples, flagged) = monte_carlo(
         _corner_draw, (hp, n, corner_to, DIGITS, GUARD, CORNER_BOUND),
-        draws, seed,
-        (namespace, hp.p, hp.t.numerator, hp.t.denominator, n, corner_to),
-        pool)
+        draws, seed, (namespace, *hp, n, corner_to), pool)
     hist = Histogram(counts, draws)
     tv = tv_on_support(hist, law)
     tv_penalized = tv_distance(hist, law)
@@ -457,7 +455,7 @@ def run_corners_consistency(hp: HuaParams, n: int, draws: int, seed: int, *,
     name = "matrix-roundtrip" if corner_to == n else "corners-consistency"
     return ExperimentReport(
         name=name,
-        params={"p": hp.p, "t": f"{hp.t.numerator}/{hp.t.denominator}", "n": n,
+        params={"p": hp.p, "t": f"{hp.u}/{hp.v}", "n": n,
                 "corner_to": corner_to, "draws": draws, "digits": DIGITS,
                 "guard": GUARD, "bound": CORNER_BOUND, "block": DEFAULT_BLOCK},
         seed=seed,
@@ -536,9 +534,7 @@ def run_ergodic_decomposition(hp: HuaParams, n_list, draws: int, seed: int,
     for n in n_list:
         counts, (n_errors, n_flagged, top_below_2) = monte_carlo(
             _ergodic_decomp_draw, (hp, n, DIGITS, GUARD, *NU_BOX),
-            draws, seed,
-            (NS_ERGODIC_DECOMP, hp.p, hp.t.numerator, hp.t.denominator, n),
-            pool)
+            draws, seed, (NS_ERGODIC_DECOMP, *hp, n), pool)
         hist = Histogram(counts, draws)
         errors += n_errors
         flagged += n_flagged
@@ -555,7 +551,7 @@ def run_ergodic_decomposition(hp: HuaParams, n_list, draws: int, seed: int,
                           last <= first + TREND_ALLOWANCE))
     return ExperimentReport(
         name="ergodic-decomposition",
-        params={"p": hp.p, "t": f"{hp.t.numerator}/{hp.t.denominator}",
+        params={"p": hp.p, "t": f"{hp.u}/{hp.v}",
                 "n_list": list(n_list), "draws": draws, "digits": DIGITS,
                 "guard": GUARD, "max_parts": NU_BOX[0], "max_part": NU_BOX[1]},
         seed=seed,
@@ -596,7 +592,7 @@ def run_nu_limit(hp: HuaParams, n_list, draws: int, seed: int, *,
     law = nu_truncated_law(hp, *NU_BOX)
     counts, (top_below_2,) = monte_carlo(
         _nu_limit_draw, (hp, n_max, *NU_BOX), draws, seed,
-        (NS_NULIMIT, hp.p, hp.t.numerator, hp.t.denominator, n_max), pool)
+        (NS_NULIMIT, *hp, n_max), pool)
     hist = Histogram(counts, draws)
     tv_mc = tv_on_support(hist, law)
     threshold = scaled_gate(*NU_LIMIT_GATE, draws)
@@ -616,7 +612,7 @@ def run_nu_limit(hp: HuaParams, n_list, draws: int, seed: int, *,
         notes.append(f"rr product P(k_1 < 2) = {mass_json(rr)}")
     return ExperimentReport(
         name="nu-limit",
-        params={"p": hp.p, "t": f"{hp.t.numerator}/{hp.t.denominator}",
+        params={"p": hp.p, "t": f"{hp.u}/{hp.v}",
                 "n_list": list(n_list), "draws": draws,
                 "max_parts": NU_BOX[0], "max_part": NU_BOX[1]},
         seed=seed,
@@ -662,19 +658,18 @@ def run_identities(seed: int, *, primes=(2, 3, 5),
     """Zero-tolerance identity suite: kernel rows are stochastic, the finite
     entrance laws are complete, the tail-sum rewriting identities hold on
     random tuples, and all four forms of the singular-number law agree."""
-    grid = [HuaParams(p, t) for p in primes for t in ts]
+    grid = [HuaParams.of(p, t) for p in primes for t in ts]
 
     # A row sums to 1 exactly when its integer weights sum to its denominator.
     row_failures = 0
     completeness_failures = 0
     for hp in grid:
-        p, u, v = hp.p, hp.t.numerator, hp.t.denominator
         for x1 in range(row_max + 1):
-            d, w = kernel_weights(p, u, v, x1)
+            d, w = kernel_weights(*hp, x1)
             row_failures += sum(w) != d
         for n in range(1, completeness_max + 1):
             for weights in (pi_n_weights, tilde_pi_n_weights):
-                d, w = weights(p, u, v, n)
+                d, w = weights(*hp, n)
                 completeness_failures += sum(w) != d
 
     rng = RngStream(seed, (NS_IDENTITIES, 0))
@@ -736,7 +731,7 @@ def run_chain_checks(*, primes=(2, 3), ts=(Fraction(1), Fraction(1, 2)),
     checked = 0
     for p in primes:
         for t in ts:
-            hp = HuaParams(p, t)
+            hp = HuaParams.of(p, t)
             for lam in partitions_in_box(max_parts, max_part):
                 checked += 1
                 if not nu_bracket(hp, lam, nu_eps).overlaps(
@@ -747,7 +742,7 @@ def run_chain_checks(*, primes=(2, 3), ts=(Fraction(1), Fraction(1, 2)),
     rr_rows = []
     for p in primes:
         for s in (0, 1):
-            hp = HuaParams(p, Fraction(1, p**s))
+            hp = HuaParams.of(p, Fraction(1, p**s))
             for x in x_values:
                 product = rr_cdf(p, s, x, rr_eps)
                 direct = nu_k1_below(hp, x, rr_eps)
@@ -803,7 +798,7 @@ def suite_runs(name: str, seed: int, scale: float = 1.0) -> list:
         raise ValueError(f"unknown suite {name!r}; choose from {SUITE_NAMES}")
     chosen = {name} if name != "all" else set(SUITE_NAMES)
     mc = {"pool": None}
-    hp1, hp2 = HuaParams(2, Fraction(1)), HuaParams(2, Fraction(1, 2))
+    hp1, hp2 = HuaParams.of(2, 1), HuaParams.of(2, Fraction(1, 2))
     runs = []  # (runner, positional args, keyword args)
     if "oracle" in chosen:
         for p, n, digits in ((2, 1, 3), (2, 2, 3), (3, 1, 2), (3, 2, 2)):

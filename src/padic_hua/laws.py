@@ -15,72 +15,57 @@ import math
 from collections import Counter
 from dataclasses import dataclass
 from fractions import Fraction
-from functools import cached_property, lru_cache
+from functools import lru_cache
 from itertools import combinations_with_replacement
-from typing import Union
+from typing import NamedTuple, Union
 
-from .padic import check_prime
+from .padic import check_prime, int_valuation
 from .partitions import LProfile, Partition, partitions_in_box
 from .qseries import Bracket, pochhammer, pochhammer_inf
 
 Mass = Union[Fraction, Bracket]
 
 
-@dataclass(frozen=True)
-class HuaParams:
-    """Prime p and exact deformation parameter t = p^-s with s > -1."""
+class HuaParams(NamedTuple):
+    """Prime p and exact deformation parameter t = u/v = p^-s with s > -1,
+    u/v in lowest terms.  Plain ints, so every cache and stream key reads
+    the tuple itself; HuaParams.of builds one from outside input."""
 
     p: int
-    t: Fraction
+    u: int
+    v: int
 
-    def __post_init__(self):
-        check_prime(self.p)
-        object.__setattr__(self, "t", Fraction(self.t))
-        if not 0 < self.t < self.p:
-            raise ValueError(f"need 0 < t < p, got t = {self.t}, p = {self.p}")
+    @classmethod
+    def of(cls, p: int, t) -> "HuaParams":
+        """Validated parameters at prime p and rational t with 0 < t < p."""
+        check_prime(p)
+        t = Fraction(t)
+        if not 0 < t < p:
+            raise ValueError(f"need 0 < t < p, got t = {t}, p = {p}")
+        return cls(p, t.numerator, t.denominator)
 
-    # cached_property stores into the instance __dict__, which a frozen
-    # dataclass allows; the fields, and so equality and hashing, are unchanged.
-    @cached_property
+    @property
+    def t(self) -> Fraction:
+        return Fraction(self.u, self.v)
+
+    @property
     def q(self) -> Fraction:
         return Fraction(1, self.p)
 
-    @cached_property
+    @property
     def a(self) -> Fraction:
         """p^-(1+s) = t/p, the second Pochhammer base."""
-        return self.t / self.p
+        return Fraction(self.u, self.v * self.p)
 
     def with_s_zero(self) -> "HuaParams":
         """The undeformed parameters (t = 1) at the same p."""
-        return _s_zero(self.p)
+        return HuaParams(self.p, 1, 1)
 
     def s_exponent(self):
-        """Integer s with t = p^-s, or None if t is not a power of p."""
-        num, den = self.t.numerator, self.t.denominator
-        if num == 1:
-            s = 0
-            while den > 1:
-                if den % self.p:
-                    return None
-                den //= self.p
-                s += 1
-            return s
-        if den == 1:
-            s = 0
-            while num > 1:
-                if num % self.p:
-                    return None
-                num //= self.p
-                s -= 1
-            return s
-        return None
-
-
-@lru_cache(maxsize=None)
-def _s_zero(p: int) -> HuaParams:
-    """HuaParams(p, 1), built once per prime: the chain samplers ask for it
-    on every draw."""
-    return HuaParams(p, Fraction(1))
+        """Integer s with t = p^-s, or None if t is not a power of p; s is
+        never negative, since t < p."""
+        s = int_valuation(self.v, self.p)
+        return s if self.u == 1 and self.v == self.p**s else None
 
 
 def _singular_values(k) -> tuple:
@@ -91,15 +76,10 @@ def _singular_values(k) -> tuple:
     return vals
 
 
+@lru_cache(maxsize=None)
 def _normalization(hp: HuaParams, n: int) -> Fraction:
     """(a; q)_n^2 / (a; q)_2n."""
-    t = hp.t
-    return _normalization_ints(hp.p, t.numerator, t.denominator, n)
-
-
-@lru_cache(maxsize=None)
-def _normalization_ints(p: int, u: int, v: int, n: int) -> Fraction:
-    q, a = Fraction(1, p), Fraction(u, v * p)
+    q, a = hp.q, hp.a
     return pochhammer(a, q, n) ** 2 / pochhammer(a, q, 2 * n)
 
 
@@ -222,9 +202,9 @@ LAW_ROW_CACHE_SIZE = 32
 
 
 @lru_cache(maxsize=LAW_ROW_CACHE_SIZE)
-def _fraction_row(weights, p: int, u: int, v: int, size: int) -> tuple:
-    """The masses w[i] / D of the row (D, w) = weights(p, u, v, size)."""
-    d, w = weights(p, u, v, size)
+def _fraction_row(weights, hp: HuaParams, size: int) -> tuple:
+    """The masses w[i] / D of the row (D, w) = weights(*hp, size)."""
+    d, w = weights(*hp, size)
     return tuple(Fraction(x, d) for x in w)
 
 
@@ -243,8 +223,7 @@ def kernel_row(hp: HuaParams, x1: int) -> tuple:
     1 exactly."""
     if x1 < 0:
         raise ValueError(f"need x1 >= 0, got {x1}")
-    t = hp.t
-    return _fraction_row(kernel_weights, hp.p, t.numerator, t.denominator, x1)
+    return _fraction_row(kernel_weights, hp, x1)
 
 
 def pi_s_prefactor(hp: HuaParams, x: int) -> Fraction:
@@ -306,17 +285,14 @@ def pi_n_row(hp: HuaParams, n: int) -> tuple:
     """(pi_n(0), ..., pi_n(n)), from pi_n_weights."""
     if n < 0:
         raise ValueError(f"need n >= 0, got {n}")
-    t = hp.t
-    return _fraction_row(pi_n_weights, hp.p, t.numerator, t.denominator, n)
+    return _fraction_row(pi_n_weights, hp, n)
 
 
 def tilde_pi_n_row(hp: HuaParams, n: int) -> tuple:
     """(tilde_pi_n(0), ..., tilde_pi_n(n)), from tilde_pi_n_weights."""
     if n < 0:
         raise ValueError(f"need n >= 0, got {n}")
-    t = hp.t
-    return _fraction_row(tilde_pi_n_weights, hp.p, t.numerator, t.denominator,
-                         n)
+    return _fraction_row(tilde_pi_n_weights, hp, n)
 
 
 # -- the singular-number law in its four equivalent forms --------------------
@@ -330,14 +306,14 @@ def m_n_direct(hp: HuaParams, k) -> Fraction:
     """
     vals = _singular_values(k)
     n = len(vals)
-    p, t = hp.p, hp.t
+    p, u, v = hp
     g = sum(v for v in vals if v > 0)
     b = sum((2 * j - 2 * n - 1) * kj for j, kj in enumerate(vals, 1))
     norm = _normalization(hp, n)
     cn, en = _qq(p, n)
     cm, em = _qq_product(p, Counter(vals).values())
-    return _p_power_mass(norm.numerator * t.numerator**g * cn * cn,
-                         norm.denominator * t.denominator**g * cm,
+    return _p_power_mass(norm.numerator * u**g * cn * cn,
+                         norm.denominator * v**g * cm,
                          p, em - 2 * en - 2 * n * g - b)
 
 
@@ -349,15 +325,15 @@ def m_n_profile(hp: HuaParams, profile: LProfile) -> Fraction:
          / prod_i (q;q)_{l_i}.
     """
     n = profile.total
-    p, t = hp.p, hp.t
+    p, u, v = hp
     weight = sum(i * l for i, l in profile.mult if i >= 1)
     upper, lower = _tail_counts(dict(profile.mult))
     tail_sq = sum(x * x for x in upper[1:]) + sum(x * x for x in lower[1:])
     norm = _normalization(hp, n)
     cn, en = _qq(p, n)
     cm, em = _qq_product(p, (l for _, l in profile.mult))
-    return _p_power_mass(norm.numerator * t.numerator**weight * cn * cn,
-                         norm.denominator * t.denominator**weight * cm,
+    return _p_power_mass(norm.numerator * u**weight * cn * cn,
+                         norm.denominator * v**weight * cm,
                          p, em - 2 * en - tail_sq)
 
 
@@ -423,11 +399,11 @@ def nu_bracket(hp: HuaParams, lam: Partition, eps) -> Bracket:
 
     with X_i the tail counts.  Only the infinite product is inexact.
     """
-    p, t = hp.p, hp.t
+    p, u, v = hp
     xs = lam.tail_counts()
     w = lam.weight
     cm, em = _qq_product(p, (x - nxt for x, nxt in zip(xs, xs[1:] + (0,))))
-    pre = _p_power_mass(t.numerator**w, t.denominator**w * cm,
+    pre = _p_power_mass(u**w, v**w * cm,
                         p, em - sum(x * x for x in xs))
     return pochhammer_inf(hp.a, hp.q, Fraction(eps) / pre) * pre
 
@@ -518,10 +494,10 @@ def nu_k1_below(hp: HuaParams, x: int, eps) -> Bracket:
     """
     if x < 1:
         raise ValueError(f"need x >= 1, got {x}")
-    if hp.t > 1:
+    t, q = hp.t, hp.q
+    if t > 1:
         raise ValueError("direct CDF tail bound requires t <= 1")
     eps = Fraction(eps)
-    q = hp.q
     qq_inf_lower = pochhammer_inf(q, q, Fraction(1, 10**6)).lower
     slots = x - 1
 
@@ -546,7 +522,7 @@ def nu_k1_below(hp: HuaParams, x: int, eps) -> Bracket:
         nonlocal total
         # tail_so_far = X_level once levels > level are fixed.
         if level == 0:
-            total += (Fraction(1, hp.p**sq_sum) * hp.t**weight / mult_prod)
+            total += (Fraction(1, hp.p**sq_sum) * t**weight / mult_prod)
             return
         for l in range(remaining + 1):
             tail = tail_so_far + l

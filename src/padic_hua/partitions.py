@@ -57,10 +57,6 @@ class Partition:
     def weight(self) -> int:
         return sum(self.parts)
 
-    @property
-    def largest(self) -> int:
-        return self.parts[0] if self.parts else 0
-
     def tail_counts(self) -> tuple:
         """(X_1, ..., X_{largest}), X_i the number of parts >= i; empty for
         the empty partition."""

@@ -44,42 +44,36 @@ CHAIN_STEP_CAP = 10_000
 
 
 class _RowTables(dict):
-    """Draw tables (rng.draw_table) of one family of rows at one (p, t),
+    """Draw tables (rng.draw_table) of one family of rows at one (p, u, v),
     keyed by the row's size and built on first use."""
 
-    __slots__ = ("weights", "params")
+    __slots__ = ("weights", "hp")
 
-    def __init__(self, weights, *params):
+    def __init__(self, weights, hp: HuaParams):
         super().__init__()
-        self.weights, self.params = weights, params
+        self.weights, self.hp = weights, hp
 
     def __missing__(self, size):
-        table = self[size] = draw_table(*self.weights(*self.params, size))
+        table = self[size] = draw_table(*self.weights(*self.hp, size))
         return table
 
 
-# The tables below are keyed by (p, t.numerator, t.denominator): hashing two
-# ints is much cheaper than hashing a Fraction.
-
-
 @lru_cache(maxsize=None)
-def _kernel_cumulative(p: int, num: int, den: int) -> _RowTables:
+def _kernel_cumulative(hp: HuaParams) -> _RowTables:
     """Kernel rows by the state x1 they step from."""
-    return _RowTables(kernel_weights, p, num, den)
+    return _RowTables(kernel_weights, hp)
 
 
 @lru_cache(maxsize=None)
-def _pi_n_cumulative(p: int, num: int, den: int) -> _RowTables:
+def _pi_n_cumulative(hp: HuaParams) -> _RowTables:
     """Finite entrance laws pi_n by the size n."""
-    return _RowTables(pi_n_weights, p, num, den)
+    return _RowTables(pi_n_weights, hp)
 
 
 @lru_cache(maxsize=None)
-def _pi_s_cumulative(p: int, t: Fraction, eps: Fraction,
-                     support: int) -> tuple:
+def _pi_s_cumulative(hp: HuaParams, eps: Fraction, support: int) -> tuple:
     """Certified brackets of the limiting entrance law's CDF at 0..support,
     each atom bracketed to within eps."""
-    hp = HuaParams(p, t)
     cum = []
     acc = Bracket.exact(0)
     for x in range(support + 1):
@@ -96,7 +90,7 @@ _PI_S_SUPPORT = 8
 
 
 @lru_cache(maxsize=None)
-def _pi_s_first_word(p: int, num: int, den: int) -> tuple:
+def _pi_s_first_word(hp: HuaParams) -> tuple:
     """Round one of sample_pi_s on integers.  The first word w decides atom
     x exactly when ceil(2^64 upper_(x-1)) <= w < floor(2^64 lower_x), over
     the round-one CDF brackets (upper_(-1) = 0): that is the condition
@@ -106,8 +100,7 @@ def _pi_s_first_word(p: int, num: int, den: int) -> tuple:
     when bisect_right over it gives 2 x + 1."""
     bounds = []
     prev_upper = Fraction(0)
-    for c in _pi_s_cumulative(p, Fraction(num, den), _PI_S_EPS,
-                              _PI_S_SUPPORT):
+    for c in _pi_s_cumulative(hp, _PI_S_EPS, _PI_S_SUPPORT):
         start = -(-(prev_upper.numerator << _PI_S_WORD)
                   // prev_upper.denominator)
         end = (c.lower.numerator << _PI_S_WORD) // c.lower.denominator
@@ -127,8 +120,7 @@ def sample_pi_s(hp: HuaParams, rng) -> int:
     same rounds over Fractions.
     """
     u_num = rng.randbits(_PI_S_WORD)
-    i = bisect_right(
-        _pi_s_first_word(hp.p, hp.t.numerator, hp.t.denominator), u_num)
+    i = bisect_right(_pi_s_first_word(hp), u_num)
     if i % 2:
         return i // 2
     bits = _PI_S_WORD
@@ -138,7 +130,7 @@ def sample_pi_s(hp: HuaParams, rng) -> int:
         scale = 1 << bits
         u_lo = Fraction(u_num, scale)
         u_hi = Fraction(u_num + 1, scale)
-        cum = _pi_s_cumulative(hp.p, hp.t, eps, support)
+        cum = _pi_s_cumulative(hp, eps, support)
         prev_upper = Fraction(0)
         for x in range(support + 1):
             if u_lo >= prev_upper and u_hi <= cum[x].lower:
@@ -165,7 +157,7 @@ def run_chain(hp: HuaParams, start: int, rng) -> tuple:
     for all but the bytes whose attempts straddle a cumulative weight.  The
     rows of (p, t) are looked up once per chain.
     """
-    rows = _kernel_cumulative(hp.p, hp.t.numerator, hp.t.denominator)
+    rows = _kernel_cumulative(hp)
     choose = rng.choose
     path = []
     x = start
@@ -197,7 +189,7 @@ def sample_hua_tails(hp: HuaParams, n: int, rng) -> tuple:
     """
     if n < 1:
         raise ValueError(f"need n >= 1, got {n}")
-    x = rng.choose(_pi_n_cumulative(hp.p, hp.t.numerator, hp.t.denominator)[n])
+    x = rng.choose(_pi_n_cumulative(hp)[n])
     pos_tails = run_chain(hp, n - x, rng)
     return pos_tails, run_chain(hp.with_s_zero(), x, rng)
 
@@ -255,11 +247,12 @@ def hua_matrices(draws, p: int, n: int, digits: int, size: int | None = None):
     return assemble_orbit(ks, b, c, p, digits, size)
 
 
-def sample_ergodic_matrix(p: int, k, n: int, digits: int, rng) -> tuple:
-    """One draw of the n x n corner of the ergodic matrix with parameter k
-    (a partition: nonnegative, eventually zero), as (parts, read): the
-    positive parts k_m and the read of its 2 r n + n^2 residues, r the
-    number of parts; ergodic_matrices assembles a chunk.
+def sample_ergodic_matrix(p: int, lam: Partition, n: int, digits: int,
+                          rng) -> tuple:
+    """One draw of the n x n corner of the ergodic matrix with parameter
+    lam, as (parts, read): the parts k_m of lam and the read of its
+    2 r n + n^2 residues, r the number of parts; ergodic_matrices assembles
+    a chunk.
 
     Entry (i, j) is sum_m p^(-k_m) X_i^(m) Y_j^(m) + Z_ij, with all X, Y, Z
     i.i.d. Haar on Z_p at the window, taken from the read in a fixed order
@@ -268,7 +261,6 @@ def sample_ergodic_matrix(p: int, k, n: int, digits: int, rng) -> tuple:
     window.
     """
     check_prime(p)
-    lam = k if isinstance(k, Partition) else Partition(tuple(v for v in k if v != 0))
     parts = lam.parts
     shift = parts[0] if parts else 0
     if shift >= digits:

@@ -202,7 +202,7 @@ def reference_pi_s(hp, rng):
         scale = 1 << bits
         u_lo = Fraction(u_num, scale)
         u_hi = Fraction(u_num + 1, scale)
-        cum = _pi_s_cumulative(hp.p, hp.t, eps, support)
+        cum = _pi_s_cumulative(hp, eps, support)
         prev_upper = Fraction(0)
         for x in range(support + 1):
             if u_lo >= prev_upper and u_hi <= cum[x].lower:
@@ -313,11 +313,9 @@ def reference_ergodic(p, parts, flat, n, digits):
     return tuple(units), shift
 
 
-def reference_ergodic_matrix(p, k, n, digits, rng):
+def reference_ergodic_matrix(p, lam, n, digits, rng):
     """sample_ergodic_matrix, assembled, one matrix at a time."""
-    if not isinstance(k, Partition):
-        k = Partition(tuple(v for v in k if v != 0))
-    parts = k.parts
+    parts = lam.parts
     if parts and parts[0] >= digits:
         raise PrecisionExhausted(f"p^-{parts[0]} overflows a {digits}-digit window")
     flat = reference_residues(rng, p**digits, (2 * len(parts) + n) * n)
@@ -343,6 +341,9 @@ def hua_matrix(hp, n, digits, rng):
 
 
 def ergodic_matrix(p, k, n, digits, rng):
-    """One sample_ergodic_matrix draw, assembled, as a (units, shift) pair."""
-    draw = sample_ergodic_matrix(p, k, n, digits, rng)
+    """One sample_ergodic_matrix draw, assembled, as a (units, shift) pair.
+    The parameter k is a partition or a nonnegative, eventually zero
+    sequence, whose zeros are dropped."""
+    lam = k if isinstance(k, Partition) else Partition(tuple(v for v in k if v))
+    draw = sample_ergodic_matrix(p, lam, n, digits, rng)
     return stack_matrices(*ergodic_matrices([draw], p, n, digits))[0]

@@ -45,7 +45,7 @@ from conftest import (
     reference_orbit,
 )
 
-HP2 = HuaParams(2, F(1))
+HP2 = HuaParams.of(2, F(1))
 
 
 class TestEnumerationOracle:
@@ -159,8 +159,9 @@ def reference_nu_limit_draw(params, rng):
     """The nu-limit draw through a full singular tuple and its positive part."""
     hp, n, max_parts, max_part = params
     pos = Partition(tuple(v for v in sample_hua_singulars(hp, n, rng) if v > 0))
-    in_box = pos.num_parts <= max_parts and pos.largest <= max_part
-    return (pos.parts if in_box else OTHER), (int(pos.largest < 2),)
+    largest = pos.parts[0] if pos.parts else 0
+    in_box = pos.num_parts <= max_parts and largest <= max_part
+    return (pos.parts if in_box else OTHER), (int(largest < 2),)
 
 
 def reference_tally(draw_one, params, rng, count):
@@ -180,7 +181,7 @@ def reference_tally(draw_one, params, rng, count):
 @pytest.mark.parametrize("t", [F(1), F(1, 2)])
 @pytest.mark.parametrize("box", [(3, 6), (1, 1)])
 def test_nu_limit_draw_matches_singular_tuple_reference(n, t, box):
-    params = (HuaParams(2, t), n) + box
+    params = (HuaParams.of(2, t), n) + box
     for i in range(200):
         fast, ref = RngStream(21, (n, i)), RngStream(21, (n, i))
         assert (_nu_limit_draw(params, fast, 1)
@@ -238,9 +239,10 @@ def reference_ergodic_decomp_draw(params, rng):
         return OTHER, (0, 1, 0)
     values = marker_list(m, hp.p, digits, guard)
     pos = Partition(tuple(v for v in values if v is not None and v > 0))
-    in_box = pos.num_parts <= max_parts and pos.largest <= max_part
+    largest = pos.parts[0] if pos.parts else 0
+    in_box = pos.num_parts <= max_parts and largest <= max_part
     return ((pos.parts if in_box else OTHER),
-            (0, int(None in values), int(pos.largest < 2)))
+            (0, int(None in values), int(largest < 2)))
 
 
 # Draw cases: (draw, reference, params, the events that must occur).  Small
@@ -254,9 +256,9 @@ DRAW_CASES = {
     "corner-E4": (_corner_draw, reference_corner_draw,
                   (HP2, 3, 2, 4, 1, 2), (0, 1)),
     "corner-E24": (_corner_draw, reference_corner_draw,
-                   (HuaParams(2, F(3, 2)), 3, 2, 24, 20, 2), (0, 1)),
+                   (HuaParams.of(2, F(3, 2)), 3, 2, 24, 20, 2), (0, 1)),
     "corner-p3": (_corner_draw, reference_corner_draw,
-                  (HuaParams(3, F(3, 2)), 3, 2, 24, 20, 2), (1,)),
+                  (HuaParams.of(3, F(3, 2)), 3, 2, 24, 20, 2), (1,)),
     "ergodic-match": (_ergodic_match_draw, reference_ergodic_match_draw,
                       (2, Partition((2, 1)), 5, 8, 1, (2, 1, 0)), (0,)),
     "ergodic-match-E24": (_ergodic_match_draw, reference_ergodic_match_draw,
@@ -264,13 +266,13 @@ DRAW_CASES = {
     "ergodic-match-p3": (_ergodic_match_draw, reference_ergodic_match_draw,
                          (3, Partition((2, 1)), 3, 24, 22, (2, 1, 0)), (0,)),
     "ergodic-decomp": (_ergodic_decomp_draw, reference_ergodic_decomp_draw,
-                       (HuaParams(2, F(1, 2)), 4, 3, 1, 3, 6), (0, 1, 2)),
+                       (HuaParams.of(2, F(1, 2)), 4, 3, 1, 3, 6), (0, 1, 2)),
     "ergodic-decomp-E24": (_ergodic_decomp_draw, reference_ergodic_decomp_draw,
-                           (HuaParams(2, F(1, 2)), 4, 24, 22, 3, 6), (1, 2)),
+                           (HuaParams.of(2, F(1, 2)), 4, 24, 22, 3, 6), (1, 2)),
     "ergodic-decomp-floor": (_ergodic_decomp_draw, reference_ergodic_decomp_draw,
-                             (HuaParams(2, F(3, 2)), 4, 8, 6, 3, 6), (0, 1, 2)),
+                             (HuaParams.of(2, F(3, 2)), 4, 8, 6, 3, 6), (0, 1, 2)),
     "nu-limit": (_nu_limit_draw, reference_nu_limit_draw,
-                 (HuaParams(2, F(1, 2)), 6, 3, 6), (0,)),
+                 (HuaParams.of(2, F(1, 2)), 6, 3, 6), (0,)),
 }
 
 
@@ -300,11 +302,11 @@ def test_positive_floor_bins_other_and_flags(monkeypatch, parts, guard):
     # markers could hide positive values and no draw gets a partition
     monkeypatch.setattr(experiments, "sample_nu",
                         lambda hp, rng: Partition(parts))
-    params = (HuaParams(2, F(1, 2)), 4, 8, guard, 3, 6)
+    params = (HuaParams.of(2, F(1, 2)), 4, 8, guard, 3, 6)
     assert _ergodic_decomp_draw(params, RngStream(3), 20) == (
         Counter({OTHER: 20}), (0, 20, 0))
     # a floor of 0 keeps the positive part
-    params = (HuaParams(2, F(1, 2)), 4, 8, guard - 1, 3, 6)
+    params = (HuaParams.of(2, F(1, 2)), 4, 8, guard - 1, 3, 6)
     counts, _ = _ergodic_decomp_draw(params, RngStream(3), 20)
     assert parts in counts
 

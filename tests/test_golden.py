@@ -10,6 +10,7 @@ says so in CHANGES.md.
 
 import hashlib
 import os
+from itertools import combinations_with_replacement
 
 import pytest
 
@@ -79,6 +80,37 @@ LAW_DIGESTS = [
 ]
 
 
+# `law` stdout of the laws that read t = u/v by its numerator and
+# denominator, over every p in T_LAW_PRIMES and t in T_LAW_TS (nu_k1_below
+# only at t <= 1), one digest per law.  Singular tuples have 1 to 3
+# entries in [-2, 2]; partitions fit the 3 x 3 box.
+T_LAW_PRIMES = ("2", "5")
+T_LAW_TS = ("1", "1/2", "3/2")
+_TUPLES = [",".join(map(str, k)) for n in (1, 2, 3)
+           for k in combinations_with_replacement(range(2, -3, -1), n)]
+_PARTITIONS = [",".join(str(v) for v in k if v)
+               for k in combinations_with_replacement(range(3, -1, -1), 3)]
+T_LAW_ARGS = {
+    "mN": [(f"--k={k}",) for k in _TUPLES],
+    "hua_density": [(f"--k={k}",) for k in _TUPLES],
+    "nu": [(f"--k={k}",) for k in _PARTITIONS],
+    "nu_chain": [(f"--k={k}",) for k in _PARTITIONS],
+    "pi_s": [(f"--x={x}",) for x in range(-1, 6)],
+    "nu_k1_below": [(f"--x={x}",) for x in (1, 2, 3)],
+}
+T_LAW_DIGESTS = {
+    "mN": "219dcf3f2db5563872845bd9c6d649f1fbff3585fd2c74931be9abd66064f08f",
+    "hua_density":
+        "122069de3dc576f46b39d3f97ca56510d5dfd2acd81f37e09f6e07c30b1137f7",
+    "nu": "f7aee19e32a5b44c4691337971518d44f9c24e02f32b3867b1cca3f2f80f0a90",
+    "nu_chain":
+        "c384556d470401dca57b024e9b230f82786ac31efec3feb9a42dcf919f267ed4",
+    "pi_s": "7ebd9dbcf1fd29f8d1a444cf605c2f225db45cb645257b795142cc488c3946d2",
+    "nu_k1_below":
+        "bfa25b7bcf87bf430a8dce11f1682f84ca716e6bebf7ff42379ce7718bd2d43f",
+}
+
+
 def sha256(data: bytes) -> str:
     return hashlib.sha256(data).hexdigest()
 
@@ -113,3 +145,16 @@ def test_law_stdout_bytes(capsys, name, p, t, digest):
             assert cli.main(["law", name, "--p", p, "--t", t, *where]) == 0
             out.append(capsys.readouterr().out)
     assert sha256("".join(out).encode()) == digest
+
+
+@pytest.mark.parametrize("name", sorted(T_LAW_DIGESTS))
+def test_t_law_stdout_bytes(capsys, name):
+    out = []
+    for p in T_LAW_PRIMES:
+        for t in T_LAW_TS:
+            if name == "nu_k1_below" and t == "3/2":
+                continue
+            for where in T_LAW_ARGS[name]:
+                assert cli.main(["law", name, "--p", p, "--t", t, *where]) == 0
+                out.append(capsys.readouterr().out)
+    assert sha256("".join(out).encode()) == T_LAW_DIGESTS[name]

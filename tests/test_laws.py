@@ -46,9 +46,9 @@ from conftest import (
     upper_tail,
 )
 
-HP2 = HuaParams(2, F(1))
-HP2S1 = HuaParams(2, F(1, 2))
-HP3 = HuaParams(3, F(1))
+HP2 = HuaParams.of(2, F(1))
+HP2S1 = HuaParams.of(2, F(1, 2))
+HP3 = HuaParams.of(3, F(1))
 
 descending = st.lists(st.integers(-6, 6), min_size=1, max_size=8).map(
     lambda v: tuple(sorted(v, reverse=True)))
@@ -57,17 +57,25 @@ descending = st.lists(st.integers(-6, 6), min_size=1, max_size=8).map(
 class TestHuaParams:
     def test_validation(self):
         with pytest.raises(ValueError):
-            HuaParams(2, F(2))
+            HuaParams.of(2, F(2))
         with pytest.raises(ValueError):
-            HuaParams(2, F(0))
+            HuaParams.of(2, F(0))
         with pytest.raises(ValueError):
-            HuaParams(4, F(1))
+            HuaParams.of(4, F(1))
+
+    def test_of_keeps_t_in_lowest_terms(self):
+        hp = HuaParams.of(3, F(4, 6))
+        assert hp == HuaParams(3, 2, 3)
+        assert (hp.t, hp.q, hp.a) == (F(2, 3), F(1, 3), F(2, 9))
+        assert hp.with_s_zero() == HuaParams.of(3, 1)
 
     def test_s_exponent(self):
-        assert HuaParams(2, F(1)).s_exponent() == 0
-        assert HuaParams(2, F(1, 4)).s_exponent() == 2
-        assert HuaParams(3, F(2)).s_exponent() is None
-        assert HuaParams(3, F(2, 3)).s_exponent() is None
+        assert HuaParams.of(2, F(1)).s_exponent() == 0
+        assert HuaParams.of(2, F(1, 4)).s_exponent() == 2
+        assert HuaParams.of(3, F(1, 9)).s_exponent() == 2
+        assert HuaParams.of(3, F(1, 6)).s_exponent() is None
+        assert HuaParams.of(3, F(2)).s_exponent() is None
+        assert HuaParams.of(3, F(2, 3)).s_exponent() is None
 
 
 class TestKernel:
@@ -84,7 +92,7 @@ class TestKernel:
         assert kernel_p(HP2S1, 0, 2) == 0
 
     @given(x1=st.integers(0, 30),
-           hp=st.sampled_from([HP2, HP2S1, HP3, HuaParams(5, F(3, 2))]))
+           hp=st.sampled_from([HP2, HP2S1, HP3, HuaParams.of(5, F(3, 2))]))
     @settings(max_examples=60)
     def test_row_stochastic(self, x1, hp):
         row = kernel_row(hp, x1)
@@ -170,7 +178,7 @@ def closed_tilde_pi_n(hp, n, x):
 
 grid_params = st.sampled_from([2, 3, 5, 7]).flatmap(
     lambda p: st.sampled_from([F(1), F(1, 2), F(3, 2), F(1, p)]).map(
-        lambda t: HuaParams(p, t)))
+        lambda t: HuaParams.of(p, t)))
 
 
 class TestRowsMatchClosedForms:
@@ -203,29 +211,27 @@ class TestWeightRows:
     give."""
 
     @given(hp=grid_params, size=st.integers(0, 40))
-    @example(hp=HuaParams(3, F(1, 2)), size=0)
-    @example(hp=HuaParams(5, F(3, 2)), size=40)
+    @example(hp=HuaParams.of(3, F(1, 2)), size=0)
+    @example(hp=HuaParams.of(5, F(3, 2)), size=40)
     @settings(max_examples=60, deadline=None)
     def test_weights_match_closed_forms(self, hp, size):
-        p, u, v = hp.p, hp.t.numerator, hp.t.denominator
         for weights, closed in ((kernel_weights, closed_kernel),
                                 (pi_n_weights, closed_pi_n),
                                 (tilde_pi_n_weights, closed_tilde_pi_n)):
-            d, w = weights(p, u, v, size)
+            d, w = weights(*hp, size)
             assert [F(x, d) for x in w] == [closed(hp, size, i)
                                             for i in range(size + 1)]
             assert sum(w) == d
 
     @given(hp=grid_params, size=st.integers(0, 40))
-    @example(hp=HuaParams(7, F(1, 7)), size=0)
-    @example(hp=HuaParams(2, F(3, 2)), size=40)
+    @example(hp=HuaParams.of(7, F(1, 7)), size=0)
+    @example(hp=HuaParams.of(2, F(3, 2)), size=40)
     @settings(max_examples=60, deadline=None)
     def test_draw_tables_match_closed_rows(self, hp, size):
-        p, u, v = hp.p, hp.t.numerator, hp.t.denominator
-        kernel = _kernel_cumulative(p, u, v)[size]
+        kernel = _kernel_cumulative(hp)[size]
         assert (kernel.d, kernel.cum) == cumulative_weights(
             [closed_kernel(hp, size, x2) for x2 in range(size + 1)])
-        pi_n = _pi_n_cumulative(p, u, v)[size]
+        pi_n = _pi_n_cumulative(hp)[size]
         assert (pi_n.d, pi_n.cum) == cumulative_weights(
             [closed_pi_n(hp, size, x) for x in range(size + 1)])
 
@@ -348,7 +354,7 @@ class TestSingularLaw:
         assert body + tail == 1
 
     def test_profile_form_exhaustive_grid(self):
-        for hp in (HP2, HuaParams(3, F(1, 2))):
+        for hp in (HP2, HuaParams.of(3, F(1, 2))):
             for n in (1, 2, 3, 4):
                 for k in descending_tuples(n, -4, 4):
                     assert m_n_direct(hp, k) == m_n_profile(
@@ -363,7 +369,7 @@ class TestSingularLaw:
         assert chain_product_rep2(hp, profile) == reference
 
     def test_positivity_on_grid(self):
-        grid = [HuaParams(p, t) for p in (2, 3, 5)
+        grid = [HuaParams.of(p, t) for p in (2, 3, 5)
                 for t in (F(1), F(1, 2), F(3, 2))]
         for hp in grid:
             for k in descending_tuples(2, -3, 3):
@@ -452,7 +458,7 @@ class TestLargestPartCdf:
         with pytest.raises(ValueError):
             rr_cdf(2, 0, 1, F(1, 10))
         with pytest.raises(ValueError):
-            nu_k1_below(HuaParams(2, F(3, 2)), 2, F(1, 10))
+            nu_k1_below(HuaParams.of(2, F(3, 2)), 2, F(1, 10))
 
 
 class TestRewritingIdentities:

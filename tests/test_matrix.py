@@ -158,7 +158,7 @@ class TestHaarGl:
             for d in range(2) if (a * d - b * c) % 2)
         assert invertible == 6
         # sanity on pochhammer path
-        assert _normalization(HuaParams(2, F(1)), 1) == F(2, 3)
+        assert _normalization(HuaParams.of(2, F(1)), 1) == F(2, 3)
 
     def test_uniform_on_gl2_f2(self):
         draws = 20000
@@ -237,19 +237,19 @@ class TestGammaAndDensity:
         assert gamma_exponent(tuple(v for v in values[0].tolist() if v > 0)) == 3
 
     def test_normalization(self):
-        assert _normalization(HuaParams(2, F(1)), 1) == F(1, 4) / F(3, 8)
+        assert _normalization(HuaParams.of(2, F(1)), 1) == F(1, 4) / F(3, 8)
 
     def test_density_nonpositive_tuple_is_normalization(self):
-        hp = HuaParams(2, F(1))
+        hp = HuaParams.of(2, F(1))
         power, coeff = hua_density(hp, (0, -2))
         assert power == 0 and coeff == _normalization(hp, 2)
 
     def test_density_worked_example(self):
-        power, coeff = hua_density(HuaParams(2, F(1)), (1,))
+        power, coeff = hua_density(HuaParams.of(2, F(1)), (1,))
         assert coeff * F(2) ** power == F(1, 6)
 
     def test_density_t_dependence(self):
-        hp = HuaParams(2, F(1, 2))
+        hp = HuaParams.of(2, F(1, 2))
         power, coeff = hua_density(hp, (2, 1))
         assert power == -2 * 2 * 3
         assert coeff == _normalization(hp, 2) * F(1, 2) ** 3

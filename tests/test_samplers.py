@@ -8,7 +8,6 @@ import pytest
 from padic_hua.laws import (
     HuaParams,
     _fraction_row,
-    _s_zero,
     m_n_direct,
     nu_bracket,
     pi_s_bracket,
@@ -50,7 +49,7 @@ from conftest import (
     stack_matrices,
 )
 
-HP2 = HuaParams(2, F(1))
+HP2 = HuaParams.of(2, F(1))
 
 
 def three_sigma(p_mass: float, draws: int) -> float:
@@ -102,11 +101,11 @@ class TestEntranceDraws:
         assert cold == warm
 
     def test_singulars_cache_does_not_change_draws(self):
-        tables = (_fraction_row, _kernel_cumulative, _pi_n_cumulative, _s_zero,
+        tables = (_fraction_row, _kernel_cumulative, _pi_n_cumulative,
                   _singulars)
 
         def draw(i):
-            hp = (HP2, HuaParams(2, F(1, 2)), HuaParams(3, F(1)))[i % 3]
+            hp = (HP2, HuaParams.of(2, F(1, 2)), HuaParams.of(3, F(1)))[i % 3]
             rng = RngStream(6, (i,))
             return sample_hua_singulars(hp, 1 + i % 5, rng), rng.bits_consumed
 
@@ -135,7 +134,7 @@ class TestChain:
             assert path[0] == 4 and all(x > 0 for x in path)
 
 
-STREAM_PARAMS = [HuaParams(p, t) for p in (2, 3) for t in (F(1), F(1, 2), F(3, 2))]
+STREAM_PARAMS = [HuaParams.of(p, t) for p in (2, 3) for t in (F(1), F(1, 2), F(3, 2))]
 
 
 def params_id(hp):
@@ -178,14 +177,14 @@ class WordStream:
         return self.rest.randbits(k) if word is None else word
 
 
-PI_S_PARAMS = [HuaParams(p, t) for p in (2, 3) for t in (F(1), F(1, 2))]
+PI_S_PARAMS = [HuaParams.of(p, t) for p in (2, 3) for t in (F(1), F(1, 2))]
 
 
 @pytest.mark.parametrize("hp", PI_S_PARAMS, ids=params_id)
 def test_pi_s_first_word_matches_fraction_rounds(hp):
     # first words at, one below and one above each threshold, then 2,500
     # seeded draws: the same atom and the same bits as Fraction rounds
-    bounds = _pi_s_first_word(hp.p, hp.t.numerator, hp.t.denominator)
+    bounds = _pi_s_first_word(hp)
     words = sorted({w + e for w in bounds for e in (-1, 0, 1)
                     if 0 <= w + e < 2**64})
     assert any(bisect_right(bounds, w) % 2 == 0 for w in words)  # a band
@@ -368,7 +367,7 @@ def test_stacked_assembly_matches_scalar_reference(p, digits):
                 == [(tuple(row[:size] for row in rows[:size]), shift)
                     for rows, shift in expected])
     # parameters with 0 to 3 parts share one stack
-    lams = [(), (3,), (2, 2, 1), (1,), ()]
+    lams = [Partition(parts) for parts in ((), (3,), (2, 2, 1), (1,), ())]
     draws = [sample_ergodic_matrix(p, lam, n, digits, rng) for lam in lams]
     expected = [reference_ergodic_matrix(p, lam, n, digits, ref) for lam in lams]
     assert rng.bits_consumed == ref.bits_consumed
