@@ -67,6 +67,11 @@ _SAMPLE_NS = {"nu": 10, "hua": 11, "ergodic": 12}
 MAX_CHUNK_BYTES = 2**28
 
 
+# Options whose value may start with "-": a tuple such as -1,-2 or a
+# fraction such as -1/2, which argparse would read as an option.
+_SIGNED_OPTIONS = ("--k", "--a", "--q")
+
+
 class ConfigError(Exception):
     """Bad parameter values (exit code 2)."""
 
@@ -449,9 +454,23 @@ def build_parser() -> argparse.ArgumentParser:
     return parser
 
 
+def attach_signed_values(argv) -> list:
+    """argv with each value after a _SIGNED_OPTIONS option that starts with
+    "-" and a digit attached to it, as in "--k=-1,-2"."""
+    out = []
+    for arg in argv:
+        if out and out[-1] in _SIGNED_OPTIONS and arg[:1] == "-" \
+                and arg[1:2].isdigit():
+            out[-1] += "=" + arg
+        else:
+            out.append(arg)
+    return out
+
+
 def main(argv=None) -> int:
     parser = build_parser()
-    args = parser.parse_args(argv)
+    args = parser.parse_args(
+        attach_signed_values(sys.argv[1:] if argv is None else argv))
     try:
         code = args.func(args)
         sys.stdout.flush()

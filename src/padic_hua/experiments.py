@@ -72,6 +72,13 @@ DEFAULT_BLOCK = 2000
 # batch; the chunk's matrices are all that is held at once.
 DRAW_CHUNK = 64
 
+# Trial tuples the identity suite draws and checks at once, and the most
+# bytes it reads from a stream at once: a multiple of 4 no larger than
+# RngStream's refill, so every refill a slab read makes fetches the same
+# generator words as one-byte reads would.
+IDENTITY_BLOCK = 1024
+SLAB_BYTES = 512
+
 # Corner draws are labelled by their singular numbers when all lie in
 # [-CORNER_BOUND, CORNER_BOUND].
 CORNER_BOUND = 8
@@ -625,11 +632,64 @@ def run_nu_limit(hp: HuaParams, n_list, draws: int, seed: int, *,
 # -- exact identity suite -------------------------------------------------------
 
 
-def _random_descending_tuple(rng, n_max: int, lo: int, hi: int) -> tuple:
-    n = 1 + rng.randbelow(n_max)
-    vals = sorted((lo + rng.randbelow(hi - lo + 1) for _ in range(n)),
-                  reverse=True)
-    return tuple(vals)
+def _random_descending_tuples(rng, count: int, n_max: int, lo: int,
+                              hi: int) -> tuple:
+    """count trial tuples, each a length n = 1 + randbelow(n_max) and then n
+    entries lo + randbelow(hi - lo + 1) sorted into weakly decreasing order:
+    a (count, n_max) int64 stack, zero past each row's length, and the
+    lengths.
+
+    Both bounds must be at most 256, so that a randbelow attempt is one
+    stream byte shifted down by drop bits.  The bytes are read in slabs no
+    longer than the draws left must still read, so the draws consume, and
+    count in bits_consumed, exactly the bytes that count sequential
+    randbelow draws would."""
+    span = hi - lo + 1
+    if not (1 <= n_max <= 256 and 1 <= span <= 256):
+        raise ValueError(f"bounds {n_max} and {span} must lie in 1..256, "
+                         f"so that a randbelow attempt is one byte")
+    len_drop = 8 - (n_max - 1).bit_length()
+    val_drop = 8 - (span - 1).bit_length()
+    # Bytes a tuple reads at least; randbelow(1) reads none.
+    floor = (n_max > 1) + (span > 1)
+    bits = rng.bits_consumed
+    rows, lengths = [], []
+    data, pos, len_attempts = b"", 0, 0
+    for r in range(count):
+        n = 1
+        if n_max > 1:
+            while True:
+                if pos == len(data):
+                    data = rng.randbytes(min((count - r) * floor, SLAB_BYTES))
+                    pos = 0
+                x = data[pos] >> len_drop
+                pos += 1
+                len_attempts += 1
+                if x < n_max:
+                    n += x
+                    break
+        vals = [lo] * n
+        if span > 1:
+            i = 0
+            while i < n:
+                if pos == len(data):
+                    data = rng.randbytes(
+                        min(n - i + (count - r - 1) * floor, SLAB_BYTES))
+                    pos = 0
+                x = data[pos] >> val_drop
+                pos += 1
+                if x < span:
+                    vals[i] += x
+                    i += 1
+            vals.sort(reverse=True)
+        rows.append(vals + [0] * (n_max - n))
+        lengths.append(n)
+    # Every byte read was one attempt, which keeps 8 - drop of its bits.
+    attempts = (rng.bits_consumed - bits) // 8
+    rng.bits_consumed -= (len_drop * len_attempts
+                          + val_drop * (attempts - len_attempts))
+    return (np.array(rows, dtype=np.int64).reshape(count, n_max),
+            np.array(lengths, dtype=np.int64))
 
 
 def _vol_haar_holds(p: int, k) -> bool:
@@ -674,17 +734,20 @@ def run_identities(seed: int, *, primes=(2, 3, 5),
 
     rng = RngStream(seed, (NS_IDENTITIES, 0))
     rewrite_failures = 0
-    for _ in range(rewrite_trials):
-        k = _random_descending_tuple(rng, 8, -6, 6)
-        if not all(rewrite_identity_check(k)):
-            rewrite_failures += 1
+    for start in range(0, rewrite_trials, IDENTITY_BLOCK):
+        k, lengths = _random_descending_tuples(
+            rng, min(IDENTITY_BLOCK, rewrite_trials - start), 8, -6, 6)
+        checks = rewrite_identity_check(k, lengths)
+        rewrite_failures += int(np.count_nonzero(~checks.all(axis=1)))
 
     form_failures = 0
     relation_failures = 0
     for gi, hp in enumerate(grid):
         rng = RngStream(seed, (NS_IDENTITIES, 1, gi))
-        for _ in range(profile_trials):
-            k = _random_descending_tuple(rng, profile_n_max, -4, 4)
+        stack, lengths = _random_descending_tuples(
+            rng, profile_trials, profile_n_max, -4, 4)
+        for row, n in zip(stack.tolist(), lengths.tolist()):
+            k = tuple(row[:n])
             profile = LProfile.from_singular_values(k)
             reference = m_n_direct(hp, k)
             if not (reference == m_n_profile(hp, profile)

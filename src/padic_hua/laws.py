@@ -19,6 +19,8 @@ from functools import lru_cache
 from itertools import combinations_with_replacement
 from typing import NamedTuple, Union
 
+import numpy as np
+
 from .padic import check_prime, int_valuation
 from .partitions import LProfile, Partition, partitions_in_box
 from .qseries import Bracket, pochhammer, pochhammer_inf
@@ -110,14 +112,17 @@ def _p_power_mass(num: int, den: int, p: int, e: int) -> Fraction:
     return Fraction(num, den * p**-e)
 
 
-def _tail_counts(mult: dict) -> tuple:
-    """(upper, lower) tail counts of the index -> multiplicity map mult:
-    upper[i] = sum_{j >= i} l_j for 0 <= i <= max(index, 0) and
-    lower[i] = sum_{j <= -i} l_j for 0 <= i <= max(-index, 0).  Each list
-    is one suffix sum, run from its own end of the multiplicities."""
-    upper = [0] * (max(max(mult, default=0), 0) + 1)
-    lower = [0] * (max(-min(mult, default=0), 0) + 1)
-    for i, l in mult.items():
+@lru_cache(maxsize=1)
+def _tail_counts(mult: tuple) -> tuple:
+    """(upper, lower) tail counts of a profile's (index, multiplicity)
+    pairs: upper[i] = sum_{j >= i} l_j for 0 <= i <= max(index, 0) and
+    lower[i] = sum_{j <= -i} l_j for 0 <= i <= max(-index, 0).  Each tuple
+    is one suffix sum, run from its own end of the multiplicities.  The
+    forms of one profile are evaluated back to back, so the last profile's
+    counts are kept."""
+    upper = [0] * (max(max((i for i, _ in mult), default=0), 0) + 1)
+    lower = [0] * (max(-min((i for i, _ in mult), default=0), 0) + 1)
+    for i, l in mult:
         if i >= 0:
             upper[i] += l
         if i <= 0:
@@ -126,7 +131,7 @@ def _tail_counts(mult: dict) -> tuple:
         upper[i] += upper[i + 1]
     for i in range(len(lower) - 2, -1, -1):
         lower[i] += lower[i + 1]
-    return upper, lower
+    return tuple(upper), tuple(lower)
 
 
 # -- Markov kernel and its fixed laws ---------------------------------------
@@ -327,7 +332,7 @@ def m_n_profile(hp: HuaParams, profile: LProfile) -> Fraction:
     n = profile.total
     p, u, v = hp
     weight = sum(i * l for i, l in profile.mult if i >= 1)
-    upper, lower = _tail_counts(dict(profile.mult))
+    upper, lower = _tail_counts(profile.mult)
     tail_sq = sum(x * x for x in upper[1:]) + sum(x * x for x in lower[1:])
     norm = _normalization(hp, n)
     cn, en = _qq(p, n)
@@ -356,17 +361,19 @@ def chain_product_rep1(hp: HuaParams, profile: LProfile) -> Fraction:
     """Entrance law tilde_pi_N at the nonnegative count, then the deformed
     chain down the positive tail sums and the undeformed chain down the
     complementary counts."""
-    upper, lower = _tail_counts(dict(profile.mult))
+    upper, lower = _tail_counts(profile.mult)
     return _chain_mass(tilde_pi_n(hp, profile.total, upper[0]),
-                       ((hp, upper + [0]), (hp.with_s_zero(), lower[1:] + [0])))
+                       ((hp, upper + (0,)),
+                        (hp.with_s_zero(), lower[1:] + (0,))))
 
 
 def chain_product_rep2(hp: HuaParams, profile: LProfile) -> Fraction:
     """Entrance law pi_N at the nonpositive count, deformed chain up the
     positive side, undeformed chain down the negative tail sums."""
-    upper, lower = _tail_counts(dict(profile.mult))
+    upper, lower = _tail_counts(profile.mult)
     return _chain_mass(pi_n(hp, profile.total, lower[0]),
-                       ((hp, upper[1:] + [0]), (hp.with_s_zero(), lower + [0])))
+                       ((hp, upper[1:] + (0,)),
+                        (hp.with_s_zero(), lower + (0,))))
 
 
 # -- the matrix-law density ----------------------------------------------------
@@ -543,31 +550,45 @@ def nu_k1_below(hp: HuaParams, x: int, eps) -> Bracket:
 # -- combinatorial rewriting identities ---------------------------------------
 
 
-def rewrite_identity_sides(k) -> tuple:
-    """Both sides of the three tail-sum rewriting identities for a tuple k:
+def rewrite_identity_sides(k, lengths) -> np.ndarray:
+    """Both sides of the three tail-sum rewriting identities for each row of
+    a stack of tuples, as a (rows, 3, 2) array of (left, right) pairs:
 
     1. sum_{k_j > 0} k_j (2j-1)       = sum_{i>=1} (upper tail_i)^2
     2. sum_{k_j <= 0} k_j (2j-2N-1)   = sum_{i>=1} (lower tail_{-i})^2
-    3. sum_{k_j > 0} k_j              = sum_{j>=1} j l_j
+    3. sum_{k_j > 0} k_j              = sum_{i>=1} i l_i
+
+    Row r of k holds a weakly decreasing tuple of N = lengths[r] entries,
+    then zeros, which add to no side.  The left sides are sums over the
+    positions j; the right sides count entries level by level: upper
+    tail_i = #{k_j >= i}, lower tail_{-i} = #{k_j <= -i} and l_i =
+    #{k_j = i}.  One tuple is a one-row stack.  The level counts hold rows
+    x width x max |k_j| entries, so a caller passes large stacks in blocks.
     """
-    vals = _singular_values(k)
-    n = len(vals)
-    lhs1 = lhs2 = lhs3 = 0
-    for j, kj in enumerate(vals, 1):
-        if kj > 0:
-            lhs1 += kj * (2 * j - 1)
-            lhs3 += kj
-        else:
-            lhs2 += kj * (2 * j - 2 * n - 1)
-    mult = Counter(vals)
-    upper, lower = _tail_counts(mult)
-    return ((lhs1, sum(x * x for x in upper[1:])),
-            (lhs2, sum(x * x for x in lower[1:])),
-            (lhs3, sum(i * l for i, l in mult.items() if i >= 1)))
+    k = np.asarray(k, dtype=np.int64)
+    lengths = np.asarray(lengths, dtype=np.int64)[:, None]
+    j = np.arange(1, k.shape[1] + 1)
+    live = j <= lengths
+    if np.any((k[:, 1:] > k[:, :-1]) & live[:, 1:]) or np.any(k[~live]):
+        raise ValueError("each row must be weakly decreasing, then zeros")
+    pos = np.where(k > 0, k, 0)
+    levels = np.arange(1, max(pos.max(initial=0), -k.min(initial=0)) + 1)
+    upper = (k[:, :, None] >= levels).sum(axis=1)
+    lower = (k[:, :, None] <= -levels).sum(axis=1)
+    mult = (k[:, :, None] == levels).sum(axis=1)
+    return np.stack([
+        np.stack([(pos * (2 * j - 1)).sum(axis=1),
+                  (upper * upper).sum(axis=1)], axis=1),
+        np.stack([((k - pos) * (2 * j - 2 * lengths - 1)).sum(axis=1),
+                  (lower * lower).sum(axis=1)], axis=1),
+        np.stack([pos.sum(axis=1), mult @ levels], axis=1),
+    ], axis=1)
 
 
-def rewrite_identity_check(k) -> tuple:
-    return tuple(lhs == rhs for lhs, rhs in rewrite_identity_sides(k))
+def rewrite_identity_check(k, lengths) -> np.ndarray:
+    """Per row and identity, whether the two sides agree: (rows, 3) bools."""
+    sides = rewrite_identity_sides(k, lengths)
+    return sides[..., 0] == sides[..., 1]
 
 
 # -- boundary limit of the finite entrance laws -------------------------------

@@ -42,6 +42,21 @@ class TestLaw:
         assert code == 0
         assert float(doc["decimal_lower"]) <= 0.2887881 <= float(doc["decimal_upper"])
 
+    @pytest.mark.parametrize("argv, joined", [
+        ("law mN --p 2 --N 2 --k -1,-2", "law mN --p 2 --N 2 --k=-1,-2"),
+        ("law vol --p 3 --k -1,-1,-3", "law vol --p 3 --k=-1,-1,-3"),
+        ("law pochhammer --a -1/2 --q 1/2 --n 3",
+         "law pochhammer --a=-1/2 --q 1/2 --n 3"),
+        ("law pochhammer --a 1/3 --q -1/2 --n 3",
+         "law pochhammer --a 1/3 --q=-1/2 --n 3"),
+    ])
+    def test_values_starting_with_minus(self, capsys, argv, joined):
+        # Read as the same value written with "=", which argparse never
+        # takes for an option.
+        code, out, err = run_cli(capsys, *argv.split())
+        assert (code, err) == (0, "")
+        assert run_cli(capsys, *joined.split()) == (0, out, "")
+
     def test_decimal_t_refused(self, capsys):
         code, _, err = run_cli(capsys, "law", "mN", "--p", "2", "--t", "0.5",
                                "--N", "1", "--k", "0")
@@ -156,12 +171,14 @@ BAD_INPUT = [
     ("law", "pi_s", "--eps", "nan"),
     ("law", "pi_s", "--eps", "inf"),
     ("law", "nu", "--eps", "1/0"),
+    ("law", "mN", "--p", "2", "--k", "-1,0"),
     ("verify", "oracle", "--seed", "1", "--out-dir", "{file}"),
 ]
 
 # What the error line must say, where a later check could blame another
 # option instead.
-BLAMED = {("sample", "hua", "--E", "0", "--seed", "1"): "--E must be >= 1"}
+BLAMED = {("sample", "hua", "--E", "0", "--seed", "1"): "--E must be >= 1",
+          ("law", "mN", "--p", "2", "--k", "-1,0"): "not weakly decreasing"}
 
 
 @pytest.mark.parametrize("argv", BAD_INPUT, ids=" ".join)

@@ -3,10 +3,12 @@ import os
 from collections import Counter
 from fractions import Fraction as F
 
+import numpy as np
 import pytest
 
 from padic_hua import experiments
 from padic_hua.experiments import (
+    NS_IDENTITIES,
     OTHER,
     ExperimentReport,
     Histogram,
@@ -14,6 +16,7 @@ from padic_hua.experiments import (
     _ergodic_decomp_draw,
     _ergodic_match_draw,
     _nu_limit_draw,
+    _random_descending_tuples,
     _run_block,
     enumerate_oracle,
     gate,
@@ -39,10 +42,12 @@ from padic_hua.rng import RngStream
 from padic_hua.samplers import sample_hua_singulars, sample_nu
 
 from conftest import (
+    ReferenceStream,
     marker_list,
     reference_ergodic_matrix,
     reference_haar,
     reference_orbit,
+    reference_randbelow,
 )
 
 HP2 = HuaParams.of(2, F(1))
@@ -360,6 +365,58 @@ def off_by_one(d, weights, i):
     return d, tuple(weights)
 
 
+def sequential_tuples(rng, count, n_max, lo, hi):
+    """Trial tuples one randbelow at a time, each attempt one randbits call
+    of the reference rejection loop."""
+    tuples = []
+    for _ in range(count):
+        n = 1 + reference_randbelow(rng, n_max)
+        tuples.append(tuple(sorted(
+            (lo + reference_randbelow(rng, hi - lo + 1) for _ in range(n)),
+            reverse=True)))
+    return tuples
+
+
+@pytest.mark.parametrize("seed", (1, 7, 42))
+@pytest.mark.parametrize("n_max, lo, hi, rejects", [
+    (8, -6, 6, True),     # the rewrite trials: bound 13 rejects 3 bytes in 16
+    (5, -4, 4, True),     # the profile trials: bounds 5 and 9 reject bytes
+    (256, -1, 0, False),  # a length bound of one whole byte
+    (1, 0, 255, False),   # randbelow(1) reads nothing
+    (3, 5, 5, True),
+])
+def test_random_descending_tuples_match_sequential_draws(seed, n_max, lo,
+                                                         hi, rejects):
+    # One stream continued over several calls, with byte reads between
+    # them: 300 rewrite tuples read about 2,000 bytes, so slabs end at and
+    # across the stream's 512-byte refills.
+    key = (NS_IDENTITIES, 0)
+    ours, ref = RngStream(seed, key), ReferenceStream(seed, key)
+    attempts, accepted = [], 0
+    randbits = ref.randbits
+    ref.randbits = lambda k: attempts.append(k) or randbits(k)
+    for count in (1, 37, 300, 0):
+        stack, lengths = _random_descending_tuples(ours, count, n_max, lo, hi)
+        assert stack.shape == (count, n_max) and lengths.shape == (count,)
+        assert [tuple(row[:n]) for row, n in zip(stack.tolist(),
+                                                 lengths.tolist())] == (
+            sequential_tuples(ref, count, n_max, lo, hi))
+        assert not stack[np.arange(n_max) >= lengths[:, None]].any()
+        assert ours.bits_consumed == ref.bits_consumed
+        assert ours.randbytes(3) == ref.randbytes(3)
+        accepted += (n_max > 1) * count + (hi > lo) * int(lengths.sum())
+    assert (len(attempts) > accepted) == rejects
+
+
+@pytest.mark.parametrize("n_max, lo, hi", [(257, 0, 1), (2, 0, 256),
+                                           (0, 0, 1), (2, 1, 0)])
+def test_random_descending_tuples_refuse_bounds_off_one_byte(n_max, lo, hi):
+    rng = RngStream(1, (NS_IDENTITIES, 0))
+    with pytest.raises(ValueError):
+        _random_descending_tuples(rng, 3, n_max, lo, hi)
+    assert rng.bits_consumed == 0
+
+
 def small_identities():
     return run_identities(3, primes=(2,), ts=(F(1), F(1, 2)), row_max=8,
                           completeness_max=6, rewrite_trials=20,
@@ -406,6 +463,13 @@ def wrong_on_first_call(real, wrong):
     return patched
 
 
+def flip_first_row(checks):
+    """A block's checks with its first row's first identity flipped."""
+    checks = checks.copy()
+    checks[0, 0] = not checks[0, 0]
+    return checks
+
+
 @pytest.mark.parametrize("fn, gate_name, wrong", [
     ("m_n_profile", "four-form-equality",
      lambda mass, hp, profile: mass * (1 + F(1, hp.p))),
@@ -414,7 +478,7 @@ def wrong_on_first_call(real, wrong):
     ("haar_orbit_mass", "vol-haar-relation",
      lambda mass, p, n, k: mass * (1 + F(1, p))),
     ("rewrite_identity_check", "rewriting-identities",
-     lambda sides, k: (not sides[0],) + sides[1:]),
+     lambda checks, k, lengths: flip_first_row(checks)),
 ])
 def test_identity_gates_catch_one_wrong_value(monkeypatch, fn, gate_name,
                                               wrong):

@@ -1,6 +1,7 @@
 from fractions import Fraction as F
 
 import mpmath
+import numpy as np
 import pytest
 from hypothesis import example, given, settings, strategies as st
 
@@ -461,18 +462,26 @@ class TestLargestPartCdf:
             nu_k1_below(HuaParams.of(2, F(3, 2)), 2, F(1, 10))
 
 
+def one_row(k):
+    """The tuple k as a one-row stack, and its length."""
+    return np.array([k], dtype=np.int64).reshape(1, len(k)), [len(k)]
+
+
 class TestRewritingIdentities:
     def test_worked_example(self):
-        sides = rewrite_identity_sides((2, 1, 1, -1))
-        assert sides == ((10, 10), (1, 1), (4, 4))
+        sides = rewrite_identity_sides(*one_row((2, 1, 1, -1)))
+        assert sides.tolist() == [[[10, 10], [1, 1], [4, 4]]]
 
     def test_zero_tuple(self):
-        assert rewrite_identity_sides((0, 0, 0)) == ((0, 0), (0, 0), (0, 0))
+        sides = rewrite_identity_sides(*one_row((0, 0, 0)))
+        assert sides.tolist() == [[[0, 0], [0, 0], [0, 0]]]
 
     @given(k=descending)
     @settings(max_examples=200)
     def test_random_tuples(self, k):
-        assert all(rewrite_identity_check(k))
+        checks = rewrite_identity_check(*one_row(k))
+        assert checks.shape == (1, 3)
+        assert checks.all()
 
     @given(k=law_tuples)
     @settings(max_examples=300)
@@ -484,14 +493,33 @@ class TestRewritingIdentities:
                  for i in range(1, max(max_index(profile), 0) + 1)]
         lower = [lower_tail(profile, -i)
                  for i in range(1, -min(min_index(profile), 0) + 1)]
-        assert rewrite_identity_sides(k) == (
-            (sum(kj * (2 * j - 1) for j, kj in enumerate(k, 1) if kj > 0),
-             sum(x * x for x in upper)),
-            (sum(kj * (2 * j - 2 * n - 1) for j, kj in enumerate(k, 1)
+        assert rewrite_identity_sides(*one_row(k)).tolist() == [[
+            [sum(kj * (2 * j - 1) for j, kj in enumerate(k, 1) if kj > 0),
+             sum(x * x for x in upper)],
+            [sum(kj * (2 * j - 2 * n - 1) for j, kj in enumerate(k, 1)
                  if kj <= 0),
-             sum(x * x for x in lower)),
-            (sum(kj for kj in k if kj > 0),
-             sum(i * l for i, l in profile.mult if i >= 1)))
+             sum(x * x for x in lower)],
+            [sum(kj for kj in k if kj > 0),
+             sum(i * l for i, l in profile.mult if i >= 1)]]]
+
+    @given(ks=st.lists(descending, min_size=1, max_size=6))
+    @settings(max_examples=100)
+    def test_stack_rows_match_one_row_stacks(self, ks):
+        # Zero padding adds to no side, whatever the row's signs.
+        width = max(map(len, ks))
+        stack = np.array([k + (0,) * (width - len(k)) for k in ks])
+        sides = rewrite_identity_sides(stack, [len(k) for k in ks])
+        assert sides.tolist() == [rewrite_identity_sides(*one_row(k))[0].tolist()
+                                  for k in ks]
+
+    @pytest.mark.parametrize("rows, lengths", [
+        ([[1, 2]], [2]),          # not weakly decreasing
+        ([[-1, 0]], [2]),
+        ([[2, -1, 1]], [2]),      # a nonzero entry past the length
+    ])
+    def test_rejects_rows_out_of_order(self, rows, lengths):
+        with pytest.raises(ValueError):
+            rewrite_identity_sides(rows, lengths)
 
 
 def test_boundary_tv_decreasing_small():
