@@ -22,36 +22,20 @@ import os
 import sys
 import time
 from fractions import Fraction
+from typing import Callable, NamedTuple
 
 from .experiments import DRAW_CHUNK, SUITE_NAMES, run_suite, suite_runs
-from .laws import (
-    HuaParams,
-    hua_density,
-    kernel_p,
-    m_n_direct,
-    haar_orbit_mass,
-    nu_bracket,
-    nu_chain_bracket,
-    nu_k1_below,
-    pi_n,
-    pi_s_bracket,
-    rr_cdf,
-    tilde_pi_n,
-    vol_singular_law,
-)
+from .laws import (HuaParams, haar_orbit_mass, hua_density, kernel_p,
+                   m_n_direct, nu_bracket, nu_chain_bracket, nu_k1_below, pi_n,
+                   pi_s_bracket, rr_cdf, tilde_pi_n, vol_singular_law)
 from .matrix import (format_entry, parse_matrix_text, residue_dtype,
                      singular_numbers)
 from .padic import DIGITS, GUARD, PrecisionExhausted, check_prime
 from .partitions import Partition
 from .qseries import Bracket, pochhammer, pochhammer_inf
 from .rng import RngStream
-from .samplers import (
-    ergodic_matrices,
-    hua_matrices,
-    sample_ergodic_matrix,
-    sample_hua_matrix,
-    sample_nu,
-)
+from .samplers import (ergodic_matrices, hua_matrices, sample_ergodic_matrix,
+                       sample_hua_matrix, sample_nu)
 
 LAW_SCHEMA = "padic-hua/law/1"
 SAMPLE_SCHEMA = "padic-hua/sample/1"
@@ -67,13 +51,13 @@ _SAMPLE_NS = {"nu": 10, "hua": 11, "ergodic": 12}
 MAX_CHUNK_BYTES = 2**28
 
 
-# Options whose value may start with "-": a tuple such as -1,-2 or a
-# fraction such as -1/2, which argparse would read as an option.
-_SIGNED_OPTIONS = ("--k", "--a", "--q")
-
-
 class ConfigError(Exception):
     """Bad parameter values (exit code 2)."""
+
+
+def _require(ok: bool, message: str) -> None:
+    if not ok:
+        raise ConfigError(message)
 
 
 def parse_fraction(text: str) -> Fraction:
@@ -109,109 +93,143 @@ def parse_int_list(text: str) -> tuple:
     return tuple(int(tok) for tok in text.replace(",", " ").split())
 
 
+REQUIRED = object()
+
+
+class Option(NamedTuple):
+    """How an option's text is read (an int or float as it is parsed, any
+    other text when a command reads it, in that command's order), its
+    default per subcommand that takes it (REQUIRED: none), and the least
+    value `sample`, `sing` and `verify` accept (a law checks its own)."""
+    read: Callable
+    defaults: dict
+    least: object = None
+    help: str | None = None
+
+
+# Every option, in the order --help lists them; each takes one value.
+OPTIONS = {
+    "p": Option(int, {"law": 2, "sample": 2, "sing": REQUIRED}),
+    "t": Option(parse_fraction, {"law": "1", "sample": "1"},
+                help="exact fraction num/den"),
+    "N": Option(int, {"law": 1, "sample": 2}, least=1),
+    "E": Option(int, {"sample": DIGITS, "sing": DIGITS}, least=1),
+    "guard": Option(int, {"sample": GUARD, "sing": 0}),
+    "x": Option(int, {"law": 0}),
+    "x1": Option(int, {"law": 0}),
+    "x2": Option(int, {"law": 0}),
+    "s": Option(int, {"law": 0}),
+    "n": Option(int, {"law": 0}),
+    "a": Option(parse_fraction, {"law": "1/2"}),
+    "q": Option(parse_fraction, {"law": "1/2"}),
+    "k": Option(parse_int_list, {"law": "", "sample": ""},
+                help="comma-separated integers"),
+    "eps": Option(parse_eps, {"law": "1e-9"}),
+    "count": Option(int, {"sample": 1}, least=0),
+    "seed": Option(int, {"sample": REQUIRED, "verify": REQUIRED}, least=0),
+    "out_dir": Option(str, {"verify": "reports"}),
+    "workers": Option(int, {"verify": None}, least=1,
+                      help="worker processes (default: $PADIC_HUA_WORKERS "
+                           "or 1)"),
+    "scale": Option(float, {"verify": 1.0}, least=0,
+                    help="multiplier on Monte Carlo draw counts"),
+}
+
+
+def read_option(args, name: str):
+    return OPTIONS[name].read(getattr(args, name))
+
+
+def check_ranges(args) -> None:
+    """Refuse the first value below its option's least (or, for a float,
+    not finite), in table order."""
+    for name, option in OPTIONS.items():
+        value = getattr(args, name, None)
+        if option.least is None or value is None:
+            continue
+        real = isinstance(value, float)
+        _require((not real or math.isfinite(value)) and value >= option.least,
+                 f"--{name} must be {'a finite number ' if real else ''}"
+                 f">= {option.least}, got {value}")
+
+
 def frac_str(x: Fraction) -> str:
     return f"{x.numerator}/{x.denominator}"
 
 
-def law_value_json(value) -> dict:
+def law_value_json(value, p: int) -> dict:
     if isinstance(value, Bracket):
         return {"lower": frac_str(value.lower), "upper": frac_str(value.upper),
                 "decimal_lower": repr(float(value.lower)),
                 "decimal_upper": repr(float(value.upper))}
+    if isinstance(value, tuple):
+        # hua_density's p^power * coefficient, kept split
+        power, coeff = value
+        return {"p_power": power, "coefficient": frac_str(coeff),
+                "decimal": repr(float(coeff) * float(p) ** power)}
     value = Fraction(value)
     return {"exact": frac_str(value), "decimal": repr(float(value))}
 
 
-def _require(ok: bool, message: str) -> None:
-    if not ok:
-        raise ConfigError(message)
-
-
 def _hp(args) -> HuaParams:
     try:
-        return HuaParams.of(args.p, parse_fraction(args.t))
+        return HuaParams.of(args.p, read_option(args, "t"))
     except ValueError as exc:
         raise ConfigError(str(exc)) from None
 
 
+# Law arguments that are not one option's value.
+_LAW_ARGS = {"hp": _hp,
+             "lam": lambda args: Partition(read_option(args, "k"))}
+
+# Each law: its callable and the arguments it takes, read in this order,
+# so that of two bad values the same one is blamed every time.
+LAWS = {
+    "pochhammer": (pochhammer, ("a", "q", "n")),
+    "pochhammer_inf": (pochhammer_inf, ("a", "q", "eps")),
+    "kernel": (kernel_p, ("hp", "x1", "x2")),
+    "pi_s": (pi_s_bracket, ("hp", "x", "eps")),
+    "pi_N": (pi_n, ("hp", "N", "x")),
+    "tilde_pi_N": (tilde_pi_n, ("hp", "N", "x")),
+    "mN": (m_n_direct, ("hp", "k")),
+    "vol": (lambda p, k: vol_singular_law(p, len(k), k), ("p", "k")),
+    "haar_orbit": (lambda p, k: haar_orbit_mass(p, len(k), k), ("p", "k")),
+    "nu": (nu_bracket, ("hp", "lam", "eps")),
+    "nu_chain": (nu_chain_bracket, ("hp", "lam", "eps")),
+    "rr_cdf": (rr_cdf, ("p", "s", "x", "eps")),
+    "nu_k1_below": (nu_k1_below, ("hp", "x", "eps")),
+    "hua_density": (hua_density, ("hp", "k")),
+}
+
+
+def _law_params(args, name: str, value) -> dict:
+    """The printed params of one law argument; a tolerance as given."""
+    if name == "hp":
+        return {"p": value.p, "t": frac_str(value.t)}
+    if name == "lam":
+        return {"k": list(value.parts)}
+    if name == "eps":
+        return {"eps": args.eps}
+    if isinstance(value, Fraction):
+        return {name: frac_str(value)}
+    return {name: list(value) if isinstance(value, tuple) else value}
+
+
 def cmd_law(args) -> int:
-    name = args.name
+    law, names = LAWS[args.name]
     params: dict = {}
+    values = []
     try:
-        if name == "pochhammer":
-            a, q = parse_fraction(args.a), parse_fraction(args.q)
-            value = pochhammer(a, q, args.n)
-            params = {"a": frac_str(a), "q": frac_str(q), "n": args.n}
-        elif name == "pochhammer_inf":
-            a, q = parse_fraction(args.a), parse_fraction(args.q)
-            eps = parse_eps(args.eps)
-            value = pochhammer_inf(a, q, eps)
-            params = {"a": frac_str(a), "q": frac_str(q), "eps": args.eps}
-        elif name == "kernel":
-            hp = _hp(args)
-            value = kernel_p(hp, args.x1, args.x2)
-            params = {"p": hp.p, "t": frac_str(hp.t), "x1": args.x1, "x2": args.x2}
-        elif name == "pi_s":
-            hp = _hp(args)
-            value = pi_s_bracket(hp, args.x, parse_eps(args.eps))
-            params = {"p": hp.p, "t": frac_str(hp.t), "x": args.x, "eps": args.eps}
-        elif name == "pi_N":
-            hp = _hp(args)
-            value = pi_n(hp, args.N, args.x)
-            params = {"p": hp.p, "t": frac_str(hp.t), "N": args.N, "x": args.x}
-        elif name == "tilde_pi_N":
-            hp = _hp(args)
-            value = tilde_pi_n(hp, args.N, args.x)
-            params = {"p": hp.p, "t": frac_str(hp.t), "N": args.N, "x": args.x}
-        elif name == "mN":
-            hp = _hp(args)
-            k = parse_int_list(args.k)
-            value = m_n_direct(hp, k)
-            params = {"p": hp.p, "t": frac_str(hp.t), "k": list(k)}
-        elif name == "vol":
-            k = parse_int_list(args.k)
-            value = vol_singular_law(args.p, len(k), k)
-            params = {"p": args.p, "k": list(k)}
-        elif name == "haar_orbit":
-            k = parse_int_list(args.k)
-            value = haar_orbit_mass(args.p, len(k), k)
-            params = {"p": args.p, "k": list(k)}
-        elif name == "nu":
-            hp = _hp(args)
-            lam = Partition(parse_int_list(args.k))
-            value = nu_bracket(hp, lam, parse_eps(args.eps))
-            params = {"p": hp.p, "t": frac_str(hp.t), "k": list(lam.parts),
-                      "eps": args.eps}
-        elif name == "nu_chain":
-            hp = _hp(args)
-            lam = Partition(parse_int_list(args.k))
-            value = nu_chain_bracket(hp, lam, parse_eps(args.eps))
-            params = {"p": hp.p, "t": frac_str(hp.t), "k": list(lam.parts),
-                      "eps": args.eps}
-        elif name == "rr_cdf":
-            value = rr_cdf(args.p, args.s, args.x, parse_eps(args.eps))
-            params = {"p": args.p, "s": args.s, "x": args.x, "eps": args.eps}
-        elif name == "nu_k1_below":
-            hp = _hp(args)
-            value = nu_k1_below(hp, args.x, parse_eps(args.eps))
-            params = {"p": hp.p, "t": frac_str(hp.t), "x": args.x, "eps": args.eps}
-        elif name == "hua_density":
-            hp = _hp(args)
-            k = parse_int_list(args.k)
-            power, coeff = hua_density(hp, k)
-            doc = {"schema": LAW_SCHEMA, "law": name,
-                   "params": {"p": hp.p, "t": frac_str(hp.t), "k": list(k)},
-                   "p_power": power, "coefficient": frac_str(coeff),
-                   "decimal": repr(float(coeff) * float(hp.p) ** power)}
-            print(json.dumps(doc, sort_keys=True))
-            return 0
-        else:
-            raise ConfigError(f"unknown law {name!r}")
+        for name in names:
+            reader = _LAW_ARGS.get(name)
+            values.append(reader(args) if reader else read_option(args, name))
+            params.update(_law_params(args, name, values[-1]))
+        value = law(*values)
     except (ValueError, ZeroDivisionError) as exc:
         raise ConfigError(str(exc)) from None
-    doc = {"schema": LAW_SCHEMA, "law": name, "params": params}
+    doc = {"schema": LAW_SCHEMA, "law": args.name, "params": params}
     try:
-        doc.update(law_value_json(value))
+        doc.update(law_value_json(value, args.p))
     except ValueError:
         # A numerator or denominator has more digits than the interpreter
         # converts to a string.
@@ -230,19 +248,16 @@ def matrix_record(units, shift: int, p: int, digits: int) -> dict:
 
 def cmd_sample(args) -> int:
     hp = _hp(args)
+    check_ranges(args)
     digits, guard = args.E, args.guard
-    _require(args.seed >= 0, f"--seed must be >= 0, got {args.seed}")
-    _require(args.N >= 1, f"--N must be >= 1, got {args.N}")
-    _require(digits >= 1, f"--E must be >= 1, got {digits}")
     _require(0 <= guard < digits,
              f"need 0 <= --guard < --E, got guard {guard} and E {digits}")
-    _require(args.count >= 0, f"--count must be >= 0, got {args.count}")
     namespace = _SAMPLE_NS[args.kind]
     lam = None
     reads = 2 * args.N**2  # the residues of two Haar reads
     if args.kind == "ergodic":
         try:
-            lam = Partition(parse_int_list(args.k))
+            lam = Partition(read_option(args, "k"))
         except ValueError as exc:
             raise ConfigError(f"bad --k: {exc}") from None
         reads = (2 * lam.num_parts + args.N) * args.N
@@ -311,7 +326,7 @@ def cmd_sing(args) -> int:
         check_prime(args.p)
     except ValueError as exc:
         raise ConfigError(f"bad --p: {exc}") from None
-    _require(args.E >= 1, f"--E must be >= 1, got {args.E}")
+    check_ranges(args)
     _require(0 <= args.guard < args.E,
              f"need 0 <= --guard < --E, got guard {args.guard} and E {args.E}")
     try:
@@ -361,20 +376,16 @@ def write_report_files(reports, out_dir: str) -> None:
 
 
 def cmd_verify(args) -> int:
-    _require(args.seed >= 0, f"--seed must be >= 0, got {args.seed}")
-    _require(math.isfinite(args.scale) and args.scale >= 0,
-             f"--scale must be a finite number >= 0, got {args.scale}")
-    workers = args.workers
-    if workers is None:
+    if args.workers is None:
         # Read here, not when the parser is built, so a bad value only
         # affects the one subcommand that uses it.
         env = os.environ.get("PADIC_HUA_WORKERS", "1")
         try:
-            workers = int(env)
+            args.workers = int(env)
         except ValueError:
             raise ConfigError(
                 f"PADIC_HUA_WORKERS must be an integer, got {env!r}") from None
-    _require(workers >= 1, f"worker count must be >= 1, got {workers}")
+    check_ranges(args)
     try:
         suite_runs(args.suite, args.seed, args.scale)
     except OverflowError as exc:
@@ -386,7 +397,7 @@ def cmd_verify(args) -> int:
     except OSError as exc:
         raise ConfigError(f"cannot use --out-dir {args.out_dir}: {exc}") from None
     t0 = time.perf_counter()
-    reports = run_suite(args.suite, args.seed, workers=workers,
+    reports = run_suite(args.suite, args.seed, workers=args.workers,
                         scale=args.scale)
     write_report_files(reports, args.out_dir)
     failed = [r.name for r in reports if not r.passed]
@@ -399,68 +410,50 @@ def cmd_verify(args) -> int:
     return 1 if failed else 0
 
 
+class _Parser(argparse.ArgumentParser):
+    """A parser whose usage errors end the run as every other bad input
+    does: one error line and exit code 2."""
+
+    def error(self, message):
+        raise ConfigError(message)
+
+
 def build_parser() -> argparse.ArgumentParser:
-    parser = argparse.ArgumentParser(
+    parser = _Parser(
         prog="padic-hua",
         description="Exact laws, samplers and verification experiments for "
                     "singular numbers of random p-adic matrices.")
     sub = parser.add_subparsers(dest="command", required=True)
-
-    law = sub.add_parser("law", help="evaluate a mass or certified bracket")
-    law.add_argument("name")
-    law.add_argument("--p", type=int, default=2)
-    law.add_argument("--t", default="1", help="exact fraction num/den")
-    law.add_argument("--N", type=int, default=1)
-    law.add_argument("--x", type=int, default=0)
-    law.add_argument("--x1", type=int, default=0)
-    law.add_argument("--x2", type=int, default=0)
-    law.add_argument("--s", type=int, default=0)
-    law.add_argument("--n", type=int, default=0)
-    law.add_argument("--a", default="1/2")
-    law.add_argument("--q", default="1/2")
-    law.add_argument("--k", default="", help="comma-separated integers")
-    law.add_argument("--eps", default="1e-9")
-    law.set_defaults(func=cmd_law)
-
-    sample = sub.add_parser("sample", help="emit JSON-lines draws")
-    sample.add_argument("kind", choices=sorted(_SAMPLE_NS))
-    sample.add_argument("--p", type=int, default=2)
-    sample.add_argument("--t", default="1")
-    sample.add_argument("--N", type=int, default=2)
-    sample.add_argument("--E", type=int, default=DIGITS)
-    sample.add_argument("--guard", type=int, default=GUARD)
-    sample.add_argument("--k", default="", help="partition for ergodic draws")
-    sample.add_argument("--count", type=int, default=1)
-    sample.add_argument("--seed", type=int, required=True)
-    sample.set_defaults(func=cmd_sample)
-
-    sing = sub.add_parser("sing", help="singular numbers of a matrix file")
-    sing.add_argument("file")
-    sing.add_argument("--p", type=int, required=True)
-    sing.add_argument("--E", type=int, default=DIGITS)
-    sing.add_argument("--guard", type=int, default=0)
-    sing.set_defaults(func=cmd_sing)
-
-    verify = sub.add_parser("verify", help="run a verification suite")
-    verify.add_argument("suite", choices=SUITE_NAMES)
-    verify.add_argument("--seed", type=int, required=True)
-    verify.add_argument("--out-dir", default="reports")
-    verify.add_argument("--workers", type=int, default=None,
-                        help="worker processes (default: $PADIC_HUA_WORKERS "
-                             "or 1)")
-    verify.add_argument("--scale", type=float, default=1.0,
-                        help="multiplier on Monte Carlo draw counts")
-    verify.set_defaults(func=cmd_verify)
+    for command, func, about, positional, choices in (
+            ("law", cmd_law, "evaluate a mass or certified bracket", "name",
+             sorted(LAWS)),
+            ("sample", cmd_sample, "emit JSON-lines draws", "kind",
+             sorted(_SAMPLE_NS)),
+            ("sing", cmd_sing, "singular numbers of a matrix file", "file",
+             None),
+            ("verify", cmd_verify, "run a verification suite", "suite",
+             SUITE_NAMES)):
+        cmd = sub.add_parser(command, help=about)
+        cmd.add_argument(positional, choices=choices)
+        for name, option in OPTIONS.items():
+            if command in option.defaults:
+                default = option.defaults[command]
+                cmd.add_argument(
+                    "--" + name.replace("_", "-"), dest=name, default=default,
+                    type=option.read if option.read in (int, float) else None,
+                    required=default is REQUIRED, help=option.help)
+        cmd.set_defaults(func=func)
     return parser
 
 
 def attach_signed_values(argv) -> list:
-    """argv with each value after a _SIGNED_OPTIONS option that starts with
-    "-" and a digit attached to it, as in "--k=-1,-2"."""
+    """argv with each word that starts with "-" and a digit joined to the
+    option before it, as in "--k=-1,-2": every option takes exactly one
+    value, so such a word is always that option's value."""
     out = []
     for arg in argv:
-        if out and out[-1] in _SIGNED_OPTIONS and arg[:1] == "-" \
-                and arg[1:2].isdigit():
+        if (out and out[-1].startswith("--") and "=" not in out[-1]
+                and out[-1] != "--" and arg[:1] == "-" and arg[1:2].isdigit()):
             out[-1] += "=" + arg
         else:
             out.append(arg)
@@ -468,10 +461,9 @@ def attach_signed_values(argv) -> list:
 
 
 def main(argv=None) -> int:
-    parser = build_parser()
-    args = parser.parse_args(
-        attach_signed_values(sys.argv[1:] if argv is None else argv))
     try:
+        args = build_parser().parse_args(
+            attach_signed_values(sys.argv[1:] if argv is None else argv))
         code = args.func(args)
         sys.stdout.flush()
         return code

@@ -1,3 +1,5 @@
+import contextlib
+import io
 import json
 import os
 import subprocess
@@ -5,6 +7,7 @@ import sys
 from pathlib import Path
 
 import pytest
+from hypothesis import example, given, settings, strategies as st
 
 from padic_hua import cli
 
@@ -145,9 +148,8 @@ class TestSample:
             assert len(k0) == len(k8) == 3
 
     def test_seed_required(self, capsys):
-        with pytest.raises(SystemExit) as exc:
-            cli.main(["sample", "nu", "--count", "1"])
-        assert exc.value.code == 2
+        assert_one_error_line(*run_cli(capsys, "sample", "nu", "--count", "1"),
+                              "the following arguments are required: --seed")
 
 
 BAD_INPUT = [
@@ -173,12 +175,27 @@ BAD_INPUT = [
     ("law", "nu", "--eps", "1/0"),
     ("law", "mN", "--p", "2", "--k", "-1,0"),
     ("verify", "oracle", "--seed", "1", "--out-dir", "{file}"),
+    ("law", "kernel", "--t", "-1/2"),
+    ("law", "pi_s", "--eps", "-1/100"),
+    ("sample", "nu", "--t", "-1/2", "--seed", "1"),
+    ("verify", "corners", "--seed", "1", "--scale", "-1e5"),
+    ("law", "nu", "--eps", "0", "--k", "1,3"),
 ]
 
 # What the error line must say, where a later check could blame another
 # option instead.
 BLAMED = {("sample", "hua", "--E", "0", "--seed", "1"): "--E must be >= 1",
-          ("law", "mN", "--p", "2", "--k", "-1,0"): "not weakly decreasing"}
+          ("law", "mN", "--p", "2", "--k", "-1,0"): "not weakly decreasing",
+          ("law", "kernel", "--t", "-1/2"): "need 0 < t < p",
+          ("law", "pi_s", "--eps", "-1/100"): "tolerance must be positive",
+          ("sample", "nu", "--t", "-1/2", "--seed", "1"): "need 0 < t < p",
+          ("verify", "corners", "--seed", "1", "--scale", "-1e5"):
+              "--scale must be a finite number >= 0",
+          ("verify", "corners", "--seed", "1", "--scale", "inf"):
+              "--scale must be a finite number >= 0",
+          # a law reads its arguments in its own order: nu its partition
+          # before its tolerance
+          ("law", "nu", "--eps", "0", "--k", "1,3"): "not weakly decreasing"}
 
 
 @pytest.mark.parametrize("argv", BAD_INPUT, ids=" ".join)
@@ -199,6 +216,111 @@ def test_bad_input_exits_2_with_one_error_line(tmp_path, capsys, monkeypatch,
         argv += ("--out-dir", str(tmp_path / "reports"))
     assert_one_error_line(*run_cli(capsys, *argv), blamed)
     assert not (tmp_path / "reports").exists()
+
+
+# The grammar test's largest int per option, so that no drawn command
+# allocates much or runs long; each range also reaches below its least.
+GRAMMAR_MAX = {"p": 7, "N": 8, "E": 40, "guard": 40, "x": 8, "x1": 8, "x2": 8,
+               "s": 2, "n": 20, "count": 3, "seed": 99, "workers": 2}
+NOT_A_NUMBER = ["x", "", "1.5", "1/2"]
+# Text that each reader takes, and text that it refuses.
+TEXT_VALUES = {
+    cli.parse_fraction: (["1", "1/2", "3/2", "2/3", "-1/2", "0", "5"],
+                         ["0.5", "1e-2", "1/0", "x"]),
+    cli.parse_eps: (["1e-9", "0.01", "1/100", "1/3", "2"],
+                    ["0", "-1/100", "nan", "inf", "x", "1/0"]),
+    float: (["0", "0.01"], ["-1", "-1e5", "nan", "inf", "-inf", "1e308", "x"]),
+}
+
+
+def option_values(name, valid):
+    """Text for the value of option `name`, as its entry in cli.OPTIONS
+    reads it: text its reader takes, not below its least (valid True),
+    text its reader refuses or below its least (False), or either
+    (None)."""
+    option = cli.OPTIONS[name]
+    if option.read is int:
+        least = -2 if option.least is None else option.least
+        good = st.integers(least, GRAMMAR_MAX[name]).map(str)
+        bad = st.sampled_from(NOT_A_NUMBER)
+        if option.least is not None:
+            bad |= st.integers(least - 3, least - 1).map(str)
+    elif option.read is cli.parse_int_list:
+        good = st.lists(st.integers(-4, 8), max_size=4).map(
+            lambda k: ",".join(map(str, k)))
+        bad = st.sampled_from(["a", "1.5"])
+    else:
+        good, bad = map(st.sampled_from, TEXT_VALUES[option.read])
+    return good if valid else bad if valid is False else good | bad
+
+
+@st.composite
+def cli_argv(draw):
+    """argv of law, sample or sing, with valid values only or with any, or
+    of verify with exactly one bad value, so that no suite runs."""
+    command = draw(st.sampled_from(["law", "sample", "sing", "verify"]))
+    names = [name for name, option in cli.OPTIONS.items()
+             if command in option.defaults and name != "out_dir"]
+    valid = fault = None
+    if command == "verify":
+        fault = draw(st.sampled_from(
+            ["suite", "missing seed"]
+            + [name for name in names if cli.OPTIONS[name].least is not None]))
+        argv = ["verify", "bogus" if fault == "suite" else "corners",
+                "--out-dir", "{dir}/reports"]
+    else:
+        valid = draw(st.sampled_from([True, None]))
+        positional = {"law": sorted(cli.LAWS),
+                      "sample": ["nu", "hua", "ergodic"],
+                      "sing": ["{dir}/m.txt", "{dir}/s.txt"]}[command]
+        if not valid:
+            positional += ["bogus", "{dir}/bad.txt", "{dir}/missing.txt"]
+        argv = [command, draw(st.sampled_from(positional))]
+    for name in names:
+        required = cli.OPTIONS[name].defaults[command] is cli.REQUIRED
+        if command == "verify":
+            if name == fault:
+                text = draw(option_values(name, valid=False))
+            elif required and fault != "missing seed":
+                text = draw(option_values(name, valid=True))
+            else:
+                continue
+        elif required or draw(st.booleans()):
+            text = draw(option_values(name, valid))
+        else:
+            continue
+        flag = "--" + name
+        argv += [f"{flag}={text}"] if draw(st.booleans()) else [flag, text]
+    return tuple(argv)
+
+
+@pytest.fixture(scope="module")
+def matrix_dir(tmp_path_factory):
+    path = tmp_path_factory.mktemp("grammar")
+    (path / "m.txt").write_text("2 1\n0 4\n")
+    (path / "s.txt").write_text("1 1\n1 1\n")
+    (path / "bad.txt").write_text("1 x\n")
+    return path
+
+
+@settings(max_examples=150, deadline=None)
+@example(argv=("law", "kernel", "--t", "-1/2"))
+@given(argv=cli_argv())
+def test_grammar_exit_codes(matrix_dir, argv):
+    """Every drawn command exits 0, 1 or 2, with exactly one error line and
+    nothing on stdout on 2, and raises nothing."""
+    argv = [word.replace("{dir}", str(matrix_dir)) for word in argv]
+    out, err = io.StringIO(), io.StringIO()
+    try:
+        with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
+            code = cli.main(argv)
+    except BaseException as exc:  # SystemExit too
+        raise AssertionError(f"{exc!r} escaped cli.main") from exc
+    assert code in (0, 1, 2)
+    if code == 2:
+        assert_one_error_line(code, out.getvalue(), err.getvalue(), "error: ")
+    if argv[0] == "verify":
+        assert code == 2 and not (matrix_dir / "reports").exists()
 
 
 def test_bad_worker_variable_leaves_other_subcommands_alone(capsys, monkeypatch):
@@ -358,9 +480,8 @@ class TestVerify:
         assert "FAIL" in err
 
     def test_unknown_suite_usage_error(self, capsys):
-        with pytest.raises(SystemExit) as exc:
-            cli.main(["verify", "bogus", "--seed", "1"])
-        assert exc.value.code == 2
+        assert_one_error_line(*run_cli(capsys, "verify", "bogus", "--seed", "1"),
+                              "argument suite: invalid choice: 'bogus'")
 
     def test_workers_do_not_change_bytes(self, tmp_path, capsys):
         dir1, dir2 = str(tmp_path / "w1"), str(tmp_path / "w2")

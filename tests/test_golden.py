@@ -111,6 +111,37 @@ T_LAW_DIGESTS = {
 }
 
 
+# `law` stdout of the laws no digest above covers, over every argv of their
+# grid, one digest per law.  Values that start with "-" are given as their
+# own word, and tolerances as decimal, scientific and num/den text, since
+# the printed params echo that text.
+OTHER_LAW_ARGS = {
+    "pochhammer": [("--a", a, "--q", q, "--n", n)
+                   for a in ("-1/2", "1/3", "2")
+                   for q in ("1/2", "-1/3", "3/5") for n in ("0", "1", "4")],
+    "pochhammer_inf": [("--a", a, "--q", q, "--eps", eps)
+                       for a in ("0", "1/3", "1/2") for q in ("1/2", "2/7")
+                       for eps in ("1e-6", "0.001", "1/100")],
+    "vol": [("--p", p, "--k", k) for p in T_LAW_PRIMES for k in _TUPLES],
+    "haar_orbit": [("--p", p, "--k", k)
+                   for p in T_LAW_PRIMES for k in _TUPLES],
+    "rr_cdf": [("--p", p, "--s", s, "--x", x, "--eps", eps)
+               for p in T_LAW_PRIMES for s in ("0", "1")
+               for x in ("2", "3", "5") for eps in ("1e-9", "0.01", "1/1000")],
+}
+OTHER_LAW_DIGESTS = {
+    "pochhammer":
+        "d8fd7d075f63350e1b9d0d4834214da56515d21dcfb51872abd7aaeefa45e2d9",
+    "pochhammer_inf":
+        "c81950f66fae3675c3821cb640e0c55c2b2629c9b127e91e17edddbf8d7310cb",
+    "vol": "1fd3677ae83c9b50b8aa47523daff0f614d4979980ad365b2e759c2174f799fe",
+    "haar_orbit":
+        "1cddcf18accf32effba1ee9fbc97d30d3081d0496c807b9592bf3f2ee159e397",
+    "rr_cdf":
+        "9722af68c24178173e9739d504872984a525e7024875c8625ccb11d4d517c8a7",
+}
+
+
 def sha256(data: bytes) -> str:
     return hashlib.sha256(data).hexdigest()
 
@@ -158,3 +189,12 @@ def test_t_law_stdout_bytes(capsys, name):
                 assert cli.main(["law", name, "--p", p, "--t", t, *where]) == 0
                 out.append(capsys.readouterr().out)
     assert sha256("".join(out).encode()) == T_LAW_DIGESTS[name]
+
+
+@pytest.mark.parametrize("name", sorted(OTHER_LAW_DIGESTS))
+def test_other_law_stdout_bytes(capsys, name):
+    out = []
+    for where in OTHER_LAW_ARGS[name]:
+        assert cli.main(["law", name, *where]) == 0
+        out.append(capsys.readouterr().out)
+    assert sha256("".join(out).encode()) == OTHER_LAW_DIGESTS[name]
