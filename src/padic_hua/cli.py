@@ -32,7 +32,7 @@ from .matrix import (format_entry, parse_matrix_text, residue_dtype,
                      singular_numbers)
 from .padic import DIGITS, GUARD, PrecisionExhausted, check_prime
 from .partitions import Partition
-from .qseries import Bracket, pochhammer, pochhammer_inf
+from .qseries import Bracket, frac_str, pochhammer, pochhammer_inf
 from .rng import RngStream
 from .samplers import (ergodic_matrices, hua_matrices, sample_ergodic_matrix,
                        sample_hua_matrix, sample_nu)
@@ -136,8 +136,15 @@ OPTIONS = {
 }
 
 
+def option_text(args, name: str):
+    """An option's value as given; `law` leaves the options it was not
+    given unset, and they read as their `law` defaults."""
+    value = getattr(args, name)
+    return OPTIONS[name].defaults["law"] if value is None else value
+
+
 def read_option(args, name: str):
-    return OPTIONS[name].read(getattr(args, name))
+    return OPTIONS[name].read(option_text(args, name))
 
 
 def check_ranges(args) -> None:
@@ -151,10 +158,6 @@ def check_ranges(args) -> None:
         _require((not real or math.isfinite(value)) and value >= option.least,
                  f"--{name} must be {'a finite number ' if real else ''}"
                  f">= {option.least}, got {value}")
-
-
-def frac_str(x: Fraction) -> str:
-    return f"{x.numerator}/{x.denominator}"
 
 
 def law_value_json(value, p: int) -> dict:
@@ -173,14 +176,24 @@ def law_value_json(value, p: int) -> dict:
 
 def _hp(args) -> HuaParams:
     try:
-        return HuaParams.of(args.p, read_option(args, "t"))
+        return HuaParams.of(read_option(args, "p"), read_option(args, "t"))
     except ValueError as exc:
         raise ConfigError(str(exc)) from None
 
 
-# Law arguments that are not one option's value.
+def _singular_tuple(args) -> tuple:
+    k = read_option(args, "k")
+    _require(args.N is None or args.N == len(k),
+             f"--N {args.N} does not match the {len(k)} entries of --k")
+    return k
+
+
+# Law arguments that are not one option's value, and the options each
+# reads: a singular tuple reads --N, when given, as its length.
 _LAW_ARGS = {"hp": _hp,
-             "lam": lambda args: Partition(read_option(args, "k"))}
+             "lam": lambda args: Partition(read_option(args, "k")),
+             "k": _singular_tuple}
+_LAW_ARG_OPTIONS = {"hp": ("p", "t"), "lam": ("k",), "k": ("k", "N")}
 
 # Each law: its callable and the arguments it takes, read in this order,
 # so that of two bad values the same one is blamed every time.
@@ -209,7 +222,7 @@ def _law_params(args, name: str, value) -> dict:
     if name == "lam":
         return {"k": list(value.parts)}
     if name == "eps":
-        return {"eps": args.eps}
+        return {"eps": option_text(args, "eps")}
     if isinstance(value, Fraction):
         return {name: frac_str(value)}
     return {name: list(value) if isinstance(value, tuple) else value}
@@ -217,6 +230,13 @@ def _law_params(args, name: str, value) -> dict:
 
 def cmd_law(args) -> int:
     law, names = LAWS[args.name]
+    reads = [option for name in names
+             for option in _LAW_ARG_OPTIONS.get(name, (name,))]
+    unread = [name for name, option in OPTIONS.items()
+              if "law" in option.defaults and name not in reads
+              and getattr(args, name) is not None]
+    _require(not unread, f"law {args.name} does not read "
+             + ", ".join("--" + name for name in unread))
     params: dict = {}
     values = []
     try:
@@ -229,7 +249,7 @@ def cmd_law(args) -> int:
         raise ConfigError(str(exc)) from None
     doc = {"schema": LAW_SCHEMA, "law": args.name, "params": params}
     try:
-        doc.update(law_value_json(value, args.p))
+        doc.update(law_value_json(value, read_option(args, "p")))
     except ValueError:
         # A numerator or denominator has more digits than the interpreter
         # converts to a string.
@@ -437,7 +457,10 @@ def build_parser() -> argparse.ArgumentParser:
         cmd.add_argument(positional, choices=choices)
         for name, option in OPTIONS.items():
             if command in option.defaults:
-                default = option.defaults[command]
+                # law leaves an option it is not given unset, to tell it
+                # from one given on the command line (see option_text)
+                default = (None if command == "law"
+                           else option.defaults[command])
                 cmd.add_argument(
                     "--" + name.replace("_", "-"), dest=name, default=default,
                     type=option.read if option.read in (int, float) else None,

@@ -45,7 +45,7 @@ from .laws import (
 from .matrix import singular_numbers
 from .padic import DIGITS, GUARD, PrecisionExhausted, check_prime
 from .partitions import LProfile, Partition, _conjugate, partitions_in_box
-from .qseries import Bracket, pochhammer
+from .qseries import Bracket, frac_str, pochhammer
 from .rng import RngStream
 from .samplers import (
     ergodic_matrices,
@@ -163,11 +163,10 @@ def scaled_gate(base: float, base_draws: int, draws: int) -> float:
 
 def mass_json(m) -> dict:
     if isinstance(m, Bracket):
-        return {"lower": f"{m.lower.numerator}/{m.lower.denominator}",
-                "upper": f"{m.upper.numerator}/{m.upper.denominator}",
+        return {"lower": frac_str(m.lower), "upper": frac_str(m.upper),
                 "float": float(m.midpoint)}
     m = Fraction(m)
-    return {"exact": f"{m.numerator}/{m.denominator}", "float": float(m)}
+    return {"exact": frac_str(m), "float": float(m)}
 
 
 def mass_float(m) -> float:
@@ -772,7 +771,7 @@ def run_identities(seed: int, *, primes=(2, 3, 5),
     return ExperimentReport(
         name="identities",
         params={"primes": list(primes),
-                "ts": [f"{t.numerator}/{t.denominator}" for t in ts],
+                "ts": [frac_str(t) for t in ts],
                 "row_max": row_max, "completeness_max": completeness_max,
                 "rewrite_trials": rewrite_trials, "profile_trials": profile_trials},
         seed=seed,
@@ -826,7 +825,7 @@ def run_chain_checks(*, primes=(2, 3), ts=(Fraction(1), Fraction(1, 2)),
     return ExperimentReport(
         name="chain-checks",
         params={"primes": list(primes),
-                "ts": [f"{t.numerator}/{t.denominator}" for t in ts],
+                "ts": [frac_str(t) for t in ts],
                 "max_parts": max_parts, "max_part": max_part,
                 "nu_eps": str(nu_eps), "x_values": list(x_values),
                 "rr_eps": str(rr_eps)},

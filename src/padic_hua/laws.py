@@ -16,13 +16,13 @@ from collections import Counter
 from dataclasses import dataclass
 from fractions import Fraction
 from functools import lru_cache
-from itertools import combinations_with_replacement
 from typing import NamedTuple, Union
 
 import numpy as np
 
 from .padic import check_prime, int_valuation
-from .partitions import LProfile, Partition, partitions_in_box
+from .partitions import (LProfile, Partition, descending_tuples,
+                         partitions_in_box)
 from .qseries import Bracket, pochhammer, pochhammer_inf
 
 Mass = Union[Fraction, Bracket]
@@ -399,6 +399,17 @@ def hua_density(hp: HuaParams, k) -> tuple:
 # -- the limiting partition law ----------------------------------------------
 
 
+def _nu_weight(hp: HuaParams, lam: Partition) -> Fraction:
+    """p^(-sum_i X_i^2) t^(weight) / prod_i (q;q)_{l_i}, with X_i the tail
+    counts and l_i the multiplicities: the limiting mass of lam without its
+    factor (a;q)_oo, from integers normalised once."""
+    p, u, v = hp
+    xs = lam.tail_counts()
+    w = lam.weight
+    cm, em = _qq_product(p, (x - nxt for x, nxt in zip(xs, xs[1:] + (0,))))
+    return _p_power_mass(u**w, v**w * cm, p, em - sum(x * x for x in xs))
+
+
 def nu_bracket(hp: HuaParams, lam: Partition, eps) -> Bracket:
     """Certified mass of a partition under the limiting law:
 
@@ -406,12 +417,7 @@ def nu_bracket(hp: HuaParams, lam: Partition, eps) -> Bracket:
 
     with X_i the tail counts.  Only the infinite product is inexact.
     """
-    p, u, v = hp
-    xs = lam.tail_counts()
-    w = lam.weight
-    cm, em = _qq_product(p, (x - nxt for x, nxt in zip(xs, xs[1:] + (0,))))
-    pre = _p_power_mass(u**w, v**w * cm,
-                        p, em - sum(x * x for x in xs))
+    pre = _nu_weight(hp, lam)
     return pochhammer_inf(hp.a, hp.q, Fraction(eps) / pre) * pre
 
 
@@ -493,8 +499,8 @@ def rr_cdf(p: int, s: int, x: int, eps) -> Bracket:
 
 
 def nu_k1_below(hp: HuaParams, x: int, eps) -> Bracket:
-    """P(k_1 < x) under the limiting law by direct summation over all
-    partitions with parts < x (multiplicity profiles l_1, ..., l_{x-1}).
+    """P(k_1 < x) under the limiting law by direct summation of the masses
+    of all partitions with parts < x and at most a capped number of parts.
 
     Independent of the sparse product in rr_cdf.  Requires t <= 1 so the
     tail over large part counts is geometrically dominated.
@@ -522,27 +528,8 @@ def nu_k1_below(hp: HuaParams, x: int, eps) -> Bracket:
     while tail_bound(m_cap) > eps / 2:
         m_cap += 1
 
-    total = Fraction(0)
-
-    def rec(level: int, remaining: int, tail_so_far: int, sq_sum: int,
-            weight: int, mult_prod: Fraction):
-        nonlocal total
-        # tail_so_far = X_level once levels > level are fixed.
-        if level == 0:
-            total += (Fraction(1, hp.p**sq_sum) * t**weight / mult_prod)
-            return
-        for l in range(remaining + 1):
-            tail = tail_so_far + l
-            rec(level - 1, remaining - l, tail,
-                sq_sum + tail * tail, weight + level * l,
-                mult_prod * pochhammer(q, q, l))
-
-    # Levels run from part size x-1 down to 1; X_i accumulates top down.
-    if slots == 0:
-        total = Fraction(1)  # only the empty partition has all parts < 1
-    else:
-        rec(slots, m_cap, 0, 0, 0, Fraction(1))
-
+    total = sum((_nu_weight(hp, lam)
+                 for lam in partitions_in_box(m_cap, slots)), Fraction(0))
     inf_bracket = pochhammer_inf(hp.a, q, eps / (2 * total))
     return inf_bracket * total + Bracket(Fraction(0), tail_bound(m_cap))
 
@@ -615,12 +602,6 @@ class ExactLaw:
 
     masses: dict
     tail: Mass
-
-
-def descending_tuples(n: int, lo: int, hi: int):
-    """All weakly decreasing n-tuples with entries in [lo, hi]."""
-    for comb in combinations_with_replacement(range(hi, lo - 1, -1), n):
-        yield comb
 
 
 def m_n_truncated_law(hp: HuaParams, n: int, bound: int) -> ExactLaw:

@@ -10,6 +10,7 @@ multiplicities l_i over i in Z with sum N.
 from __future__ import annotations
 
 from dataclasses import dataclass
+from itertools import combinations_with_replacement
 from typing import Iterable, Mapping
 
 
@@ -66,22 +67,17 @@ class Partition:
         return f"Partition{self.parts}"
 
 
+def descending_tuples(n: int, lo: int, hi: int):
+    """All weakly decreasing n-tuples with entries in [lo, hi], each once."""
+    return combinations_with_replacement(range(hi, lo - 1, -1), n)
+
+
 def partitions_in_box(max_parts: int, max_part: int):
-    """All partitions with at most max_parts parts, each <= max_part.
-
-    Each partition is generated exactly once (its parts spell out the
-    unique recursion path), in a fixed deterministic order.
-    """
-    def rec(slots, cap):
-        yield ()
-        if slots == 0:
-            return
-        for first in range(cap, 0, -1):
-            for rest in rec(slots - 1, first):
-                yield (first,) + rest
-
-    for parts in rec(max_parts, max_part):
-        yield Partition(parts)
+    """All partitions with at most max_parts parts, each <= max_part, each
+    once: the weakly decreasing max_parts-tuples over [0, max_part] with
+    their zeros dropped."""
+    return (Partition(tuple(filter(None, parts)))
+            for parts in descending_tuples(max_parts, 0, max_part))
 
 
 @dataclass(frozen=True)

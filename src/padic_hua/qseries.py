@@ -100,6 +100,12 @@ def _as_fraction(value: Rational) -> Fraction:
     return value if isinstance(value, Fraction) else Fraction(value)
 
 
+def frac_str(x: Fraction) -> str:
+    """An exact rational as the "num/den" text that reports and law output
+    serialize it as."""
+    return f"{x.numerator}/{x.denominator}"
+
+
 # Prefix products (a;q)_0, (a;q)_1, ... per (a, q), keyed by the four ints
 # of a and q: hashing ints is much cheaper than hashing two Fractions.
 _POCHHAMMER_CACHE: dict = {}

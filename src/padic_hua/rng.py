@@ -139,20 +139,15 @@ class RngStream:
         return raw >> drop
 
     def randbelow(self, n: int) -> int:
-        """Uniform integer in [0, n) by rejection; exact for any n >= 1."""
+        """Uniform integer in [0, n) by rejection, each attempt randbits(k)
+        for k the bit length of n - 1; exact for any n >= 1."""
         if n <= 0:
             raise ValueError(f"need n >= 1, got {n}")
         if n == 1:
             return 0
-        # Each attempt is randbits(k), inlined: one read of whole bytes,
-        # shifted down to its top k bits, the dropped bits not counted.
         k = (n - 1).bit_length()
-        nbytes = (k + 7) // 8
-        drop = 8 * nbytes - k
-        randbytes = self.randbytes
         while True:
-            r = int.from_bytes(randbytes(nbytes), "big") >> drop
-            self.bits_consumed -= drop
+            r = self.randbits(k)
             if r < n:
                 return r
 

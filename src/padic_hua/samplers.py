@@ -9,8 +9,8 @@ ever misclassified.
 Both are decided from their leading bits where those suffice (Knuth and
 Yao 1976; Devroye 1986, ch. III), reading exactly the stream bytes of the
 full comparison.  A finite row's table maps an attempt's first byte to its
-state (rng.draw_table); the entrance law's first 64-bit word is compared
-with integer thresholds of its round-one brackets.
+state (rng.draw_table); each round of the entrance law compares its draw
+with integer thresholds of that round's brackets.
 
 Streams are single-owner; parallel use gives each block of draws its own
 stream, RngStream(seed, key + (i,)) (see the rng module).
@@ -90,23 +90,26 @@ _PI_S_SUPPORT = 8
 
 
 @lru_cache(maxsize=None)
-def _pi_s_first_word(hp: HuaParams) -> tuple:
-    """Round one of sample_pi_s on integers.  The first word w decides atom
-    x exactly when ceil(2^64 upper_(x-1)) <= w < floor(2^64 lower_x), over
-    the round-one CDF brackets (upper_(-1) = 0): that is the condition
-    upper_(x-1) <= w / 2^64 and (w + 1) / 2^64 <= lower_x.  Returned as
-    those bounds for x = 0..support in turn, each empty band's end raised
-    to its start so the tuple is non-decreasing: the word decides atom x
-    when bisect_right over it gives 2 x + 1."""
+def _pi_s_bounds(hp: HuaParams, bits: int, halvings: int,
+                 support: int) -> tuple:
+    """One round of sample_pi_s on integers: the bits-bit draw u against
+    the CDF brackets at 0..support, each atom bracketed to within
+    _PI_S_EPS / 2^(16 halvings).  u decides atom x exactly when
+    ceil(2^bits upper_(x-1)) <= u < floor(2^bits lower_x) (upper_(-1) = 0):
+    that is the condition upper_(x-1) <= u / 2^bits and (u + 1) / 2^bits <=
+    lower_x.  Returned as those bounds for x = 0..support in turn, each
+    empty band's end raised to its start so the tuple is non-decreasing,
+    then ceil(2^bits upper_support), at or above which u lies beyond the
+    support: bisect_right over the tuple gives 2 x + 1 when u decides x,
+    and the tuple's length when u lies beyond."""
+    cum = _pi_s_cumulative(hp, _PI_S_EPS / 2**(16 * halvings), support)
+    starts = [-(-(upper.numerator << bits) // upper.denominator)
+              for upper in [Fraction(0)] + [c.upper for c in cum]]
     bounds = []
-    prev_upper = Fraction(0)
-    for c in _pi_s_cumulative(hp, _PI_S_EPS, _PI_S_SUPPORT):
-        start = -(-(prev_upper.numerator << _PI_S_WORD)
-                  // prev_upper.denominator)
-        end = (c.lower.numerator << _PI_S_WORD) // c.lower.denominator
+    for start, c in zip(starts, cum):
+        end = (c.lower.numerator << bits) // c.lower.denominator
         bounds += [start, max(start, end)]
-        prev_upper = c.upper
-    return tuple(bounds)
+    return (*bounds, starts[-1])
 
 
 def sample_pi_s(hp: HuaParams, rng) -> int:
@@ -114,36 +117,26 @@ def sample_pi_s(hp: HuaParams, rng) -> int:
 
     Inverse CDF with bracket refinement: the uniform draw is extended 64
     bits at a time and the atom brackets tightened until the draw interval
-    sits strictly inside one atom's cumulative slot.  The first word is
-    decided by integer thresholds made from the round-one brackets (see
-    _pi_s_first_word); a word in a band between them falls through to the
-    same rounds over Fractions.
+    sits strictly inside one atom's cumulative slot.  Each round compares
+    the draw with integer thresholds of its brackets (see _pi_s_bounds);
+    a draw beyond the support doubles it, and any other undecided draw
+    divides the bracket width by 2^16.
     """
-    u_num = rng.randbits(_PI_S_WORD)
-    i = bisect_right(_pi_s_first_word(hp), u_num)
-    if i % 2:
-        return i // 2
-    bits = _PI_S_WORD
-    eps = _PI_S_EPS
-    support = _PI_S_SUPPORT
+    u = rng.randbits(_PI_S_WORD)
+    bits, halvings, support = _PI_S_WORD, 0, _PI_S_SUPPORT
     while True:
-        scale = 1 << bits
-        u_lo = Fraction(u_num, scale)
-        u_hi = Fraction(u_num + 1, scale)
-        cum = _pi_s_cumulative(hp, eps, support)
-        prev_upper = Fraction(0)
-        for x in range(support + 1):
-            if u_lo >= prev_upper and u_hi <= cum[x].lower:
-                return x
-            prev_upper = cum[x].upper
+        bounds = _pi_s_bounds(hp, bits, halvings, support)
+        i = bisect_right(bounds, u)
+        if i % 2 and i < len(bounds):
+            return i // 2
         if bits == 256 * _PI_S_WORD:
             raise RuntimeError(
                 "entrance-law draw failed to separate after 256 refinements")
-        if u_lo >= cum[support].upper:
+        if i == len(bounds):
             support *= 2
         else:
-            eps /= 2**16
-        u_num = (u_num << _PI_S_WORD) | rng.randbits(_PI_S_WORD)
+            halvings += 1
+        u = (u << _PI_S_WORD) | rng.randbits(_PI_S_WORD)
         bits += _PI_S_WORD
 
 

@@ -180,6 +180,9 @@ BAD_INPUT = [
     ("sample", "nu", "--t", "-1/2", "--seed", "1"),
     ("verify", "corners", "--seed", "1", "--scale", "-1e5"),
     ("law", "nu", "--eps", "0", "--k", "1,3"),
+    ("law", "pochhammer", "--t", "5", "--p", "4"),
+    ("law", "vol", "--eps", "nan"),
+    ("law", "mN", "--N", "2", "--k", "0"),
 ]
 
 # What the error line must say, where a later check could blame another
@@ -195,7 +198,13 @@ BLAMED = {("sample", "hua", "--E", "0", "--seed", "1"): "--E must be >= 1",
               "--scale must be a finite number >= 0",
           # a law reads its arguments in its own order: nu its partition
           # before its tolerance
-          ("law", "nu", "--eps", "0", "--k", "1,3"): "not weakly decreasing"}
+          ("law", "nu", "--eps", "0", "--k", "1,3"): "not weakly decreasing",
+          # an option the law does not read is refused, whatever its value
+          ("law", "pochhammer", "--t", "5", "--p", "4"):
+              "law pochhammer does not read --p, --t",
+          ("law", "vol", "--eps", "nan"): "law vol does not read --eps",
+          ("law", "mN", "--N", "2", "--k", "0"):
+              "--N 2 does not match the 1 entries of --k"}
 
 
 @pytest.mark.parametrize("argv", BAD_INPUT, ids=" ".join)

@@ -112,9 +112,10 @@ T_LAW_DIGESTS = {
 
 
 # `law` stdout of the laws no digest above covers, over every argv of their
-# grid, one digest per law.  Values that start with "-" are given as their
-# own word, and tolerances as decimal, scientific and num/den text, since
-# the printed params echo that text.
+# grid, one digest per law, and of nu_k1_below at an odd p, larger x and
+# two tolerances.  Values that start with "-" are given as their own word,
+# and tolerances as decimal, scientific and num/den text, since the printed
+# params echo that text.
 OTHER_LAW_ARGS = {
     "pochhammer": [("--a", a, "--q", q, "--n", n)
                    for a in ("-1/2", "1/3", "2")
@@ -128,6 +129,9 @@ OTHER_LAW_ARGS = {
     "rr_cdf": [("--p", p, "--s", s, "--x", x, "--eps", eps)
                for p in T_LAW_PRIMES for s in ("0", "1")
                for x in ("2", "3", "5") for eps in ("1e-9", "0.01", "1/1000")],
+    "nu_k1_below": [("--p", "3", "--t", t, "--x", str(x), "--eps", eps)
+                    for t in ("1", "1/3", "1/9") for x in range(1, 6)
+                    for eps in ("1e-9", "1/1000")],
 }
 OTHER_LAW_DIGESTS = {
     "pochhammer":
@@ -139,6 +143,8 @@ OTHER_LAW_DIGESTS = {
         "1cddcf18accf32effba1ee9fbc97d30d3081d0496c807b9592bf3f2ee159e397",
     "rr_cdf":
         "9722af68c24178173e9739d504872984a525e7024875c8625ccb11d4d517c8a7",
+    "nu_k1_below":
+        "b08ca7f11301ffe3c2e3f224feaee1048c302d756c682c766abee53035d5fb9f",
 }
 
 

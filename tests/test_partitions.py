@@ -1,9 +1,12 @@
-"""Tail counts: the one-pass conjugate maps against the rescan definition."""
+"""Tail counts: the one-pass conjugate maps against the rescan definition;
+the partitions of a box against a brute-force filter."""
+
+from itertools import product
 
 import pytest
 from hypothesis import example, given, strategies as st
 
-from padic_hua.partitions import Partition
+from padic_hua.partitions import Partition, partitions_in_box
 
 
 def rescan_tail_counts(parts):
@@ -58,3 +61,15 @@ def test_from_tail_counts_rejects_as_rescan_does(xs):
         assert str(raised.value) == str(exc)
     else:
         assert Partition.from_tail_counts(xs).parts == expected
+
+
+@pytest.mark.parametrize("max_parts", range(6))
+@pytest.mark.parametrize("max_part", range(6))
+def test_partitions_in_box_yields_each_box_partition_once(max_parts, max_part):
+    # the box filtered out of every tuple over 0..max_part, zeros dropped
+    box = {tuple(v for v in k if v)
+           for k in product(range(max_part + 1), repeat=max_parts)
+           if all(a >= b for a, b in zip(k, k[1:]))}
+    yielded = [lam.parts for lam in partitions_in_box(max_parts, max_part)]
+    assert len(yielded) == len(set(yielded))
+    assert set(yielded) == box

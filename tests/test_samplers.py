@@ -1,7 +1,7 @@
 from bisect import bisect_right
 from collections import Counter
 from fractions import Fraction as F
-from math import sqrt
+from math import ceil, sqrt
 
 import pytest
 
@@ -19,8 +19,8 @@ from padic_hua.rng import RngStream
 from padic_hua.samplers import (
     _kernel_cumulative,
     _pi_n_cumulative,
+    _pi_s_bounds,
     _pi_s_cumulative,
-    _pi_s_first_word,
     _singulars,
     ergodic_matrices,
     hua_matrices,
@@ -96,6 +96,7 @@ class TestEntranceDraws:
         cold = []
         for i in range(200):
             _pi_s_cumulative.cache_clear()
+            _pi_s_bounds.cache_clear()
             cold.append(draw(i))
         warm = [draw(i) for i in range(200)]
         assert cold == warm
@@ -165,37 +166,66 @@ def test_hua_tail_streams_match_step_by_step_reference(hp):
 
 
 class WordStream:
-    """randbits(64) serves ``first``, then the words of a seeded stream."""
+    """randbits(64) serves ``words`` in turn, then the words of a seeded
+    stream."""
 
-    def __init__(self, first, seed):
-        self.first, self.rest = first, RngStream(seed)
+    def __init__(self, words, seed):
+        self.words, self.rest = list(words), RngStream(seed)
         self.bits_consumed = 0
 
     def randbits(self, k):
         self.bits_consumed += k
-        word, self.first = self.first, None
-        return self.rest.randbits(k) if word is None else word
+        return self.words.pop(0) if self.words else self.rest.randbits(k)
 
 
 PI_S_PARAMS = [HuaParams.of(p, t) for p in (2, 3) for t in (F(1), F(1, 2))]
 
 
 @pytest.mark.parametrize("hp", PI_S_PARAMS, ids=params_id)
-def test_pi_s_first_word_matches_fraction_rounds(hp):
-    # first words at, one below and one above each threshold, then 2,500
-    # seeded draws: the same atom and the same bits as Fraction rounds
-    bounds = _pi_s_first_word(hp)
-    words = sorted({w + e for w in bounds for e in (-1, 0, 1)
-                    if 0 <= w + e < 2**64})
-    assert any(bisect_right(bounds, w) % 2 == 0 for w in words)  # a band
-    for i, w in enumerate(words):
-        ours, ref = WordStream(w, i), WordStream(w, i)
+def test_pi_s_rounds_match_fraction_rounds(hp):
+    # first words at, one below and one above each round-one threshold;
+    # first words in a round-one band, then second words at, one below and
+    # one above each round-two threshold in that band; three all-ones
+    # words, a draw so near 1 that it lies beyond the support once the
+    # brackets are tight enough (round four at p = 2, seven at p = 3);
+    # then 2,500 seeded draws: the same atom and the same bits as Fraction
+    # rounds
+    first = _pi_s_bounds(hp, 64, 0, 8)
+    second = _pi_s_bounds(hp, 128, 1, 8)  # after a band word: eps / 2^16
+
+    def in_band(w):
+        i = bisect_right(first, w)
+        return i % 2 == 0 and i < len(first)
+
+    leads = [(w + e,) for w in first for e in (-1, 0, 1)
+             if 0 <= w + e < 2**64]
+    pairs = [divmod(w + e, 2**64) for w in second for e in (-1, 0, 1)
+             if 0 <= w + e < 2**128]
+    pairs = [pair for pair in pairs if in_band(pair[0])]
+    assert any(in_band(w) for w, in leads) and pairs
+    for i, words in enumerate(sorted(set(leads + pairs))
+                              + [(2**64 - 1,) * 3]):
+        ours, ref = WordStream(words, i), WordStream(words, i)
         assert sample_pi_s(hp, ours) == reference_pi_s(hp, ref)
         assert ours.bits_consumed == ref.bits_consumed
     for i in range(2500):
         ours, ref = RngStream(8, (hp.p, i)), RngStream(8, (hp.p, i))
         assert sample_pi_s(hp, ours) == reference_pi_s(hp, ref)
         assert ours.bits_consumed == ref.bits_consumed
+
+
+@pytest.mark.parametrize("hp", PI_S_PARAMS, ids=params_id)
+@pytest.mark.parametrize("bits, halvings, support",
+                         [(64, 0, 8), (128, 1, 8), (128, 0, 16)])
+def test_pi_s_bounds_end_at_the_support_ceiling(hp, bits, halvings, support):
+    # A draw at or above the last bound lies beyond the support, which
+    # doubles it.  No word of the first three rounds at p <= 3 gets there,
+    # since their upper CDF brackets at 8 exceed 1.
+    eps = F(1, 2**(48 + 16 * halvings))
+    upper = sum(pi_s_bracket(hp, x, eps).upper for x in range(support + 1))
+    bounds = _pi_s_bounds(hp, bits, halvings, support)
+    assert len(bounds) == 2 * support + 3
+    assert bounds[-1] == ceil(upper * 2**bits)
 
 
 class TestNu:
