@@ -32,8 +32,7 @@ def main() -> int:
     print(f"{'k':>12} " + " ".join(f"f_{n:<4}" for n in sizes))
     for parts in grid:
         report = run_ergodic_convergence(
-            args.p, Partition(parts), sizes, args.draws, args.seed,
-            f_gate=0.0)
+            args.p, Partition(parts), sizes, args.draws, args.seed)
         freqs = " ".join(f"{row['frequency']['float']:.4f}"
                          for row in report.table)
         print(f"{str(parts):>12} {freqs}")

@@ -40,8 +40,10 @@ from .samplers import (ergodic_matrices, hua_matrices, sample_ergodic_matrix,
 LAW_SCHEMA = "padic-hua/law/1"
 SAMPLE_SCHEMA = "padic-hua/sample/1"
 
-# Stream namespaces for the sample subcommand, per record kind.
-_SAMPLE_NS = {"nu": 10, "hua": 11, "ergodic": 12}
+# Each kind of sample record: its stream namespace and the options it reads.
+_SAMPLE_KINDS = {"nu": (10, ("p", "t", "count", "seed")),
+                 "hua": (11, ("p", "t", "count", "seed", "N", "E", "guard")),
+                 "ergodic": (12, ("p", "t", "count", "seed", "N", "E", "k"))}
 
 # Most bytes of residues one chunk of sample draws may hold: a chunk keeps
 # the reads of up to DRAW_CHUNK draws at once.  The peak resident memory
@@ -137,14 +139,24 @@ OPTIONS = {
 
 
 def option_text(args, name: str):
-    """An option's value as given; `law` leaves the options it was not
-    given unset, and they read as their `law` defaults."""
+    """An option's value as given; an option not given is left unset by the
+    parser, and reads as its default for the command."""
     value = getattr(args, name)
-    return OPTIONS[name].defaults["law"] if value is None else value
+    return OPTIONS[name].defaults[args.command] if value is None else value
 
 
 def read_option(args, name: str):
     return OPTIONS[name].read(option_text(args, name))
+
+
+def refuse_unread(args, reads, what: str) -> None:
+    """Refuse, in table order, every option given on the command line that
+    is not in ``reads``: what the command named ``what`` reads."""
+    unread = [name for name, option in OPTIONS.items()
+              if args.command in option.defaults and name not in reads
+              and getattr(args, name) is not None]
+    _require(not unread, f"{what} does not read "
+             + ", ".join("--" + name for name in unread))
 
 
 def check_ranges(args) -> None:
@@ -188,12 +200,12 @@ def _singular_tuple(args) -> tuple:
     return k
 
 
-# Law arguments that are not one option's value, and the options each
-# reads: a singular tuple reads --N, when given, as its length.
-_LAW_ARGS = {"hp": _hp,
-             "lam": lambda args: Partition(read_option(args, "k")),
-             "k": _singular_tuple}
-_LAW_ARG_OPTIONS = {"hp": ("p", "t"), "lam": ("k",), "k": ("k", "N")}
+# Law arguments that are not one option's value: the reader of each and
+# the options it reads.  A singular tuple reads --N, when given, as its
+# length.
+_LAW_ARGS = {"hp": (_hp, ("p", "t")),
+             "lam": (lambda args: Partition(read_option(args, "k")), ("k",)),
+             "k": (_singular_tuple, ("k", "N"))}
 
 # Each law: its callable and the arguments it takes, read in this order,
 # so that of two bad values the same one is blamed every time.
@@ -230,18 +242,13 @@ def _law_params(args, name: str, value) -> dict:
 
 def cmd_law(args) -> int:
     law, names = LAWS[args.name]
-    reads = [option for name in names
-             for option in _LAW_ARG_OPTIONS.get(name, (name,))]
-    unread = [name for name, option in OPTIONS.items()
-              if "law" in option.defaults and name not in reads
-              and getattr(args, name) is not None]
-    _require(not unread, f"law {args.name} does not read "
-             + ", ".join("--" + name for name in unread))
+    readers = [_LAW_ARGS.get(name, (None, (name,))) for name in names]
+    refuse_unread(args, [option for _, options in readers
+                         for option in options], f"law {args.name}")
     params: dict = {}
     values = []
     try:
-        for name in names:
-            reader = _LAW_ARGS.get(name)
+        for name, (reader, _) in zip(names, readers):
             values.append(reader(args) if reader else read_option(args, name))
             params.update(_law_params(args, name, values[-1]))
         value = law(*values)
@@ -267,20 +274,23 @@ def matrix_record(units, shift: int, p: int, digits: int) -> dict:
 
 
 def cmd_sample(args) -> int:
+    namespace, reads = _SAMPLE_KINDS[args.kind]
+    refuse_unread(args, reads, f"sample {args.kind}")
     hp = _hp(args)
     check_ranges(args)
-    digits, guard = args.E, args.guard
-    _require(0 <= guard < digits,
-             f"need 0 <= --guard < --E, got guard {guard} and E {digits}")
-    namespace = _SAMPLE_NS[args.kind]
+    n, digits, guard, count = (read_option(args, name)
+                               for name in ("N", "E", "guard", "count"))
     lam = None
-    reads = 2 * args.N**2  # the residues of two Haar reads
+    residues = 2 * n**2  # the residues of two Haar reads
+    if args.kind == "hua":
+        _require(0 <= guard < digits,
+                 f"need 0 <= --guard < --E, got guard {guard} and E {digits}")
     if args.kind == "ergodic":
         try:
             lam = Partition(read_option(args, "k"))
         except ValueError as exc:
             raise ConfigError(f"bad --k: {exc}") from None
-        reads = (2 * lam.num_parts + args.N) * args.N
+        residues = (2 * lam.num_parts + n) * n
     if args.kind != "nu":
         # A residue below p^E has up to E log10(p) + 1 digits, and the
         # interpreter prints no int longer than its limit (0: no limit).
@@ -292,18 +302,18 @@ def cmd_sample(args) -> int:
         # about 32 + E log2(p) / 8 bytes.
         width = (8 if residue_dtype(hp.p, digits) is not object
                  else 40 + math.ceil(digits * math.log2(hp.p) / 8))
-        size = min(args.count, DRAW_CHUNK) * reads * width
+        size = min(count, DRAW_CHUNK) * residues * width
         _require(size <= MAX_CHUNK_BYTES,
-                 f"a chunk of {args.kind} draws at --N {args.N} and --E "
+                 f"a chunk of {args.kind} draws at --N {n} and --E "
                  f"{digits} holds {size} bytes of residues, above the "
                  f"budget of {MAX_CHUNK_BYTES}")
     out = sys.stdout
     # Records are written a chunk at a time: the chunk's matrices are
     # assembled as one stack, and their singular numbers come from one
     # batched call.
-    for start in range(0, args.count, DRAW_CHUNK):
+    for start in range(0, count, DRAW_CHUNK):
         records, drawn, draws = [], [], []
-        for index in range(start, min(start + DRAW_CHUNK, args.count)):
+        for index in range(start, min(start + DRAW_CHUNK, count)):
             rng = RngStream(args.seed, (namespace, index))
             record = {"schema": SAMPLE_SCHEMA, "kind": args.kind,
                       "seed": args.seed, "index": index}
@@ -312,17 +322,17 @@ def cmd_sample(args) -> int:
                 if args.kind == "nu":
                     record["k"] = list(sample_nu(hp, rng).parts)
                 elif args.kind == "hua":
-                    draws.append(sample_hua_matrix(hp, args.N, digits, rng))
+                    draws.append(sample_hua_matrix(hp, n, digits, rng))
                     drawn.append(record)
                 else:
                     draws.append(
-                        sample_ergodic_matrix(hp.p, lam, args.N, digits, rng))
+                        sample_ergodic_matrix(hp.p, lam, n, digits, rng))
                     drawn.append(record)
             except PrecisionExhausted as exc:
                 record["error"] = str(exc)
         if drawn:
             assemble = hua_matrices if args.kind == "hua" else ergodic_matrices
-            units, shifts = assemble(draws, hp.p, args.N, digits)
+            units, shifts = assemble(draws, hp.p, n, digits)
             for record, m, shift in zip(drawn, units, shifts):
                 record.update(matrix_record(m, shift, hp.p, digits))
             if args.kind == "hua":
@@ -347,18 +357,19 @@ def cmd_sing(args) -> int:
     except ValueError as exc:
         raise ConfigError(f"bad --p: {exc}") from None
     check_ranges(args)
-    _require(0 <= args.guard < args.E,
-             f"need 0 <= --guard < --E, got guard {args.guard} and E {args.E}")
+    digits, guard = read_option(args, "E"), read_option(args, "guard")
+    _require(0 <= guard < digits,
+             f"need 0 <= --guard < --E, got guard {guard} and E {digits}")
     try:
-        units, shift = parse_matrix_text(text, args.p, args.E)
+        units, shift = parse_matrix_text(text, args.p, digits)
         # A shift beyond int64 overflows here.
         values, floors = singular_numbers(units[None], [shift], args.p,
-                                          args.E, args.guard)
+                                          digits, guard)
     except (ValueError, OverflowError) as exc:
         raise ConfigError(f"bad matrix literal: {exc}") from None
     [vals], [floor] = values.tolist(), floors.tolist()
     doc = {"schema": "padic-hua/sing/1", "p": args.p, "n": len(units),
-           "digits": args.E, "shift": shift, "floor": floor,
+           "digits": digits, "shift": shift, "floor": floor,
            "k": [v if v > floor else f"<={floor}" for v in vals]}
     print(json.dumps(doc, sort_keys=True))
     return 0
@@ -406,26 +417,27 @@ def cmd_verify(args) -> int:
             raise ConfigError(
                 f"PADIC_HUA_WORKERS must be an integer, got {env!r}") from None
     check_ranges(args)
+    scale, out_dir = read_option(args, "scale"), read_option(args, "out_dir")
     try:
-        suite_runs(args.suite, args.seed, args.scale)
+        suite_runs(args.suite, args.seed, scale)
     except OverflowError as exc:
-        raise ConfigError(f"--scale {args.scale} is too large: {exc}") from None
+        raise ConfigError(f"--scale {scale} is too large: {exc}") from None
     # Made before the run, so an unusable directory fails in a moment
     # instead of after the whole suite.
     try:
-        os.makedirs(args.out_dir, exist_ok=True)
+        os.makedirs(out_dir, exist_ok=True)
     except OSError as exc:
-        raise ConfigError(f"cannot use --out-dir {args.out_dir}: {exc}") from None
+        raise ConfigError(f"cannot use --out-dir {out_dir}: {exc}") from None
     t0 = time.perf_counter()
     reports = run_suite(args.suite, args.seed, workers=args.workers,
-                        scale=args.scale)
-    write_report_files(reports, args.out_dir)
+                        scale=scale)
+    write_report_files(reports, out_dir)
     failed = [r.name for r in reports if not r.passed]
     for report in reports:
         status = "pass" if report.passed else "FAIL"
         print(f"[{status}] {report.name} ({report.runtime_seconds:.1f}s)",
               file=sys.stderr)
-    print(f"total {time.perf_counter() - t0:.1f}s; reports in {args.out_dir}",
+    print(f"total {time.perf_counter() - t0:.1f}s; reports in {out_dir}",
           file=sys.stderr)
     return 1 if failed else 0
 
@@ -448,7 +460,7 @@ def build_parser() -> argparse.ArgumentParser:
             ("law", cmd_law, "evaluate a mass or certified bracket", "name",
              sorted(LAWS)),
             ("sample", cmd_sample, "emit JSON-lines draws", "kind",
-             sorted(_SAMPLE_NS)),
+             sorted(_SAMPLE_KINDS)),
             ("sing", cmd_sing, "singular numbers of a matrix file", "file",
              None),
             ("verify", cmd_verify, "run a verification suite", "suite",
@@ -457,14 +469,13 @@ def build_parser() -> argparse.ArgumentParser:
         cmd.add_argument(positional, choices=choices)
         for name, option in OPTIONS.items():
             if command in option.defaults:
-                # law leaves an option it is not given unset, to tell it
-                # from one given on the command line (see option_text)
-                default = (None if command == "law"
-                           else option.defaults[command])
+                # An option not given is left unset, to tell it from one
+                # given on the command line (see option_text).
                 cmd.add_argument(
-                    "--" + name.replace("_", "-"), dest=name, default=default,
+                    "--" + name.replace("_", "-"), dest=name,
                     type=option.read if option.read in (int, float) else None,
-                    required=default is REQUIRED, help=option.help)
+                    required=option.defaults[command] is REQUIRED,
+                    help=option.help)
         cmd.set_defaults(func=func)
     return parser
 

@@ -92,6 +92,32 @@ NU_LIMIT_GATE = (0.02, 100_000)
 # How far the ergodic-decomposition TV may rise from the smallest size to
 # the largest.
 TREND_ALLOWANCE = 0.01
+# The least ergodic-convergence match frequency at the largest size, and the
+# most certified entrance-law TV the nu-limit allows at its largest size.
+FINAL_FREQUENCY_GATE = 0.95
+TV_EXACT_GATE = 1e-6
+
+# The identity suite's grid: kernel rows x1 <= ROW_MAX and entrance laws
+# n <= COMPLETENESS_MAX at every (p, t); REWRITE_TRIALS random tuples for the
+# rewriting identities; PROFILE_TRIALS tuples of at most PROFILE_N_MAX
+# entries per (p, t) for the four forms.
+IDENTITY_PRIMES = (2, 3, 5)
+IDENTITY_TS = (Fraction(1), Fraction(1, 2), Fraction(3, 2))
+ROW_MAX = 50
+COMPLETENESS_MAX = 30
+REWRITE_TRIALS = 10_000
+PROFILE_TRIALS = 200
+PROFILE_N_MAX = 5
+# The chain checks' grid: the box (most parts, largest part) of partitions
+# whose nu mass is matched to its chain factorization at tolerance NU_EPS,
+# and the points x where the largest-part CDF P(k_1 < x) is compared at
+# tolerance RR_EPS (the nu-limit's largest-part gate reads RR_EPS too).
+CHAIN_PRIMES = (2, 3)
+CHAIN_TS = (Fraction(1), Fraction(1, 2))
+CHAIN_BOX = (4, 6)
+NU_EPS = Fraction(1, 10**9)
+RR_X_VALUES = (2, 3, 4)
+RR_EPS = Fraction(1, 10**10)
 
 
 # -- histograms and total variation -----------------------------------------
@@ -482,14 +508,13 @@ def run_corners_consistency(hp: HuaParams, n: int, draws: int, seed: int, *,
 
 
 def run_ergodic_convergence(p: int, lam: Partition, n_list, draws: int,
-                            seed: int, *, f_gate: float = 0.95,
-                            pool=None) -> ExperimentReport:
+                            seed: int, *, pool=None) -> ExperimentReport:
     """Corners of the ergodic matrix with parameter lam: frequency f_N that
     the leading singular numbers reproduce lam exactly, one index past its
     positive support (so the first 'other' part is checked to be 0).
 
     Gates: f weakly increasing along n_list within two standard errors,
-    and f at the largest size at least f_gate.
+    and f at the largest size at least FINAL_FREQUENCY_GATE.
     """
     freqs = []
     flagged_total = 0
@@ -507,8 +532,9 @@ def run_ergodic_convergence(p: int, lam: Partition, n_list, draws: int,
         sigma = sqrt(prev * (1 - prev) / draws + cur * (1 - cur) / draws)
         gates.append(gate(f"monotone-{n_list[i - 1]}-to-{n_list[i]}",
                           cur - prev, -2 * sigma, cur - prev >= -2 * sigma))
-    gates.append(gate("final-frequency", float(freqs[-1]), f_gate,
-                      float(freqs[-1]) >= f_gate))
+    gates.append(gate("final-frequency", float(freqs[-1]),
+                      FINAL_FREQUENCY_GATE,
+                      float(freqs[-1]) >= FINAL_FREQUENCY_GATE))
     return ExperimentReport(
         name="ergodic-convergence",
         params={"p": p, "k": list(lam.parts), "n_list": list(n_list),
@@ -577,9 +603,9 @@ def run_ergodic_decomposition(hp: HuaParams, n_list, draws: int, seed: int,
 
 
 def run_nu_limit(hp: HuaParams, n_list, draws: int, seed: int, *,
-                 tv_exact_gate: float = 1e-6, pool=None) -> ExperimentReport:
+                 pool=None) -> ExperimentReport:
     """(a) certified TV between the reflected finite entrance law and its
-    limit, decreasing along n_list and below tv_exact_gate at the largest
+    limit, decreasing along n_list and below TV_EXACT_GATE at the largest
     size; (b) Monte Carlo at the largest size: positive-part partitions
     against the limiting partition law; (c) the largest-part CDF at 2
     against the sparse-product value, when t is 1 or 1/p."""
@@ -591,7 +617,8 @@ def run_nu_limit(hp: HuaParams, n_list, draws: int, seed: int, *,
                           float(exact_tvs[i].upper),
                           float(exact_tvs[i - 1].lower), ok, kind="certified"))
     gates.append(gate("tv-exact-final", float(exact_tvs[-1].upper),
-                      tv_exact_gate, exact_tvs[-1].upper < Fraction(tv_exact_gate),
+                      TV_EXACT_GATE,
+                      exact_tvs[-1].upper < Fraction(TV_EXACT_GATE),
                       kind="certified"))
 
     n_max = n_list[-1]
@@ -609,7 +636,7 @@ def run_nu_limit(hp: HuaParams, n_list, draws: int, seed: int, *,
              f"mc tv with tail penalty: {float(tv_distance(hist, law).midpoint)}"]
     s = hp.s_exponent()
     if s in (0, 1):
-        rr = rr_cdf(hp.p, s, 2, Fraction(1, 10**10))
+        rr = rr_cdf(hp.p, s, 2, RR_EPS)
         emp = Fraction(top_below_2, draws)
         mid = float(rr.midpoint)
         sigma = sqrt(mid * (1 - mid) / draws)
@@ -709,33 +736,29 @@ def _vol_haar_holds(p: int, k) -> bool:
     return lhs == rhs
 
 
-def run_identities(seed: int, *, primes=(2, 3, 5),
-                   ts=(Fraction(1), Fraction(1, 2), Fraction(3, 2)),
-                   row_max: int = 50, completeness_max: int = 30,
-                   rewrite_trials: int = 10_000, profile_trials: int = 200,
-                   profile_n_max: int = 5) -> ExperimentReport:
+def run_identities(seed: int) -> ExperimentReport:
     """Zero-tolerance identity suite: kernel rows are stochastic, the finite
     entrance laws are complete, the tail-sum rewriting identities hold on
     random tuples, and all four forms of the singular-number law agree."""
-    grid = [HuaParams.of(p, t) for p in primes for t in ts]
+    grid = [HuaParams.of(p, t) for p in IDENTITY_PRIMES for t in IDENTITY_TS]
 
     # A row sums to 1 exactly when its integer weights sum to its denominator.
     row_failures = 0
     completeness_failures = 0
     for hp in grid:
-        for x1 in range(row_max + 1):
+        for x1 in range(ROW_MAX + 1):
             d, w = kernel_weights(*hp, x1)
             row_failures += sum(w) != d
-        for n in range(1, completeness_max + 1):
+        for n in range(1, COMPLETENESS_MAX + 1):
             for weights in (pi_n_weights, tilde_pi_n_weights):
                 d, w = weights(*hp, n)
                 completeness_failures += sum(w) != d
 
     rng = RngStream(seed, (NS_IDENTITIES, 0))
     rewrite_failures = 0
-    for start in range(0, rewrite_trials, IDENTITY_BLOCK):
+    for start in range(0, REWRITE_TRIALS, IDENTITY_BLOCK):
         k, lengths = _random_descending_tuples(
-            rng, min(IDENTITY_BLOCK, rewrite_trials - start), 8, -6, 6)
+            rng, min(IDENTITY_BLOCK, REWRITE_TRIALS - start), 8, -6, 6)
         checks = rewrite_identity_check(k, lengths)
         rewrite_failures += int(np.count_nonzero(~checks.all(axis=1)))
 
@@ -744,7 +767,7 @@ def run_identities(seed: int, *, primes=(2, 3, 5),
     for gi, hp in enumerate(grid):
         rng = RngStream(seed, (NS_IDENTITIES, 1, gi))
         stack, lengths = _random_descending_tuples(
-            rng, profile_trials, profile_n_max, -4, 4)
+            rng, PROFILE_TRIALS, PROFILE_N_MAX, -4, 4)
         for row, n in zip(stack.tolist(), lengths.tolist()):
             k = tuple(row[:n])
             profile = LProfile.from_singular_values(k)
@@ -770,10 +793,11 @@ def run_identities(seed: int, *, primes=(2, 3, 5),
     ]
     return ExperimentReport(
         name="identities",
-        params={"primes": list(primes),
-                "ts": [frac_str(t) for t in ts],
-                "row_max": row_max, "completeness_max": completeness_max,
-                "rewrite_trials": rewrite_trials, "profile_trials": profile_trials},
+        params={"primes": list(IDENTITY_PRIMES),
+                "ts": [frac_str(t) for t in IDENTITY_TS],
+                "row_max": ROW_MAX, "completeness_max": COMPLETENESS_MAX,
+                "rewrite_trials": REWRITE_TRIALS,
+                "profile_trials": PROFILE_TRIALS},
         seed=seed,
         gates=gates,
     )
@@ -782,32 +806,29 @@ def run_identities(seed: int, *, primes=(2, 3, 5),
 # -- bracket-overlap suite (chain factorization and largest-part CDF) ----------
 
 
-def run_chain_checks(*, primes=(2, 3), ts=(Fraction(1), Fraction(1, 2)),
-                     max_parts: int = 4, max_part: int = 6,
-                     nu_eps=Fraction(1, 10**9), x_values=(2, 3, 4),
-                     rr_eps=Fraction(1, 10**10)) -> ExperimentReport:
+def run_chain_checks() -> ExperimentReport:
     """Certified-overlap checks: the limiting partition mass equals its
     chain factorization on every boxed partition, and the largest-part CDF
     from the sparse product matches the direct partition sum."""
     factorization_failures = 0
     checked = 0
-    for p in primes:
-        for t in ts:
+    for p in CHAIN_PRIMES:
+        for t in CHAIN_TS:
             hp = HuaParams.of(p, t)
-            for lam in partitions_in_box(max_parts, max_part):
+            for lam in partitions_in_box(*CHAIN_BOX):
                 checked += 1
-                if not nu_bracket(hp, lam, nu_eps).overlaps(
-                        nu_chain_bracket(hp, lam, nu_eps)):
+                if not nu_bracket(hp, lam, NU_EPS).overlaps(
+                        nu_chain_bracket(hp, lam, NU_EPS)):
                     factorization_failures += 1
 
     rr_failures = 0
     rr_rows = []
-    for p in primes:
+    for p in CHAIN_PRIMES:
         for s in (0, 1):
             hp = HuaParams.of(p, Fraction(1, p**s))
-            for x in x_values:
-                product = rr_cdf(p, s, x, rr_eps)
-                direct = nu_k1_below(hp, x, rr_eps)
+            for x in RR_X_VALUES:
+                product = rr_cdf(p, s, x, RR_EPS)
+                direct = nu_k1_below(hp, x, RR_EPS)
                 ok = product.overlaps(direct)
                 if not ok:
                     rr_failures += 1
@@ -824,11 +845,11 @@ def run_chain_checks(*, primes=(2, 3), ts=(Fraction(1), Fraction(1, 2)),
     ]
     return ExperimentReport(
         name="chain-checks",
-        params={"primes": list(primes),
-                "ts": [frac_str(t) for t in ts],
-                "max_parts": max_parts, "max_part": max_part,
-                "nu_eps": str(nu_eps), "x_values": list(x_values),
-                "rr_eps": str(rr_eps)},
+        params={"primes": list(CHAIN_PRIMES),
+                "ts": [frac_str(t) for t in CHAIN_TS],
+                "max_parts": CHAIN_BOX[0], "max_part": CHAIN_BOX[1],
+                "nu_eps": str(NU_EPS), "x_values": list(RR_X_VALUES),
+                "rr_eps": str(RR_EPS)},
         seed=None,
         gates=gates,
         table=rr_rows,

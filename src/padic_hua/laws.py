@@ -23,7 +23,7 @@ import numpy as np
 from .padic import check_prime, int_valuation
 from .partitions import (LProfile, Partition, descending_tuples,
                          partitions_in_box)
-from .qseries import Bracket, pochhammer, pochhammer_inf
+from .qseries import Bracket, pochhammer, pochhammer_inf, truncation_order
 
 Mass = Union[Fraction, Bracket]
 
@@ -247,7 +247,12 @@ def pi_s_bracket(hp: HuaParams, x: int, eps) -> Bracket:
     return pochhammer_inf(hp.a, hp.q, Fraction(eps) / pre) * pre
 
 
-def pi_s_tail_bound(hp: HuaParams, x0: int, eps=Fraction(1, 10**9)) -> Fraction:
+# The tolerance of the (q;q)_oo bracket whose lower end pi_s_tail_bound
+# divides by.
+TAIL_QQ_EPS = Fraction(1, 10**9)
+
+
+def pi_s_tail_bound(hp: HuaParams, x0: int) -> Fraction:
     """Rational upper bound for sum_{x >= x0} pi(x), valid for x0 >= 1.
 
     Uses pi(x) <= p^(-x^2) t^x / (q;q)_oo and a geometric comparison
@@ -255,7 +260,7 @@ def pi_s_tail_bound(hp: HuaParams, x0: int, eps=Fraction(1, 10**9)) -> Fraction:
     """
     if x0 < 1:
         raise ValueError(f"tail bound needs x0 >= 1, got {x0}")
-    qq_lower = pochhammer_inf(hp.q, hp.q, eps).lower
+    qq_lower = pochhammer_inf(hp.q, hp.q, TAIL_QQ_EPS).lower
     first = Fraction(1, hp.p ** (x0 * x0)) * hp.t**x0 / qq_lower
     ratio = hp.t / hp.p ** (2 * x0 + 1)
     return first / (1 - ratio)
@@ -476,9 +481,6 @@ def rr_cdf(p: int, s: int, x: int, eps) -> Bracket:
         raise ValueError(f"sparse product form only for s in {{0, 1}}, got {s}")
     if x < 2:
         raise ValueError(f"need x >= 2, got {x}")
-    eps = Fraction(eps)
-    if eps <= 0:
-        raise ValueError("eps must be positive")
     modulus = 2 * x + 1
     if s == 0:
         residues = {0, x % modulus, (-x) % modulus}
@@ -486,10 +488,9 @@ def rr_cdf(p: int, s: int, x: int, eps) -> Bracket:
     else:
         residues = {0, 1, modulus - 1}
         start = 2
-    # Tail: sum_{i > K} p^-i = p^-K / (p-1) <= eps.
-    cutoff = start
-    while Fraction(1, p**cutoff * (p - 1)) > min(eps, Fraction(1, 2)):
-        cutoff += 1
+    # Tail: sum_{i > K} p^-i = q^(K+1) / (1-q) <= min(eps, 1/2), q = 1/p.
+    q = Fraction(1, p)
+    cutoff = max(start, truncation_order(q, q, eps))
     head = Fraction(1)
     for i in range(start, cutoff + 1):
         if i % modulus in residues:
@@ -581,11 +582,11 @@ def rewrite_identity_check(k, lengths) -> np.ndarray:
 # -- boundary limit of the finite entrance laws -------------------------------
 
 
-def pi_n_boundary_tv(hp: HuaParams, n: int, eps_atom=None) -> Bracket:
+def pi_n_boundary_tv(hp: HuaParams, n: int) -> Bracket:
     """Certified total variation distance between the reflected finite
-    entrance law x -> pi_n(n - x) and its limit pi."""
-    if eps_atom is None:
-        eps_atom = Fraction(1, hp.p ** (2 * n + 20))
+    entrance law x -> pi_n(n - x) and its limit pi; each atom of pi is
+    bracketed to within p^-(2n + 20)."""
+    eps_atom = Fraction(1, hp.p ** (2 * n + 20))
     total = Bracket.exact(0)
     for x in range(n + 1):
         total = total + abs(pi_s_bracket(hp, x, eps_atom) - pi_n(hp, n, n - x))
@@ -611,12 +612,16 @@ def m_n_truncated_law(hp: HuaParams, n: int, bound: int) -> ExactLaw:
     return ExactLaw(masses, tail)
 
 
-def nu_truncated_law(hp: HuaParams, max_parts: int, max_part: int,
-                     eps_atom=Fraction(1, 10**12)) -> ExactLaw:
+# The tolerance of each partition's bracket in nu_truncated_law.
+NU_ATOM_EPS = Fraction(1, 10**12)
+
+
+def nu_truncated_law(hp: HuaParams, max_parts: int,
+                     max_part: int) -> ExactLaw:
     """The limiting partition law restricted to X_1 <= max_parts and
     k_1 <= max_part, keyed by each partition's parts; the tail is a
     certified bracket."""
-    masses = {lam.parts: nu_bracket(hp, lam, eps_atom)
+    masses = {lam.parts: nu_bracket(hp, lam, NU_ATOM_EPS)
               for lam in partitions_in_box(max_parts, max_part)}
     total = Bracket.exact(0)
     for mass in masses.values():

@@ -183,6 +183,10 @@ BAD_INPUT = [
     ("law", "pochhammer", "--t", "5", "--p", "4"),
     ("law", "vol", "--eps", "nan"),
     ("law", "mN", "--N", "2", "--k", "0"),
+    ("sample", "nu", "--N", "5", "--E", "100", "--k", "3,1", "--guard", "50",
+     "--count", "1", "--seed", "1"),
+    ("sample", "hua", "--k", "3,1", "--seed", "1"),
+    ("sample", "nu", "--E", "5", "--guard", "9", "--seed", "1"),
 ]
 
 # What the error line must say, where a later check could blame another
@@ -204,7 +208,16 @@ BLAMED = {("sample", "hua", "--E", "0", "--seed", "1"): "--E must be >= 1",
               "law pochhammer does not read --p, --t",
           ("law", "vol", "--eps", "nan"): "law vol does not read --eps",
           ("law", "mN", "--N", "2", "--k", "0"):
-              "--N 2 does not match the 1 entries of --k"}
+              "--N 2 does not match the 1 entries of --k",
+          # and so is an option the sample kind does not read, before the
+          # window it would give is checked
+          ("sample", "nu", "--N", "5", "--E", "100", "--k", "3,1", "--guard",
+           "50", "--count", "1", "--seed", "1"):
+              "sample nu does not read --N, --E, --guard, --k",
+          ("sample", "hua", "--k", "3,1", "--seed", "1"):
+              "sample hua does not read --k",
+          ("sample", "nu", "--E", "5", "--guard", "9", "--seed", "1"):
+              "sample nu does not read --E, --guard"}
 
 
 @pytest.mark.parametrize("argv", BAD_INPUT, ids=" ".join)
@@ -353,9 +366,11 @@ def int_str_limit():
 @pytest.mark.parametrize("kind", ["hua", "ergodic"])
 def test_sample_refuses_entries_longer_than_the_int_limit(capsys, int_str_limit,
                                                           kind):
-    # a residue below 2^2126 has at most 640 digits; below 2^2127, 641
-    argv = ("sample", kind, "--k", "1", "--N", "2", "--count", "2",
-            "--seed", "1", "--E")
+    # a residue below 2^2126 has at most 640 digits; below 2^2127, 641;
+    # only ergodic reads --k
+    k = ("--k", "1") if kind == "ergodic" else ()
+    argv = ("sample", kind, *k, "--N", "2", "--count", "2", "--seed", "1",
+            "--E")
     code, out, _ = run_cli(capsys, *argv, "2126")
     assert code == 0 and len(out.splitlines()) == 2
     assert_one_error_line(*run_cli(capsys, *argv, "2127"), "--E 2127")
@@ -384,9 +399,11 @@ def test_sample_refuses_chunks_above_the_size_budget(capsys, monkeypatch, kind,
     # parts.  At the default E = 24 a residue takes 8 bytes: 128 and 240
     # bytes fit, 288 and 384 do not.  At N = 2 (16 and 8 residues) a
     # residue of 64 bits is counted as 40 + 8 bytes and one of 65 bits as
-    # 40 + 9, so those chunks are over the budget only because of E.
+    # 40 + 9, so those chunks are over the budget only because of E.  Only
+    # ergodic reads --k.
     monkeypatch.setattr(cli, "MAX_CHUNK_BYTES", budget)
-    argv = ("sample", kind, "--k", k, "--count", "2", "--seed", "1", flag)
+    k = ("--k", k) if kind == "ergodic" else ()
+    argv = ("sample", kind, *k, "--count", "2", "--seed", "1", flag)
     code, out, _ = run_cli(capsys, *argv, str(ok))
     assert code == 0 and len(out.splitlines()) == 2
     assert_one_error_line(*run_cli(capsys, *argv, str(over)),

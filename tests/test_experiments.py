@@ -151,9 +151,8 @@ class TestMonteCarloExperiments:
         assert report.errors == 0
 
     def test_nu_limit_small(self):
-        # the 1e-6 exact gate belongs to size 40; loosen it for this
-        # reduced n_list
-        report = run_nu_limit(HP2, (5, 10), 4000, 11, tv_exact_gate=1e-3)
+        # the certified TV at size 20 is already below the 1e-6 gate
+        report = run_nu_limit(HP2, (5, 10, 20), 4000, 11)
         names = [g["name"] for g in report.gates]
         assert any(n.startswith("tv-decreasing") for n in names)
         assert any(n == "rr-largest-part" for n in names)
@@ -351,11 +350,8 @@ def test_worker_pool_starts_at_most_one_process_per_cpu(monkeypatch):
     assert asked == [("spawn", size) for size in (1, 2, 3, 1, 1, 1)]
 
 
-def test_identity_suite_reduced():
-    report = run_identities(3, primes=(2,), ts=(F(1), F(1, 2)), row_max=12,
-                            completeness_max=8, rewrite_trials=300,
-                            profile_trials=30, profile_n_max=4)
-    assert report.passed
+def test_identity_suite_passes():
+    assert run_identities(3).passed
 
 
 def off_by_one(d, weights, i):
@@ -417,12 +413,6 @@ def test_random_descending_tuples_refuse_bounds_off_one_byte(n_max, lo, hi):
     assert rng.bits_consumed == 0
 
 
-def small_identities():
-    return run_identities(3, primes=(2,), ts=(F(1), F(1, 2)), row_max=8,
-                          completeness_max=6, rewrite_trials=20,
-                          profile_trials=5, profile_n_max=3)
-
-
 def gate_values(report):
     return {g["name"]: (g["value"], g["passed"]) for g in report.gates}
 
@@ -444,7 +434,7 @@ def test_identity_row_gates_catch_one_bad_numerator(monkeypatch, row_fn,
         return d, weights
 
     monkeypatch.setattr(experiments, row_fn, perturbed)
-    report = small_identities()
+    report = run_identities(3)
     values = gate_values(report)
     assert values[gate_name] == (1, False)
     assert all(passed for name, (_, passed) in values.items() if name != gate_name)
@@ -484,16 +474,11 @@ def test_identity_gates_catch_one_wrong_value(monkeypatch, fn, gate_name,
                                               wrong):
     monkeypatch.setattr(experiments, fn,
                         wrong_on_first_call(getattr(experiments, fn), wrong))
-    report = small_identities()
+    report = run_identities(3)
     values = gate_values(report)
     assert values[gate_name] == (1, False)
     assert all(passed for name, (_, passed) in values.items() if name != gate_name)
     assert not report.passed
-
-
-def small_chain_checks():
-    return run_chain_checks(primes=(2,), ts=(F(1),), max_parts=3, max_part=4,
-                            x_values=(2,))
 
 
 def test_chain_factorization_gate_catches_one_wrong_bracket(monkeypatch):
@@ -502,14 +487,14 @@ def test_chain_factorization_gate_catches_one_wrong_bracket(monkeypatch):
     monkeypatch.setattr(experiments, "nu_chain_bracket", wrong_on_first_call(
         experiments.nu_chain_bracket,
         lambda mass, hp, lam, eps: mass + F(1, hp.p)))
-    report = small_chain_checks()
+    report = run_chain_checks()
     assert gate_values(report) == {"chain-factorization": (1, False),
                                    "largest-part-cdf": (0, True)}
     assert not report.passed
 
 
-def test_chain_checks_reduced():
-    assert small_chain_checks().passed
+def test_chain_checks_pass():
+    assert run_chain_checks().passed
 
 
 def test_suite_names_and_unknown():
