@@ -43,7 +43,7 @@ SAMPLE_SCHEMA = "padic-hua/sample/1"
 # Each kind of sample record: its stream namespace and the options it reads.
 _SAMPLE_KINDS = {"nu": (10, ("p", "t", "count", "seed")),
                  "hua": (11, ("p", "t", "count", "seed", "N", "E", "guard")),
-                 "ergodic": (12, ("p", "t", "count", "seed", "N", "E", "k"))}
+                 "ergodic": (12, ("p", "count", "seed", "N", "E", "k"))}
 
 # Most bytes of residues one chunk of sample draws may hold: a chunk keeps
 # the reads of up to DRAW_CHUNK draws at once.  The peak resident memory

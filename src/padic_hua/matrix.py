@@ -51,7 +51,7 @@ def smith_valuations(stack, p: int, digits: int) -> np.ndarray:
     valuations never decrease, so each matrix keeps a level v, the least
     valuation in its remaining block: a step where no entry of some block
     is nonzero mod p^(v+1) sets every level to min(valuation, digits) at
-    once, read off gcd(block, p^digits).  A block that is zero mod
+    once, read off p^min(v, digits).  A block that is zero mod
     p^digits gets ``digits`` for all its remaining valuations.  The
     first entry in row-major order that is nonzero mod p^(v+1) is the pivot
     u p^v, u a unit.  The row operations row_i <- u row_i - (c_i / p^v)
@@ -63,28 +63,45 @@ def smith_valuations(stack, p: int, digits: int) -> np.ndarray:
     their places and the front ones dropped, so no other entry moves.  The
     valuations do not depend on which minimum-valuation entry is the pivot.
 
+    The two ops are picked once.  At p = 2, x mod 2^k is x & (2^k - 1) and
+    x / 2^v is x >> v (two's complement and an arithmetic shift, so a
+    negative x reduces correctly), and p^min(v, digits) is the lowest set
+    bit x & -x of x = (OR of the block) | 2^digits.  Other p take numpy's
+    % and // by p^k, and gcd(block, p^digits).
+
     Every product stays below p^(2 digits), so the stack is held in
     residue_dtype(p, digits).
     """
     pe = p**digits
     dtype = residue_dtype(p, digits)
+    powers = np.array([p**i for i in range(digits + 2)], dtype=dtype)
+    if p == 2:
+        reduce, moduli = np.bitwise_and, powers - 1
+        divide, divisors = np.right_shift, np.arange(digits + 2)
+    else:
+        reduce, moduli = np.remainder, powers
+        divide, divisors = np.floor_divide, powers
     a = np.array(stack, dtype=dtype, order="C")
-    a %= pe
+    reduce(a, moduli[digits], out=a)
     n, _, batch = a.shape
     cols = np.arange(batch)
-    powers = np.array([p**i for i in range(digits + 2)], dtype=dtype)
     level = np.zeros(batch, dtype=np.intp)
     out = np.empty((n, batch), dtype=np.intp)
     for step in range(n):
         r = n - step
-        nonzero = (a % powers[level + 1] != 0).reshape(r * r, batch)
+        nonzero = (reduce(a, moduli[level + 1]) != 0).reshape(r * r, batch)
         if (~nonzero.any(axis=0) & (level < digits)).any():
-            # Some level lags: gcd(block, p^digits) = p^min(v, digits) sets
-            # them all at once.  A gcd at every step would cost more on
-            # large matrices, whose levels seldom lag.
+            # Some level lags: p^min(v, digits) sets them all at once.  A
+            # reduction at every step would cost more on large matrices,
+            # whose levels seldom lag.
             block = a.reshape(r * r, batch)
-            level = np.searchsorted(powers, np.gcd(np.gcd.reduce(block), pe))
-            nonzero = block % powers[level + 1] != 0
+            if p == 2:
+                low = np.bitwise_or.reduce(block) | pe
+                low &= -low
+            else:
+                low = np.gcd(np.gcd.reduce(block), pe)
+            level = np.searchsorted(powers, low)
+            nonzero = reduce(block, moduli[level + 1]) != 0
         out[step] = level
         if r == 1:
             break
@@ -95,12 +112,11 @@ def smith_valuations(stack, p: int, digits: int) -> np.ndarray:
         pivot_col = a[:, bj, cols]  # (r - 1, batch)
         a[:, bj, cols] = a[:, 0]
         a = a[:, 1:]
-        pv = powers[level]
-        unit = pivot_row[cols, bj] // pv
+        unit = divide(pivot_row[cols, bj], divisors[level])
         pivot_row[cols, bj] = pivot_row[:, 0]
         a *= unit
-        a -= (pivot_col // pv)[:, None] * pivot_row[:, 1:].T
-        a %= pe
+        a -= divide(pivot_col, divisors[level])[:, None] * pivot_row[:, 1:].T
+        reduce(a, moduli[digits], out=a)
     return out.T
 
 

@@ -129,8 +129,8 @@ class TestSample:
 
     def test_ergodic_kind(self, capsys):
         code, out, _ = run_cli(capsys, "sample", "ergodic", "--p", "2",
-                               "--t", "1/1", "--N", "3", "--k", "2,1",
-                               "--count", "1", "--seed", "5")
+                               "--N", "3", "--k", "2,1", "--count", "1",
+                               "--seed", "5")
         record = json.loads(out)
         assert code == 0 and record["shift"] == 2
 
@@ -187,6 +187,8 @@ BAD_INPUT = [
      "--count", "1", "--seed", "1"),
     ("sample", "hua", "--k", "3,1", "--seed", "1"),
     ("sample", "nu", "--E", "5", "--guard", "9", "--seed", "1"),
+    ("sample", "ergodic", "--t", "1/2", "--k", "2,1", "--N", "3", "--count",
+     "1", "--seed", "1"),
 ]
 
 # What the error line must say, where a later check could blame another
@@ -217,7 +219,10 @@ BLAMED = {("sample", "hua", "--E", "0", "--seed", "1"): "--E must be >= 1",
           ("sample", "hua", "--k", "3,1", "--seed", "1"):
               "sample hua does not read --k",
           ("sample", "nu", "--E", "5", "--guard", "9", "--seed", "1"):
-              "sample nu does not read --E, --guard"}
+              "sample nu does not read --E, --guard",
+          # the ergodic matrix does not depend on t
+          ("sample", "ergodic", "--t", "1/2", "--k", "2,1", "--N", "3",
+           "--count", "1", "--seed", "1"): "sample ergodic does not read --t"}
 
 
 @pytest.mark.parametrize("argv", BAD_INPUT, ids=" ".join)

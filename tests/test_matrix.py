@@ -475,6 +475,63 @@ def test_smith_levels_jump_several_powers_in_one_stack(p, digits, dtype):
         assert vals in got
 
 
+def triangular_unimodular(rng, n, p, digits):
+    """L U mod p^digits, L lower and U upper triangular with unit
+    diagonals: it lies in GL(n, Z_p) with no determinant computed."""
+    pe = p**digits
+    lower, upper = (np.array([[rng.randrange(pe) for _ in range(n)]
+                              for _ in range(n)], dtype=object)
+                    for _ in range(2))
+    lower, upper = np.tril(lower), np.triu(upper)
+    for m in (lower, upper):
+        m[np.diag_indices(n)] = [p * rng.randrange(pe // p) + rng.randrange(1, p)
+                                 for _ in range(n)]
+    return lower @ upper % pe
+
+
+def triangular_orbit(rng, ks, p, digits):
+    """B diag(p^k) C mod p^digits for unimodular B and C."""
+    n = len(ks)
+    pe = p**digits
+    b, c = (triangular_unimodular(rng, n, p, digits) for _ in range(2))
+    scale = np.array([pow(p, k, pe) for k in ks], dtype=object)
+    return (b * scale) @ c % pe
+
+
+@pytest.mark.parametrize("p, digits", [(2, 8), (2, 24), (2, 31), (3, 19)])
+@pytest.mark.parametrize("n", [8, 16])
+def test_large_stacks_match_their_orbit_exponents(n, p, digits):
+    # At p = 2 the elimination takes masks, shifts and an OR-reduction; on
+    # matrices as large as the ergodic experiments eliminate, up to the
+    # widest window held in int64.  Exponents at or above digits leave a
+    # zero divisor; levels rise by one power, by several at one step, or
+    # not at all, within one stack.  At p = 3 unreduced products would
+    # overflow int64 within two steps, so the reduction after each step
+    # is needed there.
+    assert residue_dtype(p, digits) is np.int64
+    rng = random.Random(f"orbit {n} {p} {digits}")
+    quarter = n // 4
+    jump = max(2, digits // 3)
+    exponents = [
+        [0] * n,
+        [digits - 1] * n,
+        [0] * quarter + [3] * quarter + [digits - 1] * quarter
+        + [digits + 1] * (n - 3 * quarter),
+        [jump] * (n // 2) + [digits - 1] * (n - n // 2),
+        [1] * (n - 1) + [digits],
+        list(range(n)),
+    ] + [[rng.randrange(digits + 3) for _ in range(n)] for _ in range(6)]
+    matrices = [triangular_orbit(rng, ks, p, digits) for ks in exponents]
+    matrices.append(np.zeros((n, n), dtype=object))
+    expected = [[min(k, digits) for k in sorted(ks)] for ks in exponents]
+    expected.append([digits] * n)
+    stack = np.stack(matrices, axis=-1).astype(np.int64)
+    assert smith_valuations(stack, p, digits).tolist() == expected
+    for rows, vals in zip(matrices, expected):
+        one = rows.astype(np.int64)[:, :, None]
+        assert smith_valuations(one, p, digits).tolist() == [vals]
+
+
 def test_stack_singular_numbers_match_one_at_a_time():
     rng = RngStream(31)
     ms = [(tuple(map(tuple, orbit_rows(
