@@ -416,6 +416,8 @@ def cmd_verify(args) -> int:
         except ValueError:
             raise ConfigError(
                 f"PADIC_HUA_WORKERS must be an integer, got {env!r}") from None
+        _require(args.workers >= 1,
+                 f"PADIC_HUA_WORKERS must be >= 1, got {args.workers}")
     check_ranges(args)
     scale, out_dir = read_option(args, "scale"), read_option(args, "out_dir")
     try:

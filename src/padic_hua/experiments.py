@@ -72,12 +72,9 @@ DEFAULT_BLOCK = 2000
 # batch; the chunk's matrices are all that is held at once.
 DRAW_CHUNK = 64
 
-# Trial tuples the identity suite draws and checks at once, and the most
-# bytes it reads from a stream at once: a multiple of 4 no larger than
-# RngStream's refill, so every refill a slab read makes fetches the same
-# generator words as one-byte reads would.
+# Rewriting-identity trial tuples the identity suite draws and checks at
+# once.
 IDENTITY_BLOCK = 1024
-SLAB_BYTES = 512
 
 # Corner draws are labelled by their singular numbers when all lie in
 # [-CORNER_BOUND, CORNER_BOUND].
@@ -463,16 +460,13 @@ def _nu_limit_draw(params, rng, count):
 
 
 def run_corners_consistency(hp: HuaParams, n: int, draws: int, seed: int, *,
-                            corner_to: int | None = None,
-                            pool=None) -> ExperimentReport:
+                            corner_to: int, pool=None) -> ExperimentReport:
     """Sample the size-n matrix law, project to the top-left corner, and
     compare the singular-number histogram against the exact corner law.
 
-    corner_to = n checks the law itself (matrix round trip); the default
-    n - 1 checks consistency under the corner projection.
+    corner_to = n checks the law itself (matrix round trip); corner_to < n
+    checks consistency under the corner projection.
     """
-    if corner_to is None:
-        corner_to = n - 1
     if not 1 <= corner_to <= n:
         raise ValueError(f"corner_to must be in [1, {n}]")
     namespace = NS_ROUNDTRIP if corner_to == n else NS_CORNERS
@@ -660,62 +654,21 @@ def run_nu_limit(hp: HuaParams, n_list, draws: int, seed: int, *,
 
 def _random_descending_tuples(rng, count: int, n_max: int, lo: int,
                               hi: int) -> tuple:
-    """count trial tuples, each a length n = 1 + randbelow(n_max) and then n
+    """count trial tuples, each of length n = 1 + randbelow(n_max) with
     entries lo + randbelow(hi - lo + 1) sorted into weakly decreasing order:
     a (count, n_max) int64 stack, zero past each row's length, and the
-    lengths.
-
-    Both bounds must be at most 256, so that a randbelow attempt is one
-    stream byte shifted down by drop bits.  The bytes are read in slabs no
-    longer than the draws left must still read, so the draws consume, and
-    count in bits_consumed, exactly the bytes that count sequential
-    randbelow draws would."""
-    span = hi - lo + 1
-    if not (1 <= n_max <= 256 and 1 <= span <= 256):
-        raise ValueError(f"bounds {n_max} and {span} must lie in 1..256, "
-                         f"so that a randbelow attempt is one byte")
-    len_drop = 8 - (n_max - 1).bit_length()
-    val_drop = 8 - (span - 1).bit_length()
-    # Bytes a tuple reads at least; randbelow(1) reads none.
-    floor = (n_max > 1) + (span > 1)
-    bits = rng.bits_consumed
-    rows, lengths = [], []
-    data, pos, len_attempts = b"", 0, 0
-    for r in range(count):
-        n = 1
-        if n_max > 1:
-            while True:
-                if pos == len(data):
-                    data = rng.randbytes(min((count - r) * floor, SLAB_BYTES))
-                    pos = 0
-                x = data[pos] >> len_drop
-                pos += 1
-                len_attempts += 1
-                if x < n_max:
-                    n += x
-                    break
-        vals = [lo] * n
-        if span > 1:
-            i = 0
-            while i < n:
-                if pos == len(data):
-                    data = rng.randbytes(
-                        min(n - i + (count - r - 1) * floor, SLAB_BYTES))
-                    pos = 0
-                x = data[pos] >> val_drop
-                pos += 1
-                if x < span:
-                    vals[i] += x
-                    i += 1
-            vals.sort(reverse=True)
-        rows.append(vals + [0] * (n_max - n))
-        lengths.append(n)
-    # Every byte read was one attempt, which keeps 8 - drop of its bits.
-    attempts = (rng.bits_consumed - bits) // 8
-    rng.bits_consumed -= (len_drop * len_attempts
-                          + val_drop * (attempts - len_attempts))
-    return (np.array(rows, dtype=np.int64).reshape(count, n_max),
-            np.array(lengths, dtype=np.int64))
+    lengths.  All count lengths are drawn first, then every entry, row by
+    row.  Both bounds must lie in 1..256, as randbelow_array reads them;
+    they are checked first, so a refused call reads nothing."""
+    if not (1 <= n_max <= 256 and 1 <= hi - lo + 1 <= 256):
+        raise ValueError(f"bounds {n_max} and {hi - lo + 1} must lie in 1..256")
+    lengths = 1 + rng.randbelow_array(n_max, count)
+    live = np.arange(n_max) < lengths[:, None]
+    stack = np.full((count, n_max), lo - 1, dtype=np.int64)
+    stack[live] = lo + rng.randbelow_array(hi - lo + 1, int(lengths.sum()))
+    stack = -np.sort(-stack, axis=1)  # the dead slots, below lo, sort last
+    stack[~live] = 0
+    return stack, lengths
 
 
 def _vol_haar_holds(p: int, k) -> bool:
@@ -892,10 +845,9 @@ def suite_runs(name: str, seed: int, scale: float = 1.0) -> list:
         runs.append((run_chain_checks, (), {}))
     if "corners" in chosen:
         draws = _scaled(100_000, scale)
-        runs.append((run_corners_consistency, (hp1, 3, draws, seed), mc))
-        runs.append((run_corners_consistency, (hp2, 2, draws, seed), mc))
-        runs.append((run_corners_consistency, (hp1, 2, draws, seed),
-                     dict(mc, corner_to=2)))
+        for hp, n, corner_to in ((hp1, 3, 2), (hp2, 2, 1), (hp1, 2, 2)):
+            runs.append((run_corners_consistency, (hp, n, draws, seed),
+                         dict(mc, corner_to=corner_to)))
     if "ergodic" in chosen:
         draws = _scaled(1000, scale)
         runs.append((run_ergodic_convergence,

@@ -228,21 +228,7 @@ _PARITY = bytes(b & 1 for b in range(256))
 def _unit_det_pattern(p: int, n: int, pattern: tuple) -> bool:
     """Whether the n x n matrix with the row-major residues mod p in
     ``pattern`` (a tuple, or bytes on the byte path) has a nonzero
-    determinant mod p (Gaussian elimination over F_p).
-
-    At p = 2 each row is one int, entry j at bit 8 j, and a row operation
-    is one XOR."""
-    if p == 2:
-        rows = [int.from_bytes(bytes(pattern[i:i + n]), "little")
-                for i in range(0, n * n, n)]
-        for col in range(n):
-            bit = 1 << 8 * col
-            pivot = next((row for row in rows if row & bit), None)
-            if pivot is None:
-                return False
-            rows.remove(pivot)
-            rows = [row ^ pivot if row & bit else row for row in rows]
-        return True
+    determinant mod p (Gaussian elimination over F_p)."""
     a = [list(pattern[i:i + n]) for i in range(0, n * n, n)]
     for col in range(n):
         pivot = next((i for i in range(col, n) if a[i][col]), None)

@@ -151,6 +151,28 @@ class RngStream:
             if r < n:
                 return r
 
+    def randbelow_array(self, n: int, count: int) -> np.ndarray:
+        """count draws of randbelow(n) for 1 <= n <= 256, as an int64 array,
+        reading the same bytes and counting the same bits.  An attempt is
+        one byte shifted down by drop bits; each read takes one attempt per
+        draw still owed, at most _REFILL bytes, so the refills fetch the
+        generator words that one-byte reads would."""
+        if not 1 <= n <= 256:
+            raise ValueError(f"need 1 <= n <= 256, got {n}")
+        out = np.zeros(count, dtype=np.int64)
+        if n == 1:  # randbelow(1) reads nothing
+            return out
+        drop = 8 - (n - 1).bit_length()
+        have = 0
+        while have < count:
+            x = np.frombuffer(self.randbytes(min(count - have, self._REFILL)),
+                              dtype=np.uint8) >> drop
+            self.bits_consumed -= drop * x.size
+            x = x[x < n]
+            out[have:have + x.size] = x
+            have += x.size
+        return out
+
     def choose(self, table: DrawTable) -> int:
         """bisect_right(table.cum, randbelow(table.d)), reading the same
         bytes at the same refill points and counting the same bits, but

@@ -215,23 +215,6 @@ def reference_pi_s(hp, rng):
     raise RuntimeError("entrance-law draw failed to separate after 256 refinements")
 
 
-def reference_unit_det(p, n, pattern):
-    """Whether the n x n row-major residues mod p in ``pattern`` have a
-    nonzero determinant mod p, by Gaussian elimination over F_p."""
-    a = [list(pattern[i:i + n]) for i in range(0, n * n, n)]
-    for col in range(n):
-        pivot = next((i for i in range(col, n) if a[i][col]), None)
-        if pivot is None:
-            return False
-        a[pivot], a[col] = a[col], a[pivot]
-        inv = pow(a[col][col], -1, p)
-        for i in range(col + 1, n):
-            f = a[i][col] * inv % p
-            if f:
-                a[i] = [(x - f * y) % p for x, y in zip(a[i], a[col])]
-    return True
-
-
 def reference_chain(hp, start, rng):
     path = []
     x = start

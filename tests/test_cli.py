@@ -165,6 +165,8 @@ BAD_INPUT = [
     ("verify", "corners", "--seed", "1", "--workers", "0"),
     ("verify", "corners", "--seed", "1", "--workers", "-1"),
     ("PADIC_HUA_WORKERS=abc", "verify", "corners", "--seed", "1"),
+    ("PADIC_HUA_WORKERS=0", "verify", "oracle", "--seed", "1"),
+    ("PADIC_HUA_WORKERS=-3", "verify", "oracle", "--seed", "1"),
     ("sample", "hua", "--count", "-1", "--seed", "1"),
     ("law", "pi_N", "--p", "2", "--t", "1", "--N", "-3", "--x", "0"),
     ("law", "tilde_pi_N", "--N", "-1"),
@@ -220,6 +222,11 @@ BLAMED = {("sample", "hua", "--E", "0", "--seed", "1"): "--E must be >= 1",
               "sample hua does not read --k",
           ("sample", "nu", "--E", "5", "--guard", "9", "--seed", "1"):
               "sample nu does not read --E, --guard",
+          # the environment variable, not the option it stands in for
+          ("PADIC_HUA_WORKERS=0", "verify", "oracle", "--seed", "1"):
+              "PADIC_HUA_WORKERS must be >= 1, got 0",
+          ("PADIC_HUA_WORKERS=-3", "verify", "oracle", "--seed", "1"):
+              "PADIC_HUA_WORKERS must be >= 1, got -3",
           # the ergodic matrix does not depend on t
           ("sample", "ergodic", "--t", "1/2", "--k", "2,1", "--N", "3",
            "--count", "1", "--seed", "1"): "sample ergodic does not read --t"}

@@ -34,7 +34,6 @@ from conftest import (
     matmul,
     read_one,
     reference_haar,
-    reference_unit_det,
     stack_matrices,
 )
 
@@ -646,10 +645,11 @@ def test_parity_byte_acceptance_matches_laplace(digits):
     assert accepted == 168  # |GL(3, F_2)|
 
 
-def test_xor_elimination_matches_generic_elimination():
-    # p = 2 rows packed as ints and eliminated by XOR, against elimination
-    # over F_p: every pattern up to n = 3, seeded ones for n = 4..8, each as
-    # a tuple and as the byte path's bytes
+def test_unit_det_pattern_at_p2_matches_determinant_parity():
+    # p = 2 patterns through the one F_p elimination, each as a tuple and as
+    # the byte path's bytes, against the parity of the integer determinant
+    # (exact in floats: |det| < 80 for 0/1 entries at n <= 8): every pattern
+    # up to n = 3, seeded ones for n = 4..8
     plan = random.Random(37)
     cases = [(n, tuple(code >> i & 1 for i in range(n * n)))
              for n in (1, 2, 3) for code in range(2 ** (n * n))]
@@ -657,7 +657,8 @@ def test_xor_elimination_matches_generic_elimination():
               for n in range(4, 9) for _ in range(300)]
     accepted = {}
     for n, pattern in cases:
-        expected = reference_unit_det(2, n, pattern)
+        det = round(np.linalg.det(np.reshape(pattern, (n, n))))
+        expected = det % 2 != 0
         assert _unit_det_pattern.__wrapped__(2, n, pattern) == expected
         assert _unit_det_pattern.__wrapped__(2, n, bytes(pattern)) == expected
         accepted[n] = accepted.get(n, 0) + expected

@@ -23,7 +23,6 @@ ALLOWED = {
     "run_ergodic_convergence.pool": _SUITE,
     "run_ergodic_decomposition.pool": _SUITE,
     "run_nu_limit.pool": _SUITE,
-    "run_corners_consistency.corner_to": _SUITE,
 }
 
 

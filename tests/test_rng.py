@@ -1,6 +1,7 @@
 import random
 from bisect import bisect_right
 
+import numpy as np
 import pytest
 
 from padic_hua.laws import kernel_weights, pi_n_weights
@@ -32,6 +33,29 @@ def test_randbelow_matches_randbits_rejection_loop():
             assert ours.randbelow(n) == reference_randbelow(ref, n)
             assert ours.bits_consumed == ref.bits_consumed
             assert ours.randbytes(7) == ref.randbytes(7)
+
+
+@pytest.mark.parametrize("seed", (0, 1))
+@pytest.mark.parametrize("n", (1, 2, 13, 255, 256))
+def test_randbelow_array_matches_sequential_randbelow(seed, n):
+    # One stream continued over counts that end reads below, at and past
+    # the 512-byte refill, and 5,000 draws whose reads cross several; the
+    # 16-byte reads between them start each call anywhere in the buffer.
+    ours, ref = RngStream(seed, (4, n)), RngStream(seed, (4, n))
+    for count in (0, 1, 511, 512, 513, 5000):
+        draws = ours.randbelow_array(n, count)
+        assert draws.dtype == np.int64
+        assert draws.tolist() == [ref.randbelow(n) for _ in range(count)]
+        assert ours.bits_consumed == ref.bits_consumed
+        assert ours.randbytes(16) == ref.randbytes(16)
+
+
+@pytest.mark.parametrize("n", (0, -1, 257))
+def test_randbelow_array_refuses_bounds_off_one_byte(n):
+    rng = RngStream(1)
+    with pytest.raises(ValueError):
+        rng.randbelow_array(n, 3)
+    assert rng.bits_consumed == 0
 
 
 @pytest.mark.parametrize("seed", range(6))
