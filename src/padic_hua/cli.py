@@ -24,10 +24,11 @@ import time
 from fractions import Fraction
 from typing import Callable, NamedTuple
 
-from .experiments import DRAW_CHUNK, SUITE_NAMES, run_suite, suite_runs
+from .experiments import SUITE_NAMES, draw_chunk, run_suite, suite_runs
 from .laws import (HuaParams, haar_orbit_mass, hua_density, kernel_p,
-                   m_n_direct, nu_bracket, nu_chain_bracket, nu_k1_below, pi_n,
-                   pi_s_bracket, rr_cdf, tilde_pi_n, vol_singular_law)
+                   kernel_valuation, m_n_direct, nu_bracket, nu_chain_bracket,
+                   nu_k1_below, nu_k1_below_terms, pi_n, pi_s_bracket, rr_cdf,
+                   tilde_pi_n, vol_singular_law)
 from .matrix import (format_entry, parse_matrix_text, residue_dtype,
                      singular_numbers)
 from .padic import DIGITS, GUARD, PrecisionExhausted, check_prime
@@ -46,11 +47,16 @@ _SAMPLE_KINDS = {"nu": (10, ("p", "t", "count", "seed")),
                  "ergodic": (12, ("p", "count", "seed", "N", "E", "k"))}
 
 # Most bytes of residues one chunk of sample draws may hold: a chunk keeps
-# the reads of up to DRAW_CHUNK draws at once.  The peak resident memory
-# of a chunk, with its stacks and printed entries, measured 5 to 11 times
-# this count (ergodic and hua chunks of 64 draws, p = 2, E from 24 to 200),
-# so the budget keeps a chunk below about 3 GiB.
+# the reads of experiments.draw_chunk(N) draws at once, the chunk that
+# holds 4,096 N x N matrix entries and at least 64 draws.  The peak
+# resident memory of a chunk, with its stacks and printed entries,
+# measured 5 to 11 times this count (ergodic and hua chunks of 64 draws,
+# p = 2, E from 24 to 200), so the budget keeps a chunk below about 3 GiB.
 MAX_CHUNK_BYTES = 2**28
+
+# Most partitions `law nu_k1_below` may sum: about 1 to 4 s of work (x = 10
+# at the default tolerance sums 48,620 of them; x = 11 sums 184,756).
+MAX_LAW_PARTITIONS = 10**5
 
 
 class ConfigError(Exception):
@@ -227,6 +233,38 @@ LAWS = {
 }
 
 
+def _int_str_limit() -> int:
+    """The most digits the interpreter prints of an int (0: no limit)."""
+    return getattr(sys, "get_int_max_str_digits", lambda: 0)()
+
+
+def _too_long_to_print() -> ConfigError:
+    return ConfigError(f"law value has more than {_int_str_limit()} digits, "
+                       f"too long to print")
+
+
+def _price_kernel(hp, x1: int, x2: int) -> None:
+    """Refuse, before the row is built, a kernel mass whose reduced
+    denominator is a multiple of p^g with more digits than the interpreter
+    prints, g = -kernel_valuation (the margin of one digit covers the
+    rounding of log10 p)."""
+    limit = _int_str_limit()
+    if (limit and 0 <= x2 <= x1
+            and -kernel_valuation(hp, x1, x2) * math.log10(hp.p) > limit + 1):
+        raise _too_long_to_print()
+
+
+def _price_nu_k1_below(hp, x: int, eps) -> None:
+    _require(nu_k1_below_terms(hp, x, eps, MAX_LAW_PARTITIONS) is not None,
+             f"law nu_k1_below at --x {x} sums more partitions than the "
+             f"budget of {MAX_LAW_PARTITIONS}")
+
+
+# Laws priced before they compute: each takes the law's arguments and
+# refuses those whose work or output is sure to be too large.
+PRICES = {"kernel": _price_kernel, "nu_k1_below": _price_nu_k1_below}
+
+
 def _law_params(args, name: str, value) -> dict:
     """The printed params of one law argument; a tolerance as given."""
     if name == "hp":
@@ -251,6 +289,8 @@ def cmd_law(args) -> int:
         for name, (reader, _) in zip(names, readers):
             values.append(reader(args) if reader else read_option(args, name))
             params.update(_law_params(args, name, values[-1]))
+        if args.name in PRICES:
+            PRICES[args.name](*values)
         value = law(*values)
     except (ValueError, ZeroDivisionError) as exc:
         raise ConfigError(str(exc)) from None
@@ -260,9 +300,7 @@ def cmd_law(args) -> int:
     except ValueError:
         # A numerator or denominator has more digits than the interpreter
         # converts to a string.
-        raise ConfigError(
-            f"law value has more than {sys.get_int_max_str_digits()} digits, "
-            f"too long to print") from None
+        raise _too_long_to_print() from None
     print(json.dumps(doc, sort_keys=True))
     return 0
 
@@ -280,7 +318,7 @@ def cmd_sample(args) -> int:
     check_ranges(args)
     n, digits, guard, count = (read_option(args, name)
                                for name in ("N", "E", "guard", "count"))
-    lam = None
+    lam, chunk = None, draw_chunk(n)
     residues = 2 * n**2  # the residues of two Haar reads
     if args.kind == "hua":
         _require(0 <= guard < digits,
@@ -294,7 +332,7 @@ def cmd_sample(args) -> int:
     if args.kind != "nu":
         # A residue below p^E has up to E log10(p) + 1 digits, and the
         # interpreter prints no int longer than its limit (0: no limit).
-        limit = getattr(sys, "get_int_max_str_digits", lambda: 0)()
+        limit = _int_str_limit()
         _require(not limit or digits * math.log10(hp.p) < limit,
                  f"--E {digits} at p = {hp.p} gives entries longer than "
                  f"the interpreter's {limit}-digit limit on printed ints")
@@ -302,7 +340,7 @@ def cmd_sample(args) -> int:
         # about 32 + E log2(p) / 8 bytes.
         width = (8 if residue_dtype(hp.p, digits) is not object
                  else 40 + math.ceil(digits * math.log2(hp.p) / 8))
-        size = min(count, DRAW_CHUNK) * residues * width
+        size = min(count, chunk) * residues * width
         _require(size <= MAX_CHUNK_BYTES,
                  f"a chunk of {args.kind} draws at --N {n} and --E "
                  f"{digits} holds {size} bytes of residues, above the "
@@ -311,9 +349,9 @@ def cmd_sample(args) -> int:
     # Records are written a chunk at a time: the chunk's matrices are
     # assembled as one stack, and their singular numbers come from one
     # batched call.
-    for start in range(0, count, DRAW_CHUNK):
+    for start in range(0, count, chunk):
         records, drawn, draws = [], [], []
-        for index in range(start, min(start + DRAW_CHUNK, count)):
+        for index in range(start, min(start + chunk, count)):
             rng = RngStream(args.seed, (namespace, index))
             record = {"schema": SAMPLE_SCHEMA, "kind": args.kind,
                       "seed": args.seed, "index": index}

@@ -51,8 +51,8 @@ from .samplers import (
     ergodic_matrices,
     hua_matrices,
     sample_ergodic_matrix,
-    sample_hua_matrix,
-    sample_hua_tails,
+    hua_tail_draws,
+    sample_hua_attempts,
     sample_nu,
 )
 
@@ -69,8 +69,10 @@ NS_IDENTITIES = 7
 ORACLE_SIZE_CAP = 2**24
 DEFAULT_BLOCK = 2000
 # Draws sampled before their matrices' Smith valuations are computed in one
-# batch; the chunk's matrices are all that is held at once.
+# batch; the chunk's matrices are all that is held at once.  A chunk of
+# n x n draws is sized by their entries (see draw_chunk).
 DRAW_CHUNK = 64
+CHUNK_ENTRIES = 4096
 
 # Rewriting-identity trial tuples the identity suite draws and checks at
 # once.
@@ -287,8 +289,9 @@ def enumerate_oracle(p: int, n: int, digits: int) -> Histogram:
     # Residue k of every code in a chunk, least significant first, row-major.
     place = pe ** np.arange(n * n)
     tally: Counter = Counter()
-    for start in range(0, total, DRAW_CHUNK):
-        codes = np.arange(start, min(start + DRAW_CHUNK, total))
+    chunk = draw_chunk(n)
+    for start in range(0, total, chunk):
+        codes = np.arange(start, min(start + chunk, total))
         units = (codes[:, None] // place % pe).reshape(-1, n, n)
         values, floors = singular_numbers(units, [0] * len(codes), p, digits)
         tally.update(map(tuple, values.tolist()))
@@ -332,20 +335,30 @@ def run_oracle_equality(p: int, n: int, digits: int) -> ExperimentReport:
 #
 # A run is split into blocks of DEFAULT_BLOCK draws; block i draws from the
 # stream (seed, key + (i,)), so its output does not depend on which process
-# runs it.  A block asks for its draws DRAW_CHUNK at a time.  A draw
-# function takes (params, rng, count) and returns the tally of the chunk:
-# a Counter of labels and a tuple of summed event counts, consuming the
-# stream exactly as ``count`` single draws would.  A label is a tuple of
-# ints or OTHER, the keys of the exact laws.  merge_counts folds chunk
-# tallies into a block's and block tallies into the run's.  Draw functions
-# are top level so that worker processes can import them.
+# runs it.  A block asks for its draws draw_chunk(n) at a time, n the size
+# of the run's matrices.  A draw function takes (params, rng, count) and
+# returns the tally of the chunk: a Counter of labels and a tuple of
+# summed event counts, consuming the stream exactly as ``count`` single
+# draws would.  A label is a tuple of ints or OTHER, the keys of the exact
+# laws.  merge_counts folds chunk tallies into a block's and block tallies
+# into the run's.  Draw functions are top level so that worker processes
+# can import them.
+
+
+def draw_chunk(n: int) -> int:
+    """Draws of n x n matrices taken in one chunk: CHUNK_ENTRIES matrix
+    entries, and never fewer than DRAW_CHUNK draws.  Small matrices make
+    long chunks (455 draws at n = 3, 1,024 at n = 2), which spread each
+    chunk's fixed stacking, Smith and labelling cost; from n = 8 on a chunk
+    is DRAW_CHUNK draws."""
+    return max(DRAW_CHUNK, CHUNK_ENTRIES // (n * n))
 
 
 def _run_block(args):
-    draw, params, seed, key, count = args
+    draw, params, seed, key, count, chunk = args
     rng = RngStream(seed, key)
-    return merge_counts([draw(params, rng, min(DRAW_CHUNK, count - start))
-                         for start in range(0, count, DRAW_CHUNK)])
+    return merge_counts([draw(params, rng, min(chunk, count - start))
+                         for start in range(0, count, chunk)])
 
 
 def worker_pool(workers: int):
@@ -357,14 +370,16 @@ def worker_pool(workers: int):
     return get_context("spawn").Pool(min(workers, os.cpu_count() or 1))
 
 
-def monte_carlo(draw, params, draws: int, seed: int, key: tuple,
+def monte_carlo(draw, params, draws: int, seed: int, key: tuple, n: int,
                 pool=None) -> tuple:
-    """(label counts, summed event counts) over ``draws`` draws.  The blocks
-    are generated lazily and run in this process, or mapped in order over
-    ``pool`` when one is given; their tallies are merged as they arrive, so
-    memory holds the blocks in flight, not one entry per block."""
+    """(label counts, summed event counts) over ``draws`` draws of n x n
+    matrices, chunked by draw_chunk(n).  The blocks are generated lazily
+    and run in this process, or mapped in order over ``pool`` when one is
+    given; their tallies are merged as they arrive, so memory holds the
+    blocks in flight, not one entry per block."""
+    chunk = draw_chunk(n)
     blocks = ((draw, params, seed, key + (idx,),
-               min(DEFAULT_BLOCK, draws - idx * DEFAULT_BLOCK))
+               min(DEFAULT_BLOCK, draws - idx * DEFAULT_BLOCK), chunk)
               for idx in range(-(-draws // DEFAULT_BLOCK)))
     results = (map(_run_block, blocks) if pool is None
                else pool.imap(_run_block, blocks))
@@ -377,22 +392,25 @@ def monte_carlo(draw, params, draws: int, seed: int, key: tuple,
 def _corner_draw(params, rng, count):
     """Singular numbers of matrix draws' corners.  Draws are conditioned
     on the top singular number fitting half the window (the resample
-    branch of the overflow policy); resamples are counted, never hidden.
-    Events: (resamples, flagged)."""
+    branch of the overflow policy): the chunk makes ``count`` attempts
+    with sample_hua_attempts, then as many more as overflowed, until
+    ``count`` draws fit.  Attempts are sequential, so this reads the stream
+    as resampling each overflow at once would.  Resamples are counted,
+    never hidden.  Events: (resamples, flagged)."""
     hp, n, corner_to, digits, guard, bound = params
-    draws, resamples = [], 0
+    draws, attempts = [], 0
     while len(draws) < count:
-        try:
-            draws.append(sample_hua_matrix(hp, n, digits, rng))
-        except PrecisionExhausted:
-            resamples += 1
+        need = count - len(draws)
+        draws += [(k, *factors) for k, factors
+                  in sample_hua_attempts(hp, n, digits, rng, need) if factors]
+        attempts += need
     units, shifts = hua_matrices(draws, hp.p, n, digits, corner_to)
     values, floors = singular_numbers(units, shifts, hp.p, digits, guard)
     exact = values[:, -1] > floors  # markers end their row
     labelled = exact & (np.abs(values) <= bound).all(axis=1)
     counts = Counter(map(tuple, values[labelled].tolist()))
     counts[OTHER] = count - int(labelled.sum())
-    return counts, (resamples, count - int(exact.sum()))
+    return counts, (attempts - count, count - int(exact.sum()))
 
 
 def _ergodic_match_draw(params, rng, count):
@@ -447,8 +465,9 @@ def _nu_limit_draw(params, rng, count):
     the parts are their conjugate.  Events: (largest part < 2,)."""
     hp, n, max_parts, max_part = params
     labels, top_below_2 = [], 0
+    draws = hua_tail_draws(hp, n, rng)
     for _ in range(count):
-        tails, _ = sample_hua_tails(hp, n, rng)
+        tails, _ = next(draws)
         largest = len(tails)
         in_box = largest <= max_part and (not tails or tails[0] <= max_parts)
         labels.append(_conjugate(tails) if in_box else OTHER)
@@ -473,7 +492,7 @@ def run_corners_consistency(hp: HuaParams, n: int, draws: int, seed: int, *,
     law = m_n_truncated_law(hp, corner_to, CORNER_BOUND)
     counts, (resamples, flagged) = monte_carlo(
         _corner_draw, (hp, n, corner_to, DIGITS, GUARD, CORNER_BOUND),
-        draws, seed, (namespace, *hp, n, corner_to), pool)
+        draws, seed, (namespace, *hp, n, corner_to), n, pool)
     hist = Histogram(counts, draws)
     tv = tv_on_support(hist, law)
     tv_penalized = tv_distance(hist, law)
@@ -517,7 +536,8 @@ def run_ergodic_convergence(p: int, lam: Partition, n_list, draws: int,
         expected = (lam.parts + (0,) * window)[:window]
         counts, (flagged,) = monte_carlo(
             _ergodic_match_draw, (p, lam, n, DIGITS, GUARD, expected), draws,
-            seed, (NS_ERGODIC_CONV, p, n, lam.num_parts) + lam.parts, pool)
+            seed, (NS_ERGODIC_CONV, p, n, lam.num_parts) + lam.parts, n,
+            pool)
         flagged_total += flagged
         freqs.append(Fraction(counts.get(True, 0), draws))
     gates = []
@@ -560,7 +580,7 @@ def run_ergodic_decomposition(hp: HuaParams, n_list, draws: int, seed: int,
     for n in n_list:
         counts, (n_errors, n_flagged, top_below_2) = monte_carlo(
             _ergodic_decomp_draw, (hp, n, DIGITS, GUARD, *NU_BOX),
-            draws, seed, (NS_ERGODIC_DECOMP, *hp, n), pool)
+            draws, seed, (NS_ERGODIC_DECOMP, *hp, n), n, pool)
         hist = Histogram(counts, draws)
         errors += n_errors
         flagged += n_flagged
@@ -619,7 +639,7 @@ def run_nu_limit(hp: HuaParams, n_list, draws: int, seed: int, *,
     law = nu_truncated_law(hp, *NU_BOX)
     counts, (top_below_2,) = monte_carlo(
         _nu_limit_draw, (hp, n_max, *NU_BOX), draws, seed,
-        (NS_NULIMIT, *hp, n_max), pool)
+        (NS_NULIMIT, *hp, n_max), n_max, pool)
     hist = Histogram(counts, draws)
     tv_mc = tv_on_support(hist, law)
     threshold = scaled_gate(*NU_LIMIT_GATE, draws)

@@ -219,8 +219,35 @@ def kernel_p(hp: HuaParams, x1: int, x2: int) -> Fraction:
     P(x1, x2) = p^(-x2^2) t^x2 (q;q)_x1 (a;q)_x1
                 / [(q;q)_x2 (q;q)_(x1-x2) (a;q)_x2].
     """
-    row = kernel_row(hp, x1)
-    return row[x2] if 0 <= x2 <= x1 else Fraction(0)
+    if x1 >= 0 and not 0 <= x2 <= x1:
+        return Fraction(0)
+    return kernel_row(hp, x1)[x2]
+
+
+def kernel_valuation(hp: HuaParams, x1: int, x2: int) -> int:
+    """The p-adic valuation of P(x1, x2) > 0, 0 <= x2 <= x1, from the closed
+    form of kernel_p without building the row.  With m = x1 - x2,
+    e = v_p(u) and f = v_p(v) (one of them is 0): p^(-x2^2) t^x2 gives
+    -x2^2 + x2 (e - f), the (q;q) ratio -x2 m (v_p (q;q)_n = -n(n+1)/2),
+    and (a;q)_x1 / (a;q)_x2 = prod_{x2 < i <= x1} (v p^i - u) / (v p^i) the
+    sum of v_p(v p^i - u) - i - f.  v_p(v p^i - u) is min(i, e) for
+    i != e; at i = e >= 1 it is e + v_p(v - u / p^e), v - u / p^e being
+    nonzero since t < p.
+    """
+    p, u, v = hp
+    if not 0 <= x2 <= x1:
+        raise ValueError(f"need 0 <= x2 <= x1, got {x1}, {x2}")
+    e, f, m = int_valuation(u, p), int_valuation(v, p), x1 - x2
+
+    def min_sum(n):  # sum of min(i, e) over 1 <= i <= n
+        k = min(n, e)
+        return k * (k + 1) // 2 + e * (n - k)
+
+    factors = min_sum(x1) - min_sum(x2)
+    if x2 < e <= x1:
+        factors += int_valuation(v - u // p**e, p)
+    return (-x2 * x2 + x2 * (e - f) - x2 * m + factors
+            - (x1 * (x1 + 1) - x2 * (x2 + 1)) // 2 - m * f)
 
 
 def kernel_row(hp: HuaParams, x1: int) -> tuple:
@@ -499,25 +526,27 @@ def rr_cdf(p: int, s: int, x: int, eps) -> Bracket:
     return Bracket(head * tail_lower, head)
 
 
-def nu_k1_below(hp: HuaParams, x: int, eps) -> Bracket:
-    """P(k_1 < x) under the limiting law by direct summation of the masses
-    of all partitions with parts < x and at most a capped number of parts.
-
-    Independent of the sparse product in rr_cdf.  Requires t <= 1 so the
-    tail over large part counts is geometrically dominated.
-    """
+def _nu_k1_check(hp: HuaParams, x: int) -> None:
+    """Refuse what nu_k1_below cannot sum."""
     if x < 1:
         raise ValueError(f"need x >= 1, got {x}")
-    t, q = hp.t, hp.q
-    if t > 1:
+    if hp.t > 1:
         raise ValueError("direct CDF tail bound requires t <= 1")
-    eps = Fraction(eps)
+
+
+def _nu_k1_box(hp: HuaParams, x: int, eps: Fraction) -> tuple:
+    """(M, tail bound) of nu_k1_below(hp, x, eps): the cap M on X_1, the
+    number of parts, of the box its partitions (parts < x) fill, and the
+    bound on the capped-off mass,
+
+    sum_{m > M} C(m+slots-1, slots-1) p^(-m^2) / (q;q)_oo^slots <= eps/2,
+
+    slots = x - 1 (consecutive terms shrink by more than 1/2 once
+    M >= 2)."""
+    q = hp.q
     qq_inf_lower = pochhammer_inf(q, q, Fraction(1, 10**6)).lower
     slots = x - 1
 
-    # Cap M on X_1 = number of parts, with tail bound
-    # sum_{m > M} C(m+slots-1, slots-1) p^(-m^2) / (q;q)_oo^slots <= eps/2
-    # (consecutive terms shrink by more than 1/2 once M >= 2).
     def tail_bound(m_cap: int) -> Fraction:
         if slots == 0:
             return Fraction(0)
@@ -528,11 +557,41 @@ def nu_k1_below(hp: HuaParams, x: int, eps) -> Bracket:
     m_cap = max(2, slots)  # keeps the term ratio below 1/2 past the cap
     while tail_bound(m_cap) > eps / 2:
         m_cap += 1
+    return m_cap, tail_bound(m_cap)
 
+
+def nu_k1_below_terms(hp: HuaParams, x: int, eps, most: int):
+    """How many partitions nu_k1_below(hp, x, eps) sums, C(M + x - 1, x - 1)
+    for its cap M on the number of parts, or None when that is above
+    ``most``; nothing is summed.  The box is at least x - 1 = slots parts
+    long (M >= max(2, slots)), and C(2 slots, slots) >= 2^slots, so a
+    large x is priced before M is sought.  Refuses what nu_k1_below
+    refuses, with the same errors."""
+    _nu_k1_check(hp, x)
+    slots = x - 1
+    if (slots > most.bit_length()
+            or math.comb(max(2, slots) + slots, slots) > most):
+        return None
+    m_cap, _ = _nu_k1_box(hp, x, Fraction(eps))
+    terms = math.comb(m_cap + slots, slots)
+    return terms if terms <= most else None
+
+
+def nu_k1_below(hp: HuaParams, x: int, eps) -> Bracket:
+    """P(k_1 < x) under the limiting law by direct summation of the masses
+    of all partitions with parts < x and at most a capped number of parts
+    (see _nu_k1_box).
+
+    Independent of the sparse product in rr_cdf.  Requires t <= 1 so the
+    tail over large part counts is geometrically dominated.
+    """
+    _nu_k1_check(hp, x)
+    eps = Fraction(eps)
+    m_cap, tail = _nu_k1_box(hp, x, eps)
     total = sum((_nu_weight(hp, lam)
-                 for lam in partitions_in_box(m_cap, slots)), Fraction(0))
-    inf_bracket = pochhammer_inf(hp.a, q, eps / (2 * total))
-    return inf_bracket * total + Bracket(Fraction(0), tail_bound(m_cap))
+                 for lam in partitions_in_box(m_cap, x - 1)), Fraction(0))
+    inf_bracket = pochhammer_inf(hp.a, hp.q, eps / (2 * total))
+    return inf_bracket * total + Bracket(Fraction(0), tail)
 
 
 # -- combinatorial rewriting identities ---------------------------------------

@@ -210,9 +210,13 @@ def residues(reads, p: int, digits: int) -> np.ndarray:
         return np.array([e for read in reads for e in read],
                         dtype=residue_dtype(p, digits))
     # Reversing the joined bytes of the reads taken last to first puts each
-    # read's groups in residue order, each group little-endian.
+    # read's groups in residue order, each group little-endian; zero-padded
+    # to 8 bytes, a group is its residue as a little-endian int64 (an int64
+    # residue has width <= 7, since p^digits < 2^63).
     raw = np.frombuffer(b"".join(reversed(reads))[::-1], dtype=np.uint8)
-    return raw.reshape(-1, width).astype(np.int64) @ 256 ** np.arange(width)
+    words = np.zeros((raw.size // width, 8), dtype=np.uint8)
+    words[:, :width] = raw.reshape(-1, width)
+    return words.view("<i8").reshape(-1).astype(np.int64, copy=False)
 
 
 # Residue patterns mod p whose answer _unit_det_pattern remembers.  There
@@ -243,20 +247,24 @@ def _unit_det_pattern(p: int, n: int, pattern: tuple) -> bool:
     return True
 
 
-def sample_haar_gl(n: int, p: int, digits: int, rng):
-    """Haar-distributed element of GL(n, Z_p) truncated to the window, as
-    the read of its n x n residues in row-major order (see read_residues;
-    ``residues(reads, p, digits).reshape(-1, n, n)`` stacks a chunk).
+def sample_haar_gl(n: int, p: int, digits: int, rng, count: int) -> list:
+    """``count`` consecutive Haar-distributed elements of GL(n, Z_p)
+    truncated to the window, as the list of their reads, each the n x n
+    residues of its element in row-major order (see read_residues;
+    ``residues(reads, p, digits).reshape(-1, n, n)`` stacks them).
 
     Rejection sampler: uniform residues on Mat(n, Z/p^digits) accepted
     when the determinant is a unit mod p.  Acceptance probability is
     (p^-1; p^-1)_n, which stays above 0.28 for all n.  Acceptance depends
     only on the residues mod p, memoised by their pattern: on the byte path
-    (p = 2) the low bit of the last byte of each group.
+    (p = 2) the low bit of the last byte of each group.  Each element is
+    the first accepted read after the one before it, so ``count`` reads
+    consume the stream as ``count`` calls of one would.
     """
     check_prime(p)
     width = byte_width(p, digits)
-    while True:
+    reads = []
+    while len(reads) < count:
         if width:
             read = rng.randbytes(width * n * n)
             pattern = read[::-width].translate(_PARITY)
@@ -264,7 +272,8 @@ def sample_haar_gl(n: int, p: int, digits: int, rng):
             read = read_residues(rng, p, digits, n * n)
             pattern = tuple([e % p for e in read])
         if _unit_det_pattern(p, n, pattern):
-            return read
+            reads.append(read)
+    return reads
 
 
 def power_residues(p: int, digits: int, exponents, dtype) -> np.ndarray:

@@ -140,17 +140,16 @@ def sample_pi_s(hp: HuaParams, rng) -> int:
         bits += _PI_S_WORD
 
 
-def run_chain(hp: HuaParams, start: int, rng) -> tuple:
-    """States of the chain from ``start`` down to absorption at 0,
-    including the start, excluding the absorbing 0.
+def run_chain(rows: _RowTables, start: int, rng) -> tuple:
+    """States of the chain whose kernel rows are ``rows`` (the
+    _kernel_cumulative tables of one (p, t)) from ``start`` down to
+    absorption at 0, including the start, excluding the absorbing 0.
 
     A step from x is the inverse-CDF draw bisect_right(cum, randbelow(d))
     over the kernel row of x, made by rng.choose from the row's draw table:
     the first byte of an attempt settles the state, or rejects the attempt,
-    for all but the bytes whose attempts straddle a cumulative weight.  The
-    rows of (p, t) are looked up once per chain.
+    for all but the bytes whose attempts straddle a cumulative weight.
     """
-    rows = _kernel_cumulative(hp)
     choose = rng.choose
     path = []
     x = start
@@ -167,24 +166,32 @@ def sample_nu(hp: HuaParams, rng) -> Partition:
     entrance law, then the deformed chain run to absorption; the visited
     states are the tail counts of the partition."""
     start = sample_pi_s(hp, rng)
-    return Partition.from_tail_counts(run_chain(hp, start, rng))
+    return Partition.from_tail_counts(
+        run_chain(_kernel_cumulative(hp), start, rng))
 
 
-def sample_hua_tails(hp: HuaParams, n: int, rng) -> tuple:
-    """(positive tails, nonpositive tails) of a size-n singular-number draw.
+def hua_tail_draws(hp: HuaParams, n: int, rng):
+    """(positive tails, nonpositive tails) of successive size-n
+    singular-number draws, as an endless iterator that reads each draw from
+    rng only when it is asked for, so other reads may come between draws.
 
     Entrance: x ~ pi_n, drawn from its table like a chain step, gives the
     count of nonpositive parts.  The deformed chain from n - x yields the
     tail counts X_1 >= X_2 >= ... of the positive parts; the undeformed
     chain from x yields the tail counts of the nonpositive side
     (multiplicities of 0, -1, -2, ...).  Both chains always run, so the
-    stream is consumed the same whichever side is used.
+    stream is consumed the same whichever side is used.  The entrance
+    table and both kernel row families are looked up once.
     """
     if n < 1:
         raise ValueError(f"need n >= 1, got {n}")
-    x = rng.choose(_pi_n_cumulative(hp)[n])
-    pos_tails = run_chain(hp, n - x, rng)
-    return pos_tails, run_chain(hp.with_s_zero(), x, rng)
+    entrance = _pi_n_cumulative(hp)[n]
+    rows = _kernel_cumulative(hp)
+    zero_rows = _kernel_cumulative(hp.with_s_zero())
+    choose = rng.choose
+    while True:
+        x = choose(entrance)
+        yield run_chain(rows, n - x, rng), run_chain(zero_rows, x, rng)
 
 
 # Few tail pairs occur at the small sizes the Monte Carlo suites draw.
@@ -206,40 +213,61 @@ def _singulars(pos_tails: tuple, neg_tails: tuple) -> tuple:
 
 def sample_hua_singulars(hp: HuaParams, n: int, rng) -> tuple:
     """Exact draw of the singular-number tuple of a size-n matrix sample,
-    weakly decreasing ints assembled from the tail counts of
-    sample_hua_tails (see _singulars)."""
-    return _singulars(*sample_hua_tails(hp, n, rng))
+    weakly decreasing ints assembled from the tail counts of one draw of
+    hua_tail_draws (see _singulars)."""
+    return _singulars(*next(hua_tail_draws(hp, n, rng)))
+
+
+def sample_hua_attempts(hp: HuaParams, n: int, digits: int, rng,
+                        count: int) -> list:
+    """``count`` sequential attempts at a draw from the size-n bi-invariant
+    law at the given window, as (k, factors) pairs: the singular numbers of
+    the attempt, then the reads [b, c] of two independent Haar factors, the
+    next two elements of matrix.sample_haar_gl, or None when k_1 exceeds
+    half the window.  An attempt that overflows reads no factors; the next
+    attempt starts where it stopped.
+
+    Two-stage exact construction: singular numbers from the chain
+    representation (hua_tail_draws, whose tables are looked up once per
+    call), then conjugation by the two Haar factors.  At p = 2, t = 1 and
+    24 digits an attempt overflows with probability 1.345e-4 at n = 2 and
+    1.595e-4 at n = 3: the exact mass of k_1 > 12 in
+    laws.m_n_truncated_law(hp, n, 40), whose tail outside |k_i| <= 40 is
+    below 1.2e-12.
+    """
+    p, half = hp.p, digits // 2
+    tails = hua_tail_draws(hp, n, rng)
+    attempts = []
+    for _ in range(count):
+        k = _singulars(*next(tails))
+        attempts.append((k, None if k[0] > half
+                         else sample_haar_gl(n, p, digits, rng, 2)))
+    return attempts
 
 
 def sample_hua_matrix(hp: HuaParams, n: int, digits: int, rng) -> tuple:
     """One draw from the size-n bi-invariant law at the given window, as
-    (k, b, c): its singular numbers and the reads of two independent Haar
-    factors (see matrix.sample_haar_gl); hua_matrices assembles a chunk.
-
-    Two-stage exact construction: singular numbers from the chain
-    representation, then conjugation by the two Haar factors.  Raises
-    PrecisionExhausted, before any factor is read, when the drawn top
-    singular number would eat more than half the window.  At p = 2, t = 1
-    and 24 digits that has probability 1.345e-4 at n = 2 and 1.595e-4 at
-    n = 3: the exact mass of k_1 > 12 in laws.m_n_truncated_law(hp, n, 40),
-    whose tail outside |k_i| <= 40 is below 1.2e-12.
+    (k, b, c): the one attempt of sample_hua_attempts, its singular numbers
+    and the reads of its two Haar factors; hua_matrices assembles a chunk.
+    Raises PrecisionExhausted, with no factor read, when the attempt
+    overflows: its top singular number would eat more than half the
+    window.
     """
-    k = sample_hua_singulars(hp, n, rng)
-    if k[0] > digits // 2:
+    [(k, factors)] = sample_hua_attempts(hp, n, digits, rng, 1)
+    if factors is None:
         raise PrecisionExhausted(
             f"drawn singular number {k[0]} exceeds half the window {digits}")
-    b = sample_haar_gl(n, hp.p, digits, rng)
-    c = sample_haar_gl(n, hp.p, digits, rng)
-    return k, b, c
+    return (k, *factors)
 
 
 def hua_matrices(draws, p: int, n: int, digits: int, size: int | None = None):
     """(residues, shifts) of the size x size corners (default n) of a chunk
-    of sample_hua_matrix draws, as assemble_orbit gives them."""
-    ks = [k for k, _, _ in draws]
-    b = residues([b for _, b, _ in draws], p, digits).reshape(-1, n, n)
-    c = residues([c for _, _, c in draws], p, digits).reshape(-1, n, n)
-    return assemble_orbit(ks, b, c, p, digits, size)
+    of sample_hua_matrix draws, as assemble_orbit gives them; the factors'
+    residues come from one read of the chunk."""
+    bc = residues([read for _, b, c in draws for read in (b, c)], p,
+                  digits).reshape(-1, 2, n, n)
+    return assemble_orbit([k for k, _, _ in draws], bc[:, 0], bc[:, 1], p,
+                          digits, size)
 
 
 def sample_ergodic_matrix(p: int, lam: Partition, n: int, digits: int,

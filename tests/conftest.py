@@ -313,7 +313,7 @@ def stack_matrices(units, shifts):
 
 def haar_matrix(n, p, digits, rng):
     """One sample_haar_gl draw as a (units, 0) pair."""
-    flat = residues([sample_haar_gl(n, p, digits, rng)], p, digits).tolist()
+    flat = residues(sample_haar_gl(n, p, digits, rng, 1), p, digits).tolist()
     return tuple(tuple(flat[i:i + n]) for i in range(0, n * n, n)), 0
 
 

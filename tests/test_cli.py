@@ -4,6 +4,7 @@ import json
 import os
 import subprocess
 import sys
+import time
 from pathlib import Path
 
 import pytest
@@ -396,6 +397,49 @@ def test_law_too_long_to_print_exits_2(capsys, int_str_limit):
     assert code == 0 and len(json.loads(out)["exact"].split("/")[1]) == 633
     assert_one_error_line(*run_cli(capsys, *argv, "52"),
                           "law value has more than 640 digits, too long to print")
+
+
+@pytest.mark.parametrize("x1", ["300", "3000"])
+def test_law_kernel_priced_before_the_row(capsys, int_str_limit, x1):
+    # P(x1, 0) at p = 2, t = 1 has denominator 2^(x1 (x1 + 1) / 2): its
+    # row is not built, which takes seconds at x1 = 300
+    start = time.perf_counter()
+    assert_one_error_line(*run_cli(capsys, "law", "kernel", "--x1", x1),
+                          "law value has more than 640 digits, too long to print")
+    assert time.perf_counter() - start < 2
+
+
+@pytest.mark.parametrize("p, t", [("2", "1"), ("3", "3/2"), ("5", "1/2")])
+def test_law_kernel_price_changes_no_output(capsys, monkeypatch, int_str_limit,
+                                            p, t):
+    # around x1 = 65 at p = 2, where P(x1, 0) first prints longer than 640
+    # digits, the refusals are the same with the price and without it
+    for x1 in range(25, 75, 3):
+        for x2 in (0, 1, x1 // 2, x1):
+            argv = ("law", "kernel", "--p", p, "--t", t, "--x1", str(x1),
+                    "--x2", str(x2))
+            priced = run_cli(capsys, *argv)
+            with monkeypatch.context() as patch:
+                patch.setattr(cli, "PRICES", {})
+                assert run_cli(capsys, *argv) == priced
+
+
+@pytest.mark.parametrize("x", ["11", "40", "1000000000"])
+def test_law_nu_k1_below_priced_before_it_sums(capsys, x):
+    start = time.perf_counter()
+    assert_one_error_line(*run_cli(capsys, "law", "nu_k1_below", "--x", x),
+                          f"at --x {x} sums more partitions than the budget "
+                          f"of {cli.MAX_LAW_PARTITIONS}")
+    assert time.perf_counter() - start < 2
+
+
+def test_law_nu_k1_below_budget_counts_partitions(capsys, monkeypatch):
+    # at the default tolerance x = 3 sums 28 partitions and x = 4 sums 84
+    monkeypatch.setattr(cli, "MAX_LAW_PARTITIONS", 28)
+    code, out, _ = run_cli(capsys, "law", "nu_k1_below", "--x", "3")
+    assert code == 0 and json.loads(out)["law"] == "nu_k1_below"
+    assert_one_error_line(*run_cli(capsys, "law", "nu_k1_below", "--x", "4"),
+                          "budget of 28")
 
 
 @pytest.mark.parametrize("kind, k, flag, ok, over, budget", [

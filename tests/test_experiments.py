@@ -8,6 +8,7 @@ import pytest
 
 from padic_hua import experiments
 from padic_hua.experiments import (
+    DRAW_CHUNK,
     NS_IDENTITIES,
     OTHER,
     ExperimentReport,
@@ -18,9 +19,11 @@ from padic_hua.experiments import (
     _nu_limit_draw,
     _random_descending_tuples,
     _run_block,
+    draw_chunk,
     enumerate_oracle,
     gate,
     label_key,
+    merge_counts,
     monte_carlo,
     run_chain_checks,
     run_corners_consistency,
@@ -281,15 +284,20 @@ DRAW_CASES = {
 }
 
 
+def matrix_size(draw, params):
+    """The size n of a draw case's matrices, as its runner passes it to
+    monte_carlo."""
+    return params[2] if draw is _ergodic_match_draw else params[1]
+
+
 @pytest.mark.parametrize("kind", sorted(DRAW_CASES))
-def test_run_block_matches_one_draw_at_a_time(monkeypatch, kind):
+def test_run_block_matches_one_draw_at_a_time(kind):
     draw, draw_one, params, events = DRAW_CASES[kind]
     count = 150
     expected = reference_tally(draw_one, params, RngStream(4, (1,)), count)
     assert all(expected[1][i] for i in events)  # these events occur
-    for chunk in (1, 7, experiments.DRAW_CHUNK):
-        monkeypatch.setattr(experiments, "DRAW_CHUNK", chunk)
-        assert _run_block((draw, params, 4, (1,), count)) == expected
+    for chunk in (1, 7, DRAW_CHUNK, draw_chunk(matrix_size(draw, params))):
+        assert _run_block((draw, params, 4, (1,), count, chunk)) == expected
     # a chunk tallies and consumes the stream exactly as its draws one at
     # a time do
     for size in (1, 7, 64):
@@ -299,6 +307,32 @@ def test_run_block_matches_one_draw_at_a_time(monkeypatch, kind):
         assert batched.bits_consumed == single.bits_consumed
     assert draw(params, RngStream(8), 0) == (Counter(),
                                              (0,) * len(expected[1]))
+
+
+def test_draw_chunk_counts_matrix_entries():
+    assert [draw_chunk(n) for n in (1, 2, 3, 4, 8, 16, 40)] == [
+        4096, 1024, 455, 256, 64, 64, 64]
+
+
+# 1,000 draws of corner-E4 run past the rule's 455-draw chunk, and
+# overflow often: each chunk's top-up attempts come at its end, just
+# before the next chunk's first attempt.
+CORNER_COUNTS = [(kind, 150) for kind in sorted(DRAW_CASES)
+                 if kind.startswith("corner")] + [("corner-E4", 1000)]
+
+
+@pytest.mark.parametrize("kind, count", CORNER_COUNTS)
+def test_corner_chunks_read_the_stream_as_the_reference(kind, count):
+    draw, draw_one, params, _ = DRAW_CASES[kind]
+    for chunk in (1, 7, draw_chunk(params[1])):
+        ours, ref = RngStream(4, (2,)), RngStream(4, (2,))
+        expected = reference_tally(draw_one, params, ref, count)
+        assert merge_counts([draw(params, ours, min(chunk, count - start))
+                             for start in range(0, count, chunk)]) == expected
+        assert ours.bits_consumed == ref.bits_consumed
+        assert ours.randbytes(16) == ref.randbytes(16)
+    if count > draw_chunk(params[1]):
+        assert expected[1][0] > 100  # resamples
 
 
 @pytest.mark.parametrize("parts, guard", [((3, 1), 6), ((5,), 4), ((6, 6), 3)])
@@ -328,9 +362,9 @@ def test_monte_carlo_runs_blocks_before_listing_them():
     # 10^300 draws are 5 * 10^296 blocks: the first block's draw must run,
     # and raise, before memory holds more than the blocks in flight
     with pytest.raises(FirstDraw):
-        monte_carlo(_raising_draw, None, 10**300, 1, (0,))
+        monte_carlo(_raising_draw, None, 10**300, 1, (0,), 1)
     with worker_pool(1) as pool, pytest.raises(FirstDraw):
-        monte_carlo(_raising_draw, None, 10**300, 1, (0,), pool)
+        monte_carlo(_raising_draw, None, 10**300, 1, (0,), 1, pool)
 
 
 def test_worker_pool_starts_at_most_one_process_per_cpu(monkeypatch):

@@ -13,13 +13,16 @@ from padic_hua.laws import (
     haar_orbit_mass,
     kernel_p,
     kernel_row,
+    kernel_valuation,
     kernel_weights,
     m_n_direct,
     m_n_profile,
     m_n_truncated_law,
     nu_bracket,
     nu_chain_bracket,
+    _nu_k1_box,
     nu_k1_below,
+    nu_k1_below_terms,
     nu_truncated_law,
     pi_n,
     pi_n_boundary_tv,
@@ -35,6 +38,7 @@ from padic_hua.laws import (
     tilde_pi_n_weights,
     vol_singular_law,
 )
+from padic_hua.padic import int_valuation
 from padic_hua.partitions import LProfile, Partition, partitions_in_box
 from padic_hua.qseries import Bracket, pochhammer
 from padic_hua.samplers import _kernel_cumulative, _pi_n_cumulative
@@ -460,6 +464,53 @@ class TestLargestPartCdf:
             rr_cdf(2, 0, 1, F(1, 10))
         with pytest.raises(ValueError):
             nu_k1_below(HuaParams.of(2, F(3, 2)), 2, F(1, 10))
+
+
+    def test_terms_count_the_partitions_summed(self):
+        for hp in (HP2, HuaParams.of(3, F(1, 9))):
+            for x in range(1, 7):
+                for eps in (F(1, 10**9), F(1, 1000)):
+                    m_cap, _ = _nu_k1_box(hp, x, eps)
+                    summed = sum(1 for _ in partitions_in_box(m_cap, x - 1))
+                    assert nu_k1_below_terms(hp, x, eps, 10**6) == summed
+                    assert nu_k1_below_terms(hp, x, eps, summed) == summed
+                    assert nu_k1_below_terms(hp, x, eps, summed - 1) is None
+
+    def test_terms_price_a_large_x_before_the_box(self):
+        # the box of x = 10^9 would be at least 10^9 x 10^9
+        assert nu_k1_below_terms(HP2, 10**9, F(1, 10**9), 10**5) is None
+        for x, hp in ((0, HP2), (40, HuaParams.of(2, F(3, 2)))):
+            with pytest.raises(ValueError) as terms_error:
+                nu_k1_below_terms(hp, x, F(1, 10), 10**5)
+            with pytest.raises(ValueError) as law_error:
+                nu_k1_below(hp, x, F(1, 10))
+            assert str(terms_error.value) == str(law_error.value)
+
+
+# (p, t) with p | u, at i = v_p(u) a factor v p^i - u that p divides once
+# more (9/4 at 3, 4/3 at 2), or not (9/5 at 3), and with p | v.
+VALUATION_PARAMS = [(2, F(1)), (2, F(1, 2)), (2, F(3, 2)), (2, F(4, 3)),
+                    (3, F(3, 2)), (3, F(9, 4)), (3, F(9, 5)), (3, F(1, 9)),
+                    (5, F(25, 6))]
+
+
+@pytest.mark.parametrize("p, t", VALUATION_PARAMS)
+def test_kernel_valuation_is_that_of_the_reduced_mass(p, t):
+    hp = HuaParams.of(p, t)
+    for x1 in range(16):
+        for x2, mass in enumerate(kernel_row(hp, x1)):
+            assert kernel_valuation(hp, x1, x2) == (
+                int_valuation(mass.numerator, p)
+                - int_valuation(mass.denominator, p))
+    with pytest.raises(ValueError):
+        kernel_valuation(hp, 3, 4)
+
+
+def test_kernel_p_outside_the_row_builds_no_row():
+    # x1 = 10^6 would be a row of 10^6 masses over p^(10^12)
+    assert kernel_p(HP2, 10**6, 10**6 + 1) == kernel_p(HP2, 10**6, -1) == 0
+    with pytest.raises(ValueError):
+        kernel_p(HP2, -1, 3)
 
 
 def one_row(k):

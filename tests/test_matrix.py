@@ -600,8 +600,9 @@ def accepts(rows, p, digits, encode):
     n = len(rows)
     flat = [e for row in rows for e in row]
     eye = [int(i == j) for i in range(n) for j in range(n)]
-    read = sample_haar_gl(n, p, digits, ServedReads(encode(flat), encode(eye)))
-    return residues([read], p, digits).tolist() == flat
+    served = ServedReads(encode(flat), encode(eye))
+    reads = sample_haar_gl(n, p, digits, served, 1)
+    return residues(reads, p, digits).tolist() == flat
 
 
 @given(small_residue_grids())

@@ -12,7 +12,7 @@ from padic_hua.laws import (
     nu_bracket,
     pi_s_bracket,
 )
-from padic_hua.matrix import corner, sample_haar_gl, singular_numbers
+from padic_hua.matrix import corner, residues, sample_haar_gl, singular_numbers
 from padic_hua.padic import PrecisionExhausted, int_valuation
 from padic_hua.partitions import Partition
 from padic_hua.rng import RngStream
@@ -24,11 +24,12 @@ from padic_hua.samplers import (
     _singulars,
     ergodic_matrices,
     hua_matrices,
+    hua_tail_draws,
     run_chain,
     sample_ergodic_matrix,
+    sample_hua_attempts,
     sample_hua_matrix,
     sample_hua_singulars,
-    sample_hua_tails,
     sample_nu,
     sample_pi_s,
 )
@@ -58,7 +59,7 @@ def three_sigma(p_mass: float, draws: int) -> float:
 
 def first_step(hp, x, rng):
     """The state run_chain moves to from x in its first step (0 from 0)."""
-    path = run_chain(hp, x, rng)
+    path = run_chain(_kernel_cumulative(hp), x, rng)
     return path[1] if len(path) > 1 else 0
 
 
@@ -120,9 +121,9 @@ class TestEntranceDraws:
 
     def test_pi_n_range(self):
         # the entrance x is the start of the nonpositive side's chain
-        rng = RngStream(4)
+        draws = hua_tail_draws(HP2, 5, RngStream(4))
         for _ in range(200):
-            _, neg_tails = sample_hua_tails(HP2, 5, rng)
+            _, neg_tails = next(draws)
             assert 0 <= (neg_tails[0] if neg_tails else 0) <= 5
 
 
@@ -130,7 +131,7 @@ class TestChain:
     def test_paths_weakly_decreasing(self):
         rng = RngStream(5)
         for _ in range(300):
-            path = run_chain(HP2, 4, rng)
+            path = run_chain(_kernel_cumulative(HP2), 4, rng)
             assert all(a >= b for a, b in zip(path, path[1:]))
             assert path[0] == 4 and all(x > 0 for x in path)
 
@@ -149,20 +150,26 @@ def test_chain_streams_match_step_by_step_reference(hp):
     for start in range(9):
         for i in range(20):
             ours, ref = RngStream(43, (start, i)), RngStream(43, (start, i))
-            assert run_chain(hp, start, ours) == reference_chain(hp, start, ref)
+            assert (run_chain(_kernel_cumulative(hp), start, ours)
+                    == reference_chain(hp, start, ref))
             assert ours.bits_consumed == ref.bits_consumed
 
 
 @pytest.mark.parametrize("hp", STREAM_PARAMS, ids=params_id)
 def test_hua_tail_streams_match_step_by_step_reference(hp):
+    # successive draws of one iterator, with reads between them
     for n in (1, 3, 40):
         for i in range(20):
             ours, ref = RngStream(47, (n, i)), RngStream(47, (n, i))
-            tails = sample_hua_tails(hp, n, ours)
-            assert tails == reference_hua_tails(hp, n, ref)
-            assert ours.bits_consumed == ref.bits_consumed
+            draws = hua_tail_draws(hp, n, ours)
+            for _ in range(3):
+                tails = next(draws)
+                assert tails == reference_hua_tails(hp, n, ref)
+                assert ours.bits_consumed == ref.bits_consumed
+                assert ours.randbits(5) == ref.randbits(5)
             singulars = sample_hua_singulars(hp, n, RngStream(47, (n, i)))
-            assert singulars == reference_hua_singulars(*tails)
+            assert singulars == reference_hua_singulars(
+                *reference_hua_tails(hp, n, RngStream(47, (n, i))))
 
 
 class WordStream:
@@ -322,6 +329,49 @@ class TestHuaMatrix:
             assert read_one(bmc, 2, 24)[0] == read_one(m, 2, 24)[0]
 
 
+# Windows where attempts overflow often: 8 digits at p = 2 are read as
+# bytes; p = 3 at 20 digits is read by decoding and held as Python ints.
+ATTEMPT_WINDOWS = [(HuaParams.of(2, F(3, 2)), 8),
+                   (HuaParams.of(3, F(5, 2)), 20)]
+
+
+@pytest.mark.parametrize("hp, digits", ATTEMPT_WINDOWS,
+                         ids=lambda v: params_id(v) if isinstance(v, HuaParams)
+                         else f"E{v}")
+def test_hua_attempts_overflow_exactly_where_the_reference_does(hp, digits):
+    n, count = 3, 300
+    ours, ref = RngStream(49, (hp.p,)), RngStream(49, (hp.p,))
+    attempts = sample_hua_attempts(hp, n, digits, ours, count)
+    assert len(attempts) == count
+    overflows = 0
+    for k, factors in attempts:
+        assert k == reference_hua_singulars(*reference_hua_tails(hp, n, ref))
+        if k[0] > digits // 2:
+            overflows += 1
+            assert factors is None  # and nothing is read for it
+            continue
+        expected = [e for _ in range(2)
+                    for row in reference_haar(n, hp.p, digits, ref)
+                    for e in row]
+        assert residues(list(factors), hp.p, digits).tolist() == expected
+    assert 0 < overflows < count
+    assert ours.bits_consumed == ref.bits_consumed
+    assert ours.randbytes(16) == ref.randbytes(16)
+
+
+def test_sample_hua_matrix_is_one_attempt():
+    hp, digits = ATTEMPT_WINDOWS[0]
+    for i in range(100):
+        [(k, factors)] = sample_hua_attempts(hp, 3, digits,
+                                             RngStream(50, (i,)), 1)
+        rng = RngStream(50, (i,))
+        if factors is None:
+            with pytest.raises(PrecisionExhausted, match=f"number {k[0]} "):
+                sample_hua_matrix(hp, 3, digits, rng)
+        else:
+            assert sample_hua_matrix(hp, 3, digits, rng) == (k, *factors)
+
+
 class TestErgodicMatrix:
     def test_zero_parameter_matches_raw_haar_draws(self):
         # with no positive parts the matrix is exactly the Z block
@@ -383,8 +433,7 @@ def test_stacked_assembly_matches_scalar_reference(p, digits):
     rng, ref = RngStream(41, (p, digits)), RngStream(41, (p, digits))
     draws, expected = [], []
     for k in ks:
-        b = sample_haar_gl(n, p, digits, rng)
-        draws.append((k, b, sample_haar_gl(n, p, digits, rng)))
+        draws.append((k, *sample_haar_gl(n, p, digits, rng, 2)))
         b = reference_haar(n, p, digits, ref)
         expected.append(reference_orbit(
             k, b, reference_haar(n, p, digits, ref), p, digits))
