@@ -21,7 +21,8 @@ or below its floor is a marker, never a number.
 
 from __future__ import annotations
 
-from functools import lru_cache
+from functools import lru_cache, partial
+from itertools import product
 
 import numpy as np
 
@@ -219,32 +220,73 @@ def residues(reads, p: int, digits: int) -> np.ndarray:
     return words.view("<i8").reshape(-1).astype(np.int64, copy=False)
 
 
-# Residue patterns mod p whose answer _unit_det_pattern remembers.  There
+# Patterns of residues mod p that one acceptance table holds at most.  There
 # are p^(n^2) patterns; all 512 of the largest Haar factor the corner
 # experiments draw, n = 3 at p = 2, fit.
 UNIT_DET_CACHE_SIZE = 4096
 
-# Low bit of every byte value: a residue's parity on the byte path.
-_PARITY = bytes(b & 1 for b in range(256))
+
+def _unit_dets(p: int, stack) -> np.ndarray:
+    """Whether each matrix of a (batch, n, n) int64 stack has a nonzero
+    determinant mod p, as a boolean array: one Gaussian elimination over
+    F_p on the whole stack.
+
+    At column j each matrix swaps its first row from j down that is
+    nonzero there into row j, the pivot row, and a matrix with no such
+    row is singular.  The rows below become pivot * row_i - c_i * pivot
+    row, c_i the row's entry in column j: integral, and invertible mod p
+    since the pivot is a unit, so no inverse is taken.  Only the columns
+    right of j are read again, and only they are updated.  Every value
+    stays within p^2 of 0, so the rows are held in the smallest signed
+    type that holds p^2 (int8 up to p = 11; p^2 <= 2^62 fits int64).
+    """
+    dtype = next(t for t in (np.int8, np.int16, np.int32, np.int64)
+                 if p * p <= np.iinfo(t).max)
+    a = np.remainder(stack, p).astype(dtype)
+    batch, n, _ = a.shape
+    alive = np.ones(batch, dtype=bool)
+    at = np.arange(batch)
+    for j in range(n):
+        nonzero = a[:, j:, j] != 0
+        alive &= nonzero.any(axis=1)
+        if not alive.any():
+            break
+        pivot_at = j + nonzero.argmax(axis=1)
+        top = a[at, pivot_at]  # (batch, n), a copy
+        a[at, pivot_at] = a[:, j]
+        rest = a[:, j + 1:, j + 1:]
+        rest *= top[:, j, None, None]
+        rest -= a[:, j + 1:, j, None] * top[:, None, j + 1:]
+        rest %= p
+    return alive
 
 
-@lru_cache(maxsize=UNIT_DET_CACHE_SIZE)
-def _unit_det_pattern(p: int, n: int, pattern: tuple) -> bool:
+def _unit_det_pattern(p: int, n: int, pattern) -> bool:
     """Whether the n x n matrix with the row-major residues mod p in
-    ``pattern`` (a tuple, or bytes on the byte path) has a nonzero
-    determinant mod p (Gaussian elimination over F_p)."""
-    a = [list(pattern[i:i + n]) for i in range(0, n * n, n)]
-    for col in range(n):
-        pivot = next((i for i in range(col, n) if a[i][col]), None)
-        if pivot is None:
-            return False
-        a[pivot], a[col] = a[col], a[pivot]
-        inv = pow(a[col][col], -1, p)
-        for i in range(col + 1, n):
-            f = a[i][col] * inv % p
-            if f:
-                a[i] = [(x - f * y) % p for x, y in zip(a[i], a[col])]
-    return True
+    ``pattern`` (a sequence of ints, or bytes) has a nonzero determinant
+    mod p (see _unit_dets)."""
+    stack = np.fromiter(pattern, dtype=np.int64, count=n * n)
+    return bool(_unit_dets(p, stack.reshape(1, n, n))[0])
+
+
+@lru_cache(maxsize=None)
+def _unit_det_test(p: int, n: int):
+    """The acceptance test of a Haar attempt: a function of its residues
+    mod p, row-major or last to first (the pattern of the matrix turned a
+    half-turn, which reverses its rows and its columns and keeps its
+    determinant), as bytes when p < 256 and as a tuple of ints above.
+
+    Where p^(n^2) <= UNIT_DET_CACHE_SIZE and p < 256 (a residue fits a
+    byte), it looks the pattern up in a dict of every pattern, built here
+    by one elimination of them all; else _unit_det_pattern eliminates.
+    """
+    if p < 256 and p ** (n * n) <= UNIT_DET_CACHE_SIZE:
+        patterns = np.array(list(product(range(p), repeat=n * n)),
+                            dtype=np.int64)
+        units = _unit_dets(p, patterns.reshape(-1, n, n)).tolist()
+        return dict(zip(map(bytes, patterns.astype(np.uint8)),
+                        units)).__getitem__
+    return partial(_unit_det_pattern, p, n)
 
 
 def sample_haar_gl(n: int, p: int, digits: int, rng, count: int) -> list:
@@ -256,22 +298,24 @@ def sample_haar_gl(n: int, p: int, digits: int, rng, count: int) -> list:
     Rejection sampler: uniform residues on Mat(n, Z/p^digits) accepted
     when the determinant is a unit mod p.  Acceptance probability is
     (p^-1; p^-1)_n, which stays above 0.28 for all n.  Acceptance depends
-    only on the residues mod p, memoised by their pattern: on the byte path
-    (p = 2) the low bit of the last byte of each group.  Each element is
-    the first accepted read after the one before it, so ``count`` reads
-    consume the stream as ``count`` calls of one would.
+    only on the residues mod p, decided by _unit_det_test: one table
+    lookup of their pattern at small sizes, one F_p elimination at large
+    ones.  On the byte path (p = 2) the stream's accepted_reads scans the
+    attempts in its buffer, keyed by the low bit of each residue's last
+    byte.  Each element is the first accepted read after the one before
+    it, so ``count`` reads consume the stream as ``count`` calls of one
+    would.
     """
     check_prime(p)
     width = byte_width(p, digits)
+    accept = _unit_det_test(p, n)
+    if width:
+        return rng.accepted_reads(width * n * n, width, accept, count)
+    pack = bytes if p < 256 else tuple
     reads = []
     while len(reads) < count:
-        if width:
-            read = rng.randbytes(width * n * n)
-            pattern = read[::-width].translate(_PARITY)
-        else:
-            read = read_residues(rng, p, digits, n * n)
-            pattern = tuple([e % p for e in read])
-        if _unit_det_pattern(p, n, pattern):
+        read = read_residues(rng, p, digits, n * n)
+        if accept(pack([e % p for e in read])):
             reads.append(read)
     return reads
 
@@ -290,7 +334,8 @@ def assemble_orbit(ks, b, c, p: int, digits: int, size: int | None = None):
     multiplied.
 
     ``ks`` holds one weakly decreasing n-tuple per matrix; ``b`` and ``c``
-    are (batch, n, n) residue stacks of factors in GL(n, Z_p).  Matrix j is
+    are (batch, n, n) residue stacks of factors in GL(n, Z_p), which are
+    not checked here: sample_haar_gl accepted each one.  Matrix j is
     p^-k_1 times residues mod p^digits, so the shifts are the k_1.  Raises
     PrecisionExhausted when some p^-k_1 does not fit the window at all.
     """
@@ -303,9 +348,6 @@ def assemble_orbit(ks, b, c, p: int, digits: int, size: int | None = None):
     size = n if size is None else size
     if not 1 <= size <= n:
         raise ValueError(f"corner size must be in [1, {n}], got {size}")
-    patterns = (np.concatenate([b, c]) % p).reshape(2 * batch, n * n)
-    if not all(_unit_det_pattern(p, n, tuple(row)) for row in patterns.tolist()):
-        raise ValueError("orbit factors must lie in GL(n, Z_p)")
     if batch:
         shift = int(k[:, 0].max())
         if shift >= digits:

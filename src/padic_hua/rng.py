@@ -21,6 +21,9 @@ import numpy as np
 REJECT = -1  # every attempt with this first byte is >= d
 UNDECIDED = -2  # the attempt's later bytes decide
 
+# Low bit of every byte value: the key of an accepted_reads attempt.
+_PARITY = bytes(b & 1 for b in range(256))
+
 
 class DrawTable(NamedTuple):
     """Inverse-CDF draw over the cumulative weights ``cum`` of a row with
@@ -110,16 +113,22 @@ class RngStream:
         self._half = raw[used:]
         return raw[:m]
 
+    def _refill(self, k: int) -> bytes:
+        """Keep the unread bytes, append the next max(_REFILL, k) generator
+        bytes and read from the start again; returns the new buffer.  The
+        bytes read are those of an unbuffered generator, fetched in larger
+        slabs.  Called only by a read of k bytes past the buffer's end."""
+        self._buf = self._buf[self._pos:] + self._generator_bytes(
+            max(self._REFILL, k))
+        self._pos = 0
+        return self._buf
+
     def randbytes(self, k: int) -> bytes:
         """The next k bytes of the stream: the bits randbits(8 k) reads,
         big-endian."""
         end = self._pos + k
         if end > len(self._buf):
-            # Buffered refill; the byte sequence consumed is identical to an
-            # unbuffered generator, just fetched in larger slabs.
-            self._buf = self._buf[self._pos:] + self._generator_bytes(
-                max(self._REFILL, k))
-            self._pos = 0
+            self._refill(k)
             end = k
         out = self._buf[self._pos:end]
         self._pos = end
@@ -184,9 +193,7 @@ class RngStream:
             pos = self._pos
             end = pos + nbytes
             if end > len(self._buf):
-                # randbytes' refill, at the same points
-                self._buf = self._buf[pos:] + self._generator_bytes(
-                    max(self._REFILL, nbytes))
+                self._refill(nbytes)
                 pos, end = 0, nbytes
             self._pos = end
             self.bits_consumed += 8 * nbytes - drop
@@ -197,6 +204,29 @@ class RngStream:
                 r = int.from_bytes(self._buf[pos:end], "big") >> drop
                 if r < d:
                     return bisect_right(cum, r)
+
+    def accepted_reads(self, size: int, step: int, accept,
+                       count: int) -> list:
+        """The first ``count`` attempts of ``size`` bytes that ``accept``
+        takes, each the bytes randbytes(size) would return, reading and
+        counting every attempt as randbytes(size) does and refilling at the
+        same points.  An attempt's key, the one argument of accept, is the
+        low bit of every step-th byte, ending at its last byte, in stream
+        order: the parities of its step-byte groups.  Attempts are scanned
+        in the buffer in place."""
+        buf, pos, out, tried = self._buf, self._pos, [], 0
+        while len(out) < count:
+            end = pos + size
+            if end > len(buf):
+                self._pos = pos
+                buf, pos, end = self._refill(size), 0, size
+            tried += 1
+            if accept(buf[pos + step - 1:end:step].translate(_PARITY)):
+                out.append(buf[pos:end])
+            pos = end
+        self._pos = pos
+        self.bits_consumed += 8 * size * tried
+        return out
 
     def __repr__(self):
         return f"RngStream(seed={self.seed}, key={self.key})"

@@ -229,11 +229,12 @@ def sample_hua_attempts(hp: HuaParams, n: int, digits: int, rng,
 
     Two-stage exact construction: singular numbers from the chain
     representation (hua_tail_draws, whose tables are looked up once per
-    call), then conjugation by the two Haar factors.  At p = 2, t = 1 and
-    24 digits an attempt overflows with probability 1.345e-4 at n = 2 and
-    1.595e-4 at n = 3: the exact mass of k_1 > 12 in
-    laws.m_n_truncated_law(hp, n, 40), whose tail outside |k_i| <= 40 is
-    below 1.2e-12.
+    call), then conjugation by the two Haar factors, each accepted into
+    GL(n, Z_p) once, by sample_haar_gl; hua_matrices assembles them
+    without a second check.  At p = 2, t = 1 and 24 digits an attempt
+    overflows with probability 1.345e-4 at n = 2 and 1.595e-4 at n = 3:
+    the exact mass of k_1 > 12 in laws.m_n_truncated_law(hp, n, 40),
+    whose tail outside |k_i| <= 40 is below 1.2e-12.
     """
     p, half = hp.p, digits // 2
     tails = hua_tail_draws(hp, n, rng)

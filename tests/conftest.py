@@ -103,6 +103,25 @@ def laplace_det(rows):
                for j in range(n))
 
 
+def bareiss_det(rows):
+    """Integer determinant by fraction-free (Bareiss) elimination, each
+    division exact; rows are swapped to a nonzero pivot."""
+    a = [list(row) for row in rows]
+    n, sign, prev = len(a), 1, 1
+    for k in range(n - 1):
+        pivot = next((i for i in range(k, n) if a[i][k]), None)
+        if pivot is None:
+            return 0
+        if pivot != k:
+            a[k], a[pivot] = a[pivot], a[k]
+            sign = -sign
+        for i in range(k + 1, n):
+            for j in range(k + 1, n):
+                a[i][j] = (a[i][j] * a[k][k] - a[i][k] * a[k][j]) // prev
+        prev = a[k][k]
+    return sign * a[-1][-1]
+
+
 # Tail sums of an LProfile, references for the tail counts in the laws.
 
 
@@ -255,11 +274,12 @@ def reference_residues(rng, modulus, count):
 
 def reference_haar(n, p, digits, rng):
     """Plain rejection loop: one uniform residue grid per attempt, decoded
-    by sequential divmod, accepted when the Laplace determinant is a unit."""
+    by sequential divmod, accepted when the integer determinant (Bareiss)
+    is a unit."""
     while True:
         flat = reference_residues(rng, p**digits, n * n)
         rows = [flat[i:i + n] for i in range(0, n * n, n)]
-        if laplace_det(rows) % p:
+        if bareiss_det(rows) % p:
             return tuple(tuple(row) for row in rows)
 
 

@@ -1,6 +1,6 @@
 import random
 from fractions import Fraction as F
-from itertools import combinations
+from itertools import combinations, product
 from math import gcd
 
 import pytest
@@ -11,6 +11,7 @@ from padic_hua.laws import HuaParams, _normalization, gamma_exponent, hua_densit
 from padic_hua.matrix import (
     PrecisionExhausted,
     _unit_det_pattern,
+    _unit_det_test,
     assemble_orbit,
     corner,
     decode_residues,
@@ -27,6 +28,7 @@ from padic_hua.padic import int_valuation
 from padic_hua.rng import RngStream
 
 from conftest import (
+    bareiss_det,
     from_rows,
     haar_matrix,
     laplace_det as _det,
@@ -200,15 +202,6 @@ class TestOrbit:
         eye = eye_stack(1, 2)
         with pytest.raises(PrecisionExhausted):
             assemble_orbit([(0,), (8,)], eye, eye, 2, 8)
-
-    def test_non_invertible_factor_rejected(self):
-        eye = eye_stack(2, 2)
-        bad = eye.copy()
-        bad[1, 0, 0] = 2
-        with pytest.raises(ValueError):
-            assemble_orbit([(0, 0)] * 2, bad, eye, 2, 24)
-        with pytest.raises(ValueError):
-            assemble_orbit([(0, 0)] * 2, eye, bad, 2, 24)
 
 
 def test_bi_invariance_of_singular_numbers():
@@ -580,18 +573,18 @@ def small_residue_grids(draw):
     return rows, p
 
 
-class ServedReads:
-    """Stream stand-in for sample_haar_gl: serves its reads in order and
-    has no more."""
+class ServedStream(RngStream):
+    """A stream whose generator serves the given bytes, then zeros to fill
+    the refill that reads past them, and has no more."""
 
-    def __init__(self, *reads):
-        self.reads = list(reads)
+    def __init__(self, data):
+        super().__init__(0)
+        self.data = data
 
-    def next_read(self, _size):
-        assert self.reads, "the identity's read was rejected"
-        return self.reads.pop(0)
-
-    randbelow = randbytes = next_read
+    def _generator_bytes(self, m):
+        assert self.data, "the identity's read was rejected"
+        out, self.data = self.data[:m].ljust(m, b"\0"), self.data[m:]
+        return out
 
 
 def accepts(rows, p, digits, encode):
@@ -600,7 +593,7 @@ def accepts(rows, p, digits, encode):
     n = len(rows)
     flat = [e for row in rows for e in row]
     eye = [int(i == j) for i in range(n) for j in range(n)]
-    served = ServedReads(encode(flat), encode(eye))
+    served = ServedStream(encode(flat) + encode(eye))
     reads = sample_haar_gl(n, p, digits, served, 1)
     return residues(reads, p, digits).tolist() == flat
 
@@ -617,12 +610,17 @@ def test_det_is_unit_mod_p_matches_laplace(case):
     digits = {2: 20, 3: 13, 5: 9}[p]
     modulus = p**digits
 
+    code_bits = (modulus ** len(rows) ** 2 - 1).bit_length()
+    size = -(-code_bits // 8)
+
     def encode(flat):
-        return sum(e * modulus**i for i, e in enumerate(flat))
+        # the bytes whose randbelow(modulus^(n^2)) is the flat grid's code
+        code = sum(e * modulus**i for i, e in enumerate(flat))
+        return (code << 8 * size - code_bits).to_bytes(size, "big")
 
     expected = _det(rows) % p != 0
     assert accepts(rows, p, digits, encode) == expected
-    # a second call is answered from the memo and must agree
+    # a second call, once the acceptance test is built, must agree
     assert accepts(rows, p, digits, encode) == expected
 
 
@@ -648,7 +646,7 @@ def test_parity_byte_acceptance_matches_laplace(digits):
 
 def test_unit_det_pattern_at_p2_matches_determinant_parity():
     # p = 2 patterns through the one F_p elimination, each as a tuple and as
-    # the byte path's bytes, against the parity of the integer determinant
+    # bytes, against the parity of the integer determinant
     # (exact in floats: |det| < 80 for 0/1 entries at n <= 8): every pattern
     # up to n = 3, seeded ones for n = 4..8
     plan = random.Random(37)
@@ -660,22 +658,77 @@ def test_unit_det_pattern_at_p2_matches_determinant_parity():
     for n, pattern in cases:
         det = round(np.linalg.det(np.reshape(pattern, (n, n))))
         expected = det % 2 != 0
-        assert _unit_det_pattern.__wrapped__(2, n, pattern) == expected
-        assert _unit_det_pattern.__wrapped__(2, n, bytes(pattern)) == expected
+        assert _unit_det_pattern(2, n, pattern) == expected
+        assert _unit_det_pattern(2, n, bytes(pattern)) == expected
         accepted[n] = accepted.get(n, 0) + expected
     assert [accepted[n] for n in (1, 2, 3)] == [1, 6, 168]  # |GL(n, F_2)|
     assert all(0 < accepted[n] < 300 for n in range(4, 9))
 
 
+@pytest.mark.parametrize("p, n", [(2, 1), (2, 2), (2, 3), (3, 1), (3, 2)])
+def test_acceptance_table_matches_the_elimination(p, n):
+    # every pattern the table holds, row-major and turned a half-turn (last
+    # to first, the byte path's key), against the elimination and the
+    # integer determinant
+    test = _unit_det_test(p, n)
+    assert len(test.__self__) == p ** (n * n)  # a dict lookup
+    for pattern in product(range(p), repeat=n * n):
+        expected = _det([list(pattern[i:i + n])
+                         for i in range(0, n * n, n)]) % p != 0
+        assert _unit_det_pattern(p, n, pattern) == expected
+        assert test(bytes(pattern)) == test(bytes(pattern[::-1])) == expected
+
+
+@pytest.mark.parametrize("p", [5, 257, 65537, 2**31 - 1])
+def test_elimination_matches_the_integer_determinant(p):
+    # primes whose rows are held as int8, int16, int32 and int64, against
+    # the integer determinant mod p, including singular stacks
+    plan = random.Random(p)
+    for n in range(1, 6):
+        for _ in range(40):
+            rows = [[plan.randrange(p) for _ in range(n)] for _ in range(n)]
+            if plan.random() < 0.3:
+                factor = plan.randrange(p)
+                rows[-1] = [factor * e % p for e in rows[0]]
+            flat = tuple(e for row in rows for e in row)
+            expected = bareiss_det(rows) % p != 0
+            assert _unit_det_pattern(p, n, flat) == expected
+
+
+def test_larger_sizes_take_the_elimination():
+    for p, n in ((2, 4), (3, 3), (11, 2), (257, 1)):
+        test = _unit_det_test(p, n)
+        assert test.func is _unit_det_pattern and test.args == (p, n)
+
+
+def haar_cases():
+    """(n, p, digits, skip, count): count factors read after skip bytes."""
+    cases = [((1, 2, 3, 5)[i % 4], (2, 3)[i // 4 % 2], (3, 24)[i // 8 % 2],
+              0, 1) for i in range(300)]
+    # On the byte path, after every skip below one attempt's size, enough
+    # factors that attempts straddle the 512-byte refill several times.
+    for n in (2, 3):
+        for digits in (8, 16, 24):
+            size = n * n * digits // 8
+            cases += [(n, 2, digits, skip, 1 + 1200 // size)
+                      for skip in range(size)]
+    # A 675-byte attempt, longer than the refill and not a multiple of 4:
+    # each refill drops the tail of the generator's last 32-bit output.
+    cases += [(15, 2, 24, skip, 3) for skip in (*range(0, 675, 45), 674)]
+    return cases
+
+
 def test_haar_streams_match_reference_rejection_loop():
-    for i in range(300):
-        n = (1, 2, 3, 5)[i % 4]
-        p = (2, 3)[i // 4 % 2]
-        digits = (3, 24)[i // 8 % 2]
+    for i, (n, p, digits, skip, count) in enumerate(haar_cases()):
         ours, ref = RngStream(11, (i,)), RngStream(11, (i,))
-        units, _ = haar_matrix(n, p, digits, ours)
-        assert units == reference_haar(n, p, digits, ref)
+        assert ours.randbytes(skip) == ref.randbytes(skip)
+        flat = residues(sample_haar_gl(n, p, digits, ours, count), p,
+                        digits).tolist()
+        expected = [e for _ in range(count)
+                    for row in reference_haar(n, p, digits, ref) for e in row]
+        assert flat == expected
         assert ours.bits_consumed == ref.bits_consumed
+        assert ours.randbytes(64) == ref.randbytes(64)
 
 
 def test_residues_of_a_chunk_match_one_read_at_a_time():

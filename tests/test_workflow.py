@@ -1,4 +1,5 @@
-"""The CI workflow parses, runs its three legs and runs the Tier-1 command."""
+"""The CI workflow parses, runs its three legs, runs the Tier-1 command and
+checks the digest of one N = 400 sample."""
 
 from pathlib import Path
 
@@ -24,3 +25,14 @@ def test_tier1_workflow_parses_with_three_legs():
     runs = {step.get("name"): step.get("run", "") for step in job["steps"]}
     assert ("python -m pytest -q --continue-on-collection-errors"
             in runs["Tier-1 tests"])
+
+
+def test_console_step_checks_the_n400_sample_digest():
+    doc = yaml.safe_load(WORKFLOW.read_text(encoding="utf-8"))
+    runs = {step.get("name"): step.get("run", "")
+            for step in doc["jobs"]["tests"]["steps"]}
+    script = runs["Console script"].replace("\\\n", "")
+    assert ("timeout 60 padic-hua sample hua --N 400 --count 1 --seed 1 "
+            "| sha256sum" in script)
+    assert ("e427be1d2bf9fafb07a7fcfd5daa4396a14d3c86ec36b5cb3c08eeec2aea78f2"
+            in script)
