@@ -15,13 +15,21 @@ resolution.  Wall time a few minutes at the default 2000 draws.
 import argparse
 
 from padic_hua.experiments import run_ergodic_convergence
-from padic_hua.padic import DIGITS
+from padic_hua.padic import DIGITS, check_prime
 from padic_hua.partitions import Partition
+
+
+def prime(text: str) -> int:
+    """--p as a checked prime, so a composite one is refused at once."""
+    try:
+        return check_prime(int(text))
+    except ValueError as exc:
+        raise argparse.ArgumentTypeError(str(exc)) from None
 
 
 def main() -> int:
     parser = argparse.ArgumentParser(description=__doc__)
-    parser.add_argument("--p", type=int, default=2)
+    parser.add_argument("--p", type=prime, default=2)
     parser.add_argument("--draws", type=int, default=2000)
     parser.add_argument("--seed", type=int, default=7)
     args = parser.parse_args()

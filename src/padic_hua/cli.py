@@ -223,8 +223,8 @@ LAWS = {
     "pi_N": (pi_n, ("hp", "N", "x")),
     "tilde_pi_N": (tilde_pi_n, ("hp", "N", "x")),
     "mN": (m_n_direct, ("hp", "k")),
-    "vol": (lambda p, k: vol_singular_law(p, len(k), k), ("p", "k")),
-    "haar_orbit": (lambda p, k: haar_orbit_mass(p, len(k), k), ("p", "k")),
+    "vol": (vol_singular_law, ("p", "k")),
+    "haar_orbit": (haar_orbit_mass, ("p", "k")),
     "nu": (nu_bracket, ("hp", "lam", "eps")),
     "nu_chain": (nu_chain_bracket, ("hp", "lam", "eps")),
     "rr_cdf": (rr_cdf, ("p", "s", "x", "eps")),
@@ -305,6 +305,13 @@ def cmd_law(args) -> int:
     return 0
 
 
+def _check_guard(guard: int, digits: int) -> None:
+    """The one check of 0 <= --guard < --E, made by each command that reads
+    the guard; matrix.singular_numbers takes it on trust."""
+    _require(0 <= guard < digits,
+             f"need 0 <= --guard < --E, got guard {guard} and E {digits}")
+
+
 def matrix_record(units, shift: int, p: int, digits: int) -> dict:
     return {"n": len(units), "digits": digits, "shift": shift,
             "matrix": [[format_entry(u, p, shift, digits) for u in row]
@@ -321,8 +328,7 @@ def cmd_sample(args) -> int:
     lam, chunk = None, draw_chunk(n)
     residues = 2 * n**2  # the residues of two Haar reads
     if args.kind == "hua":
-        _require(0 <= guard < digits,
-                 f"need 0 <= --guard < --E, got guard {guard} and E {digits}")
+        _check_guard(guard, digits)
     if args.kind == "ergodic":
         try:
             lam = Partition(read_option(args, "k"))
@@ -396,8 +402,7 @@ def cmd_sing(args) -> int:
         raise ConfigError(f"bad --p: {exc}") from None
     check_ranges(args)
     digits, guard = read_option(args, "E"), read_option(args, "guard")
-    _require(0 <= guard < digits,
-             f"need 0 <= --guard < --E, got guard {guard} and E {digits}")
+    _check_guard(guard, digits)
     try:
         units, shift = parse_matrix_text(text, args.p, digits)
         # A shift beyond int64 overflows here.

@@ -315,7 +315,7 @@ def run_oracle_equality(p: int, n: int, digits: int) -> ExperimentReport:
                           "empirical": mass_json(freq), "exact": None})
             continue
         certified_classes += 1
-        exact = vol_singular_law(p, n, label)
+        exact = vol_singular_law(p, label)
         if freq != exact:
             mismatches += 1
         table.append({"label": label_str(label), "count": hist.counts[label],
@@ -696,9 +696,9 @@ def _vol_haar_holds(p: int, k) -> bool:
     one integer cross-multiplication instead of a chain of Fraction products."""
     n = len(k)
     q = Fraction(1, p)
-    vol = vol_singular_law(p, n, k)
+    vol = vol_singular_law(p, k)
     qq = pochhammer(q, q, n)
-    haar = haar_orbit_mass(p, n, k)
+    haar = haar_orbit_mass(p, k)
     lhs = vol.numerator * qq.denominator * haar.denominator
     rhs = qq.numerator * haar.numerator * vol.denominator
     e = n * sum(k)

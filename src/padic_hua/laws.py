@@ -232,11 +232,10 @@ def kernel_valuation(hp: HuaParams, x1: int, x2: int) -> int:
     and (a;q)_x1 / (a;q)_x2 = prod_{x2 < i <= x1} (v p^i - u) / (v p^i) the
     sum of v_p(v p^i - u) - i - f.  v_p(v p^i - u) is min(i, e) for
     i != e; at i = e >= 1 it is e + v_p(v - u / p^e), v - u / p^e being
-    nonzero since t < p.
+    nonzero since t < p.  The range 0 <= x2 <= x1 is not checked here:
+    cli._price_kernel, the one caller, asks only inside it.
     """
     p, u, v = hp
-    if not 0 <= x2 <= x1:
-        raise ValueError(f"need 0 <= x2 <= x1, got {x1}, {x2}")
     e, f, m = int_valuation(u, p), int_valuation(v, p), x1 - x2
 
     def min_sum(n):  # sum of min(i, e) over 1 <= i <= n
@@ -280,13 +279,13 @@ TAIL_QQ_EPS = Fraction(1, 10**9)
 
 
 def pi_s_tail_bound(hp: HuaParams, x0: int) -> Fraction:
-    """Rational upper bound for sum_{x >= x0} pi(x), valid for x0 >= 1.
+    """Rational upper bound for sum_{x >= x0} pi(x), valid for x0 >= 1,
+    which is not checked here: the one caller, pi_n_boundary_tv, passes
+    x0 = n + 1 for the sizes n of run_nu_limit's grid.
 
     Uses pi(x) <= p^(-x^2) t^x / (q;q)_oo and a geometric comparison
     (consecutive terms shrink by t/p^(2x+1) < 1/4).
     """
-    if x0 < 1:
-        raise ValueError(f"tail bound needs x0 >= 1, got {x0}")
     qq_lower = pochhammer_inf(hp.q, hp.q, TAIL_QQ_EPS).lower
     first = Fraction(1, hp.p ** (x0 * x0)) * hp.t**x0 / qq_lower
     ratio = hp.t / hp.p ** (2 * x0 + 1)
@@ -463,30 +462,30 @@ def nu_chain_bracket(hp: HuaParams, lam: Partition, eps) -> Bracket:
 # -- pushforwards of the flat and multiplicative reference measures ----------
 
 
-def vol_singular_law(p: int, n: int, k) -> Fraction:
-    """Mass of the singular class k under the additive volume on Mat(n, Z_p):
+def vol_singular_law(p: int, k) -> Fraction:
+    """Mass of the singular class k under the additive volume on Mat(n, Z_p),
+    n = len(k):
 
     p^(-sum_i (2i-2n-1) k_i) * (q;q)_n^2 / prod_i (q;q)_{l_i}.
     """
     check_prime(p)
     vals = _singular_values(k)
-    if len(vals) != n:
-        raise ValueError(f"expected {n} values, got {len(vals)}")
+    n = len(vals)
     b = sum((2 * i - 2 * n - 1) * ki for i, ki in enumerate(vals, 1))
     cn, en = _qq(p, n)
     cm, em = _qq_product(p, Counter(vals).values())
     return _p_power_mass(cn * cn, cm, p, em - 2 * en - b)
 
 
-def haar_orbit_mass(p: int, n: int, k) -> Fraction:
-    """Multiplicative Haar mass of the double coset with singular numbers k:
+def haar_orbit_mass(p: int, k) -> Fraction:
+    """Multiplicative Haar mass of the double coset with singular numbers k
+    in GL(n, Q_p), n = len(k):
 
     p^(-sum_i (2i-n-1) k_i) * (q;q)_n / prod_i (q;q)_{l_i}.
     """
     check_prime(p)
     vals = _singular_values(k)
-    if len(vals) != n:
-        raise ValueError(f"expected {n} values, got {len(vals)}")
+    n = len(vals)
     b = sum((2 * i - n - 1) * ki for i, ki in enumerate(vals, 1))
     cn, en = _qq(p, n)
     cm, em = _qq_product(p, Counter(vals).values())
@@ -611,13 +610,12 @@ def rewrite_identity_sides(k, lengths) -> np.ndarray:
     tail_i = #{k_j >= i}, lower tail_{-i} = #{k_j <= -i} and l_i =
     #{k_j = i}.  One tuple is a one-row stack.  The level counts hold rows
     x width x max |k_j| entries, so a caller passes large stacks in blocks.
+    The row order is not checked here: the stacks of
+    experiments._random_descending_tuples are sorted and zeroed so.
     """
     k = np.asarray(k, dtype=np.int64)
     lengths = np.asarray(lengths, dtype=np.int64)[:, None]
     j = np.arange(1, k.shape[1] + 1)
-    live = j <= lengths
-    if np.any((k[:, 1:] > k[:, :-1]) & live[:, 1:]) or np.any(k[~live]):
-        raise ValueError("each row must be weakly decreasing, then zeros")
     pos = np.where(k > 0, k, 0)
     levels = np.arange(1, max(pos.max(initial=0), -k.min(initial=0)) + 1)
     upper = (k[:, :, None] >= levels).sum(axis=1)

@@ -26,7 +26,7 @@ from itertools import product
 
 import numpy as np
 
-from .padic import DIGITS, PrecisionExhausted, check_prime, int_valuation
+from .padic import DIGITS, int_valuation
 
 
 def corner(units, size: int):
@@ -138,9 +138,12 @@ def singular_numbers(units, shifts, p: int, digits: int, guard: int = 0):
     matrix's certification floor shift - digits + guard.  A value at or
     below its floor is a marker: its pivot valuation reached
     digits - guard, where it is not certified.  Markers end their row.
+
+    Callers keep 0 <= guard < digits, which is not checked here:
+    cli.cmd_sample and cli.cmd_sing check --guard against --E, the Monte
+    Carlo experiments pass padic.GUARD at the DIGITS window, and
+    enumerate_oracle passes guard 0.
     """
-    if not 0 <= guard < digits:
-        raise ValueError(f"need 0 <= guard < digits, got {guard}, {digits}")
     shifts = np.array(shifts, dtype=np.int64)
     values = shifts[:, None] - smith_valuations(
         units.transpose(1, 2, 0), p, digits)
@@ -305,8 +308,9 @@ def sample_haar_gl(n: int, p: int, digits: int, rng, count: int) -> list:
     byte.  Each element is the first accepted read after the one before
     it, so ``count`` reads consume the stream as ``count`` calls of one
     would.
+
+    p is taken to be prime, as HuaParams.of checked it for every caller.
     """
-    check_prime(p)
     width = byte_width(p, digits)
     accept = _unit_det_test(p, n)
     if width:
@@ -333,26 +337,18 @@ def assemble_orbit(ks, b, c, p: int, digits: int, size: int | None = None):
     (default n); only the corner's rows of B and columns of C are
     multiplied.
 
-    ``ks`` holds one weakly decreasing n-tuple per matrix; ``b`` and ``c``
-    are (batch, n, n) residue stacks of factors in GL(n, Z_p), which are
-    not checked here: sample_haar_gl accepted each one.  Matrix j is
-    p^-k_1 times residues mod p^digits, so the shifts are the k_1.  Raises
-    PrecisionExhausted when some p^-k_1 does not fit the window at all.
+    ``ks`` holds one weakly decreasing n-tuple per matrix with k_1 at most
+    half the window, ``b`` and ``c`` are (batch, n, n) stacks of factors
+    in GL(n, Z_p) and 1 <= size <= n.  None of it is checked here: the one
+    caller, samplers.hua_matrices, reshapes both stacks from one read of
+    the attempts sample_hua_attempts kept (k from chain paths, k_1 <=
+    digits // 2, factors accepted by sample_haar_gl), at size n or the
+    corner_to that run_corners_consistency checked.  Matrix j is p^-k_1
+    times residues mod p^digits, so the shifts are the k_1.
     """
-    batch, n = len(ks), b.shape[-1]
-    k = np.array(ks, dtype=np.int64).reshape(batch, n)
-    if b.shape != (batch, n, n) or c.shape != b.shape:
-        raise ValueError("incompatible orbit factors")
-    if (k[:, :-1] < k[:, 1:]).any():
-        raise ValueError("singular numbers must be weakly decreasing")
+    n = b.shape[-1]
+    k = np.array(ks, dtype=np.int64).reshape(len(ks), n)
     size = n if size is None else size
-    if not 1 <= size <= n:
-        raise ValueError(f"corner size must be in [1, {n}], got {size}")
-    if batch:
-        shift = int(k[:, 0].max())
-        if shift >= digits:
-            raise PrecisionExhausted(
-                f"p^-{shift} overflows a {digits}-digit window")
     pe = p**digits
     dtype = residue_dtype(p, digits, n)
     scales = power_residues(p, digits, k[:, :1] - k, dtype)
@@ -387,9 +383,9 @@ def parse_matrix_text(text: str, p: int, digits: int = DIGITS) -> tuple:
     residues mod p^digits and shift the largest entry shift (at least 0).
 
     Each entry u p^v, u a unit, becomes the residue u p^(v + shift) mod
-    p^digits, so no power of p is expanded beyond the window.
+    p^digits, so no power of p is expanded beyond the window.  p is taken
+    to be prime: cli.cmd_sing, the one caller, checks --p first.
     """
-    check_prime(p)
     rows = []
     for line in text.splitlines():
         line = line.strip()

@@ -9,9 +9,10 @@ multiplicities l_i over i in Z with sum N.
 
 from __future__ import annotations
 
+from collections import Counter
 from dataclasses import dataclass
 from itertools import combinations_with_replacement
-from typing import Iterable, Mapping
+from typing import Iterable
 
 
 def _conjugate(xs) -> tuple:
@@ -41,14 +42,11 @@ class Partition:
 
     @classmethod
     def from_tail_counts(cls, tail_counts: Iterable[int]) -> "Partition":
-        """Rebuild from X_1, X_2, ... (trailing zeros optional)."""
-        xs = list(tail_counts)
-        while xs and xs[-1] == 0:
-            xs.pop()
-        for i, x in enumerate(xs):
-            if x < 1 or (i and x > xs[i - 1]):
-                raise ValueError(f"tail counts must decrease weakly to 0, got {xs}")
-        return cls(_conjugate(xs))
+        """Rebuild from X_1 >= X_2 >= ... (trailing zeros optional, as
+        _conjugate ignores them).  The order is not checked here: the one
+        caller, samplers.sample_nu, passes a run_chain path, whose states
+        decrease weakly."""
+        return cls(_conjugate(tuple(tail_counts)))
 
     @property
     def num_parts(self) -> int:
@@ -86,25 +84,13 @@ class LProfile:
 
     mult: tuple  # sorted ((i, l_i), ...) with l_i > 0
 
-    def __post_init__(self):
-        prev = None
-        for i, l in self.mult:
-            if l <= 0:
-                raise ValueError(f"multiplicities must be positive, got {self.mult}")
-            if prev is not None and i <= prev:
-                raise ValueError(f"indices must be strictly increasing, got {self.mult}")
-            prev = i
-
-    @classmethod
-    def from_multiplicities(cls, mult: Mapping[int, int]) -> "LProfile":
-        return cls(tuple(sorted((i, l) for i, l in mult.items() if l)))
-
     @classmethod
     def from_singular_values(cls, values: Iterable[int]) -> "LProfile":
-        counts: dict = {}
-        for v in values:
-            counts[v] = counts.get(v, 0) + 1
-        return cls.from_multiplicities(counts)
+        """The profile of a tuple: each distinct value with its count, in
+        increasing order.  This is the one constructor, so the indices of
+        every profile increase strictly and its multiplicities are
+        positive by construction; nothing checks them again."""
+        return cls(tuple(sorted(Counter(values).items())))
 
     @property
     def total(self) -> int:

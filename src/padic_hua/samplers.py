@@ -33,7 +33,7 @@ from .matrix import (
     residues,
     sample_haar_gl,
 )
-from .padic import PrecisionExhausted, check_prime
+from .padic import PrecisionExhausted
 from .partitions import Partition, _conjugate
 from .qseries import Bracket
 from .rng import draw_table
@@ -182,9 +182,10 @@ def hua_tail_draws(hp: HuaParams, n: int, rng):
     (multiplicities of 0, -1, -2, ...).  Both chains always run, so the
     stream is consumed the same whichever side is used.  The entrance
     table and both kernel row families are looked up once.
+
+    n >= 1 is not checked here: `sample --N` is at least 1 (cli.OPTIONS),
+    and the suites pass their constant sizes.
     """
-    if n < 1:
-        raise ValueError(f"need n >= 1, got {n}")
     entrance = _pi_n_cumulative(hp)[n]
     rows = _kernel_cumulative(hp)
     zero_rows = _kernel_cumulative(hp.with_s_zero())
@@ -282,9 +283,10 @@ def sample_ergodic_matrix(p: int, lam: Partition, n: int, digits: int,
     i.i.d. Haar on Z_p at the window, taken from the read in a fixed order
     (X then Y per part, then Z row-major), so samples are a pure function
     of the stream.  Raises PrecisionExhausted when p^-k_1 does not fit the
-    window.
+    window.  p is taken to be prime: HuaParams.of checked it for cli and
+    run_ergodic_decomposition, run_ergodic_convergence gets the suites'
+    p = 2, and scripts/pilot_ergodic.py checks its --p.
     """
-    check_prime(p)
     parts = lam.parts
     shift = parts[0] if parts else 0
     if shift >= digits:

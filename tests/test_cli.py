@@ -255,8 +255,13 @@ def test_bad_input_exits_2_with_one_error_line(tmp_path, capsys, monkeypatch,
 
 # The grammar test's largest int per option, so that no drawn command
 # allocates much or runs long; each range also reaches below its least.
-GRAMMAR_MAX = {"p": 7, "N": 8, "E": 40, "guard": 40, "x": 8, "x1": 8, "x2": 8,
-               "s": 2, "n": 20, "count": 3, "seed": 99, "workers": 2}
+# x1 and x2 reach past the size at which `law kernel` is priced and
+# refused before it builds its row.  x stays small: `law nu_k1_below`
+# sums every partition of its box, and its budget still admits x = 10,
+# which sums 48,620 of them in about a second.
+GRAMMAR_MAX = {"p": 7, "N": 8, "E": 40, "guard": 40, "x": 8, "x1": 300,
+               "x2": 300, "s": 2, "n": 20, "count": 3, "seed": 99,
+               "workers": 2}
 NOT_A_NUMBER = ["x", "", "1.5", "1/2"]
 # Text that each reader takes, and text that it refuses.
 TEXT_VALUES = {
@@ -340,6 +345,7 @@ def matrix_dir(tmp_path_factory):
 
 @settings(max_examples=150, deadline=None)
 @example(argv=("law", "kernel", "--t", "-1/2"))
+@example(argv=("law", "kernel", "--x1", "300", "--x2", "150"))
 @given(argv=cli_argv())
 def test_grammar_exit_codes(matrix_dir, argv):
     """Every drawn command exits 0, 1 or 2, with exactly one error line and

@@ -499,7 +499,7 @@ def flip_first_row(checks):
     ("chain_product_rep2", "four-form-equality",
      lambda mass, hp, profile: mass * (1 + F(1, hp.p))),
     ("haar_orbit_mass", "vol-haar-relation",
-     lambda mass, p, n, k: mass * (1 + F(1, p))),
+     lambda mass, p, k: mass * (1 + F(1, p))),
     ("rewrite_identity_check", "rewriting-identities",
      lambda checks, k, lengths: flip_first_row(checks)),
 ])

@@ -9,7 +9,6 @@ from hypothesis import example, given, settings, strategies as st
 
 from padic_hua.laws import HuaParams, _normalization, gamma_exponent, hua_density
 from padic_hua.matrix import (
-    PrecisionExhausted,
     _unit_det_pattern,
     _unit_det_test,
     assemble_orbit,
@@ -197,11 +196,6 @@ class TestOrbit:
             units, shift = m
             det = _det([list(row) for row in units]) % 2**24
             assert int_valuation(det, 2) - 3 * shift == -sum(k)
-
-    def test_window_overflow(self):
-        eye = eye_stack(1, 2)
-        with pytest.raises(PrecisionExhausted):
-            assemble_orbit([(0,), (8,)], eye, eye, 2, 8)
 
 
 def test_bi_invariance_of_singular_numbers():
@@ -539,8 +533,6 @@ def test_stack_singular_numbers_match_one_at_a_time():
         assert marked == [read_one(m, 2, 10, guard)[0] for m in ms]
     values, floors = singular_numbers(units[:0], [], 2, 10)
     assert values.shape == (0, 3) and floors.shape == (0,)
-    with pytest.raises(ValueError):
-        singular_numbers(units, shifts, 2, 10, guard=10)
 
 
 @given(p=st.sampled_from([2, 3, 5, 7, 101]), digits=st.integers(1, 30),

@@ -1,12 +1,13 @@
 """Tail counts: the one-pass conjugate maps against the rescan definition;
-the partitions of a box against a brute-force filter."""
+profiles as their one constructor builds them; the partitions of a box
+against a brute-force filter."""
 
 from itertools import product
 
 import pytest
 from hypothesis import example, given, strategies as st
 
-from padic_hua.partitions import Partition, partitions_in_box
+from padic_hua.partitions import LProfile, Partition, partitions_in_box
 
 
 def rescan_tail_counts(parts):
@@ -17,14 +18,9 @@ def rescan_tail_counts(parts):
 
 
 def rescan_from_tail_counts(tail_counts):
-    """Parts from X_1, X_2, ... (trailing zeros optional), one rescan per
-    part; ValueError unless the counts decrease weakly to 0."""
-    xs = list(tail_counts)
-    while xs and xs[-1] == 0:
-        xs.pop()
-    for i, x in enumerate(xs):
-        if x < 1 or (i and x > xs[i - 1]):
-            raise ValueError(f"tail counts must decrease weakly to 0, got {xs}")
+    """Parts from X_1 >= X_2 >= ... (trailing zeros optional), one rescan
+    per part."""
+    xs = [x for x in tail_counts if x]
     return tuple(sum(1 for x in xs if x >= j)
                  for j in range(1, (xs[0] if xs else 0) + 1))
 
@@ -48,19 +44,18 @@ def test_from_tail_counts_matches_rescan(xs, zeros):
     assert Partition.from_tail_counts(tails).parts == rescan_from_tail_counts(tails)
 
 
-@given(st.lists(st.integers(-1, 5), max_size=6))
-@example([2, 3])
-@example([1, 0, 1])
-@example([0, -1])
-def test_from_tail_counts_rejects_as_rescan_does(xs):
-    try:
-        expected = rescan_from_tail_counts(xs)
-    except ValueError as exc:
-        with pytest.raises(ValueError, match="decrease weakly") as raised:
-            Partition.from_tail_counts(xs)
-        assert str(raised.value) == str(exc)
-    else:
-        assert Partition.from_tail_counts(xs).parts == expected
+@given(st.lists(st.integers(-6, 6), max_size=10))
+@example([])
+@example([2, 2, -1, 2])
+def test_profile_indices_increase_and_multiplicities_are_positive(values):
+    # from_singular_values is the one constructor, and nothing checks a
+    # profile after it.
+    mult = LProfile.from_singular_values(values).mult
+    indices = [i for i, _ in mult]
+    assert all(a < b for a, b in zip(indices, indices[1:]))
+    assert all(l >= 1 for _, l in mult)
+    assert sum(l for _, l in mult) == len(values)
+    assert set(indices) == set(values)
 
 
 @pytest.mark.parametrize("max_parts", range(6))

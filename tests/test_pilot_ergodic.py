@@ -2,6 +2,8 @@ import runpy
 import sys
 from pathlib import Path
 
+import pytest
+
 SCRIPT = Path(__file__).resolve().parents[1] / "scripts" / "pilot_ergodic.py"
 PILOT = runpy.run_path(str(SCRIPT))
 
@@ -20,3 +22,12 @@ def test_main_prints_five_frequencies_for_each_parameter(capsys, monkeypatch):
         assert len(freqs) == 5 and all(0 <= f <= 1 for f in freqs)
         # a frequency over 20 draws is a multiple of 1/20
         assert all(round(f * 20, 6).is_integer() for f in freqs)
+
+
+def test_composite_p_is_refused_before_any_draw(capsys, monkeypatch):
+    monkeypatch.setattr(sys, "argv", [str(SCRIPT), "--p", "4"])
+    with pytest.raises(SystemExit) as exited:
+        PILOT["main"]()
+    assert exited.value.code == 2
+    captured = capsys.readouterr()
+    assert captured.out == "" and "4 is not prime" in captured.err

@@ -36,3 +36,16 @@ def test_console_step_checks_the_n400_sample_digest():
             "| sha256sum" in script)
     assert ("e427be1d2bf9fafb07a7fcfd5daa4396a14d3c86ec36b5cb3c08eeec2aea78f2"
             in script)
+
+
+def test_exit_2_loop_checks_the_guard_rule_in_sample_and_sing():
+    # matrix.singular_numbers takes 0 <= guard < digits on trust, so the
+    # CLI's check is the only one.
+    doc = yaml.safe_load(WORKFLOW.read_text(encoding="utf-8"))
+    runs = {step.get("name"): step.get("run", "")
+            for step in doc["jobs"]["tests"]["steps"]}
+    script = runs["Console script"].replace("\\\n", "")
+    loop = script[script.index("for cmd in"):script.index("; do")]
+    for cmd in ("padic-hua sample hua --guard 24 --seed 1",
+                "padic-hua sing $RUNNER_TEMP/m.txt --p 2 --E 4 --guard 4"):
+        assert f'"{cmd}"' in loop
